@@ -205,13 +205,13 @@ def bench_sim(
 
             # End-to-end: decode + interval model (engine-dominated).
             cold = _timed_variant(
-                lambda: Simulator(SimConfig.main(), decode_cache=None).run(
-                    instrs, rules
-                ),
+                lambda: Simulator(
+                    SimConfig.main(), decode_cache=None, engine="scalar"
+                ).run(instrs, rules),
                 len(instrs),
                 repeats,
             )
-            warm_sim = Simulator(SimConfig.main())
+            warm_sim = Simulator(SimConfig.main(), engine="scalar")
             warm_sim.run(instrs, rules)  # populate the decode cache
             warm = _timed_variant(
                 lambda: warm_sim.run(instrs, rules), len(instrs), repeats

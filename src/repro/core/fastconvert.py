@@ -204,15 +204,14 @@ class BlockConverter:
         dc_zva_aligned = 0
 
         for record in block:
-            rdict = record.__dict__
-            cls_value = rdict["inst_class"]
-            dst_regs = rdict["dst_regs"]
+            cls_value = record.inst_class
+            dst_regs = record.dst_regs
             if _LOAD <= cls_value <= _STORE:
                 # ----------------------------------------- memory record
                 n_mem += 1
-                src_regs = rdict["src_regs"]
-                pc = rdict["pc"]
-                address = rdict["mem_address"] or 0
+                src_regs = record.src_regs
+                pc = record.pc
+                address = record.mem_address or 0
 
                 if want_inference:
                     info = infer_addressing(record, registers)
@@ -263,7 +262,7 @@ class BlockConverter:
 
                 if not footprint:
                     addr2 = 0
-                elif cls_value == _STORE and rdict["mem_size"] == CACHELINE_SIZE:
+                elif cls_value == _STORE and record.mem_size == CACHELINE_SIZE:
                     # DC ZVA: one naturally-aligned line (Section 3.1.3).
                     aligned = address & line_mask
                     if aligned != address:
@@ -275,11 +274,11 @@ class BlockConverter:
                     # data-register heuristic stays in addrmode, only the
                     # line arithmetic is unrolled here.
                     if cls_value == _LOAD:
-                        size = rdict["mem_size"] * (
+                        size = record.mem_size * (
                             len(info.memory_dst_regs) or 1
                         )
                     else:
-                        size = rdict["mem_size"] * _store_data_register_count(
+                        size = record.mem_size * _store_data_register_count(
                             record, registers
                         )
                     if size < 1:
@@ -327,7 +326,7 @@ class BlockConverter:
                     n_out += 1
 
                 if want_inference and dst_regs:
-                    for reg, value in zip(dst_regs, rdict["dst_values"]):
+                    for reg, value in zip(dst_regs, record.dst_values):
                         regvals[reg] = value
                 continue
 
@@ -336,12 +335,12 @@ class BlockConverter:
                 key = (
                     imp_bits,
                     cls_value,
-                    rdict["src_regs"],
+                    record.src_regs,
                     dst_regs,
-                    rdict["branch_taken"],
+                    record.branch_taken,
                 )
             else:
-                key = (imp_bits, cls_value, rdict["src_regs"], dst_regs)
+                key = (imp_bits, cls_value, record.src_regs, dst_regs)
             hit = static_memo.get(key)
             if hit is None:
                 n_static_miss += 1
@@ -350,7 +349,7 @@ class BlockConverter:
                 hit = _probe_convert(converter, record, registers)
                 static_memo[key] = hit
             body, category, deltas = hit
-            append(pack_ip(rdict["pc"] & mask) + body)
+            append(pack_ip(record.pc & mask) + body)
             n_out += 1
             if category is not None:
                 branch_counts[category] = branch_counts.get(category, 0) + 1
@@ -358,7 +357,7 @@ class BlockConverter:
                 counters[index] += value
 
             if want_inference and dst_regs:
-                for reg, value in zip(dst_regs, rdict["dst_values"]):
+                for reg, value in zip(dst_regs, record.dst_values):
                     regvals[reg] = value
 
         # Fold the block's locals into the shared ConversionStats.

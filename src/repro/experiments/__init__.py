@@ -20,7 +20,7 @@ text renderers in :mod:`repro.experiments.report`, and the
 """
 
 from repro.experiments.cache import ConversionCache, ResultCache
-from repro.experiments.parallel import RunTask, TaskFailure, run_tasks
+from repro.experiments.parallel import TaskFailure, TraceGroup, run_tasks
 from repro.experiments.runner import ExperimentRunner, RunResult
 from repro.experiments.figures import (
     figure1,
@@ -42,8 +42,8 @@ __all__ = [
     "ExperimentRunner",
     "ResultCache",
     "RunResult",
-    "RunTask",
     "TaskFailure",
+    "TraceGroup",
     "run_tasks",
     "figure1",
     "figure2",

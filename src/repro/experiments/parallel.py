@@ -22,9 +22,13 @@ one place:
 - after ``max_pool_restarts`` pool losses the batch degrades gracefully
   to serial in-process execution for the remaining tasks (or raises
   :class:`PoolRecoveryError` when degradation is disabled);
-- each worker process keeps a per-``instructions`` runner, so multiple
-  tasks for the same trace landing on one worker share a single trace
-  generation.
+- experiment sweeps dispatch one :class:`TraceGroup` per trace: every
+  run of that trace in the batch travels in one task (a batch over
+  fewer traces than workers splits them), so the trace is generated
+  once per batch and the runs of one conversion share its columns
+  inside the worker.  Retries, timeouts and quarantine
+  therefore apply per trace group; the parent still checkpoints each
+  run of a finished group under its own key.
 
 Every failure path emits structured obs events (``task.retry``,
 ``task.failed``, ``task.timeout``, ``task.aborted``, ``pool.restart``,
@@ -48,11 +52,24 @@ import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.improvements import Improvement
 from repro.faults.retry import RetryPolicy
 from repro.sim.config import SimConfig
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.experiments.runner import RunKey
 
 #: Pool losses (broken pool or hung-task kill) tolerated per batch before
 #: the remaining tasks degrade to serial in-process execution.
@@ -60,13 +77,63 @@ DEFAULT_MAX_POOL_RESTARTS = 3
 
 
 @dataclass(frozen=True)
-class RunTask:
-    """One (trace, improvements, config) simulation request."""
+class TraceGroup:
+    """Runs of one trace: the unit of sweep dispatch.
+
+    Runs sharing an improvement set are adjacent in ``runs``, so the
+    worker's single-slot conversion memo converts each (trace,
+    improvements) pair once and its configs share the columns.
+    """
 
     name: str
-    improvements: Improvement
-    config: SimConfig
     instructions: int
+    runs: Tuple[Tuple[Improvement, SimConfig], ...]
+
+    @classmethod
+    def partition(
+        cls, keys: Sequence[RunKey], instructions: int, min_tasks: int = 1
+    ) -> List["TraceGroup"]:
+        """Group ``keys`` per trace (first-appearance order); inside a
+        group, runs are ordered by improvement set (first appearance).
+
+        With fewer traces than ``min_tasks`` (the pool's worker count),
+        each trace's runs are cut into contiguous, near-equal groups so
+        no worker idles; each piece regenerates its trace, which costs
+        nothing in wall time on a worker that would otherwise wait.
+        """
+        by_trace: Dict[str, Dict[Improvement, List[SimConfig]]] = {}
+        for name, improvements, config in keys:
+            by_trace.setdefault(name, {}).setdefault(improvements, []).append(
+                config
+            )
+        pieces = 1
+        if by_trace and len(by_trace) < min_tasks:
+            pieces = -(-min_tasks // len(by_trace))
+        groups = []
+        for name, by_imp in by_trace.items():
+            runs = [
+                (improvements, config)
+                for improvements, configs in by_imp.items()
+                for config in configs
+            ]
+            count = min(pieces, len(runs))
+            size, extra = divmod(len(runs), count)
+            start = 0
+            for index in range(count):
+                end = start + size + (index < extra)
+                groups.append(
+                    cls(
+                        name=name,
+                        instructions=instructions,
+                        runs=tuple(runs[start:end]),
+                    )
+                )
+                start = end
+        return groups
+
+    def keys(self) -> List[RunKey]:
+        """The group's runs as (trace, improvements, config) keys."""
+        return [(self.name, imp, config) for imp, config in self.runs]
 
 
 class TaskFailure(RuntimeError):
@@ -103,16 +170,19 @@ def _task_label(task: Any) -> str:
 def _task_fingerprint(task: Any) -> str:
     """Stable content hash identifying a task across retries and runs.
 
-    For :class:`RunTask` this is the cache key of the run it requests
-    (so a ``task.failed`` event can be joined against cache entries and
-    result files); other task types hash their dataclass repr.
+    For a :class:`TraceGroup` this is a hash over the cache keys of the
+    runs it carries (so a ``task.failed`` event can be joined against
+    cache entries and result files); other task types hash their
+    dataclass repr.
     """
-    if isinstance(task, RunTask):
+    if isinstance(task, TraceGroup):
         from repro.experiments.cache import run_key
 
-        return run_key(
-            task.name, task.improvements, task.config, task.instructions
+        joined = "|".join(
+            run_key(name, improvements, config, task.instructions)
+            for name, improvements, config in task.keys()
         )
+        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
     return hashlib.sha256(repr(task).encode("utf-8")).hexdigest()
 
 
@@ -161,12 +231,11 @@ def default_jobs() -> int:
 _WORKER_RUNNERS: Dict[int, Any] = {}
 
 
-def execute_task(task: RunTask) -> "RunResult":  # noqa: F821
-    """Run one task in the current process (the worker entry point).
+def execute_task(task: TraceGroup) -> List[Any]:
+    """Run one trace group in the current process (the worker entry point).
 
-    Uses a process-local :class:`ExperimentRunner` so that several tasks
-    against the same trace (e.g. ten improvement sets of one Figure 1
-    trace) landing on the same worker generate the trace once.
+    Returns the group's ``RunResult`` list, in ``runs`` order.  Uses a
+    process-local :class:`ExperimentRunner` per instruction budget.
     """
     from repro.experiments.runner import ExperimentRunner
 
@@ -174,7 +243,7 @@ def execute_task(task: RunTask) -> "RunResult":  # noqa: F821
     if runner is None:
         runner = ExperimentRunner(instructions=task.instructions)
         _WORKER_RUNNERS[task.instructions] = runner
-    return runner.run(task.name, task.improvements, task.config)
+    return runner.run_group(task)
 
 
 def _guarded(

@@ -6,6 +6,17 @@ configuration, and read statistics.  :class:`ExperimentRunner` memoises
 each stage so that e.g. Figure 1's ten configurations share one
 generation per trace, and Figures 2-5 reuse Figure 1's runs outright.
 
+The production path per run is columnar end to end: the fused block
+converter (:meth:`~repro.core.convert.Converter.convert_to_bytes`)
+emits ChampSim bytes, :meth:`~repro.sim.decoded.DecodedColumns.from_champsim_bytes`
+turns them into engine columns without per-instruction objects, and
+:class:`~repro.sim.simulator.Simulator` runs the vector engine over
+them.  A single-slot conversion memo lets every config simulated over
+one (trace, improvements) conversion share its columns — and with them
+the columns' component-plan cache — so batches run grouped by trace.
+The per-record :meth:`~repro.core.convert.Converter.convert` and the
+scalar engine survive only as test oracles.
+
 Two layers extend the in-process memo:
 
 - an optional :class:`~repro.experiments.cache.ResultCache` persists
@@ -22,11 +33,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.champsim.branch_info import BranchRules
 from repro.core.convert import ConversionStats, Converter
 from repro.core.improvements import Improvement
 from repro.cvp.analysis import TraceCharacterization, characterize
 from repro.cvp.record import CvpRecord
 from repro.sim.config import SimConfig
+from repro.sim.decoded import DecodedColumns
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
 from repro.synth.generator import make_trace
@@ -35,10 +48,17 @@ from repro.synth.suite import IPC1_TO_CVP1, cvp1_public_trace_names, ipc1_trace_
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.experiments.cache import ResultCache
     from repro.experiments.journal import SweepJournal
+    from repro.experiments.parallel import TraceGroup
     from repro.faults.retry import RetryPolicy
 
 #: A (trace, improvements, config) request, as accepted by ``run_batch``.
 RunSpec = Tuple[str, Improvement, Optional[SimConfig]]
+
+#: A fully normalised run identity (the in-process memo key).
+RunKey = Tuple[str, Improvement, SimConfig]
+
+#: One conversion, shareable by every config simulated over it.
+Conversion = Tuple[DecodedColumns, BranchRules, ConversionStats]
 
 
 @dataclass
@@ -120,7 +140,12 @@ class ExperimentRunner:
         #: Memo keyed by the *full* config identity (the frozen SimConfig
         #: itself), not just (config.name, l1i_prefetcher): two configs
         #: sharing a name but differing in any field must not alias.
-        self._runs: Dict[Tuple[str, Improvement, SimConfig], RunResult] = {}
+        self._runs: Dict[RunKey, RunResult] = {}
+        #: Single-slot memo of the last conversion: one slot bounds the
+        #: columns (and their plan cache) kept alive to one conversion.
+        self._conversion: Optional[
+            Tuple[Tuple[str, Improvement], Conversion]
+        ] = None
 
     # ------------------------------------------------------------------
     # suites
@@ -147,9 +172,42 @@ class ExperimentRunner:
     def trace(self, name: str) -> List[CvpRecord]:
         """The CVP-1 records for ``name`` (generated once)."""
         if name not in self._traces:
+            from repro import obs
+
             generator_name = IPC1_TO_CVP1.get(name, name)
-            self._traces[name] = make_trace(generator_name, self.instructions)
+            with obs.span(
+                "synth.generate", trace=name, instructions=self.instructions
+            ):
+                self._traces[name] = make_trace(generator_name, self.instructions)
         return self._traces[name]
+
+    def conversion(self, name: str, improvements: Improvement) -> Conversion:
+        """Columns, branch rules and stats of converting ``name``.
+
+        Block conversion to ChampSim bytes, then bytes to engine columns
+        (no per-instruction objects on either step).  The single-slot
+        memo serves every consecutive call for the same pair, which is
+        how all the configs of one conversion share its columns.
+        """
+        from repro import obs
+
+        memo = self._conversion
+        if memo is not None and memo[0] == (name, improvements):
+            return memo[1]
+        # Release the slot first, so the old columns are not alive while
+        # the next trace is generated and converted.
+        self._conversion = None
+        records = self.trace(name)
+        converter = Converter(improvements)
+        with obs.span("core.convert", trace=name, improvements=improvements.value):
+            data = b"".join(converter.convert_to_bytes(records))
+        rules = converter.required_branch_rules
+        with obs.span("sim.columnarize", rules=rules.name) as span:
+            columns = DecodedColumns.from_champsim_bytes(data, rules)
+            span.set(instructions=columns.n)
+        conversion = (columns, rules, converter.stats)
+        self._conversion = ((name, improvements), conversion)
+        return conversion
 
     def characterization(self, name: str) -> TraceCharacterization:
         """Structural characterisation of the CVP-1 trace."""
@@ -174,7 +232,7 @@ class ExperimentRunner:
     def _execute(
         self, name: str, improvements: Improvement, config: SimConfig
     ) -> RunResult:
-        """Convert + simulate, unconditionally (no memo, no cache)."""
+        """Convert + simulate, unconditionally (no result memo, no cache)."""
         from repro import obs
 
         with obs.span(
@@ -183,11 +241,8 @@ class ExperimentRunner:
             improvements=improvements.value,
             config=config.name,
         ) as run_span:
-            converter = Converter(improvements)
-            instrs = list(converter.convert(self.trace(name)))
-            stats = Simulator(config).run(
-                instrs, converter.required_branch_rules
-            )
+            columns, rules, conversion = self.conversion(name, improvements)
+            stats = Simulator(config).run(columns, rules)
             self.simulations += 1
             run_span.set(instructions=stats.instructions, ipc=stats.ipc)
         if obs.enabled():
@@ -200,7 +255,7 @@ class ExperimentRunner:
             improvements=improvements,
             config_name=config.name,
             stats=stats,
-            conversion=converter.stats,
+            conversion=conversion,
         )
 
     def run(
@@ -228,6 +283,18 @@ class ExperimentRunner:
             self.journal.record(cache_key, result)
         self._runs[key] = result
         return result
+
+    def run_group(self, group: "TraceGroup") -> List[RunResult]:
+        """Run one trace group's runs in order (memoised and cached like
+        :meth:`run`), then release the conversion memo: no later group
+        converts the same trace, so its columns are dead weight."""
+        try:
+            return [
+                self.run(group.name, improvements, config)
+                for improvements, config in group.runs
+            ]
+        finally:
+            self._conversion = None
 
     def run_many(
         self,
@@ -271,16 +338,20 @@ class ExperimentRunner:
         """Run arbitrary (trace, improvements, config) specs in one pool.
 
         Memo, journal, and disk-cache hits are resolved up front; only
-        the misses (deduplicated) are dispatched to worker processes.
-        With ``jobs<=1`` the misses run inline through :meth:`run`, so
+        the misses (deduplicated) run, grouped by trace
+        (:meth:`~repro.experiments.parallel.TraceGroup.partition`).
+        With ``jobs<=1`` the groups run inline through :meth:`run`, so
         serial and parallel share one code path per result.  In pool
-        mode each completion is cached and journalled *as it arrives*
+        mode one task carries one trace's group, so each trace is
+        generated once per batch (a batch over fewer traces than
+        workers splits its groups so every worker gets work); each
+        group's runs are cached and journalled *as the group arrives*
         (not after the batch), so a sweep killed mid-flight checkpoints
-        everything that finished.
+        every finished group.
         """
         jobs = self.jobs if jobs is None else jobs
         resolved: Dict[int, RunResult] = {}
-        pending: Dict[Tuple[str, Improvement, SimConfig], List[int]] = {}
+        pending: Dict[RunKey, List[int]] = {}
         for index, (name, improvements, config) in enumerate(specs):
             config = self._normalize_config(config)
             key = (name, improvements, config)
@@ -303,46 +374,48 @@ class ExperimentRunner:
                 pending[key] = [index]
 
         if pending:
-            keys = list(pending)
+            from repro.experiments.parallel import (
+                TraceGroup,
+                default_jobs,
+                run_tasks,
+            )
+
+            groups = TraceGroup.partition(
+                list(pending),
+                self.instructions,
+                min_tasks=default_jobs() if jobs is None else jobs,
+            )
             if jobs is not None and jobs <= 1:
-                results = [self.run(*key) for key in keys]
+                for group in groups:
+                    self.run_group(group)
             else:
-                from repro.experiments.parallel import RunTask, run_tasks
 
-                tasks = [
-                    RunTask(
-                        name=name,
-                        improvements=improvements,
-                        config=config,
-                        instructions=self.instructions,
-                    )
-                    for name, improvements, config in keys
-                ]
-
-                def _checkpoint(task_index: int, task: object, result: RunResult) -> None:
+                def _checkpoint(
+                    task_index: int, group: TraceGroup, results: List[RunResult]
+                ) -> None:
                     # Worker-side executions count as this runner's
                     # simulations: the counter means "simulations
                     # performed on behalf of this runner", so a
                     # warm-cache sweep is 0 regardless of jobs.
-                    self.simulations += 1
-                    key = keys[task_index]
-                    self._runs[key] = result
-                    cache_key = self._cache_key(*key)
-                    if self.cache is not None:
-                        self.cache.store(cache_key, result)
-                    if self.journal is not None:
-                        self.journal.record(cache_key, result)
+                    for key, result in zip(group.keys(), results):
+                        self.simulations += 1
+                        self._runs[key] = result
+                        cache_key = self._cache_key(*key)
+                        if self.cache is not None:
+                            self.cache.store(cache_key, result)
+                        if self.journal is not None:
+                            self.journal.record(cache_key, result)
 
-                results = run_tasks(
-                    tasks,
+                run_tasks(
+                    groups,
                     jobs=jobs,
                     policy=self.retry_policy,
                     timeout=self.task_timeout,
                     on_result=_checkpoint,
                 )
-            for key, result in zip(keys, results):
-                for index in pending[key]:
-                    resolved[index] = result
+            for key, indices in pending.items():
+                for index in indices:
+                    resolved[index] = self._runs[key]
 
         return [resolved[index] for index in range(len(specs))]
 

@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-size",
         type=int,
         default=DEFAULT_SHARD_SIZE,
-        help="tasks per dispatched shard",
+        help="trace groups (one task per trace) per dispatched shard",
     )
     parser.add_argument(
         "--retries",

@@ -6,9 +6,11 @@ into the two halves the serving tier needs:
 
 1. **warm the store** — decompose the experiment into its per-
    trace×config run specs (the same cross products the figure/table
-   functions sweep), probe the result cache for each, shard the misses
-   into bounded :class:`~repro.experiments.parallel.RunTask` batches,
-   and dispatch the shards through a pluggable
+   functions sweep), probe the result cache for each, group the misses
+   per trace into :class:`~repro.experiments.parallel.TraceGroup` tasks
+   (one task per trace, so each trace is generated once per sweep and
+   its configs share one conversion), shard the groups into bounded
+   batches, and dispatch the shards through a pluggable
    :class:`ExecutorBackend` (locally the PR-7 hardened
    :func:`~repro.experiments.parallel.run_tasks` supervisor — retries,
    timeouts, pool recovery, graceful degradation);
@@ -36,8 +38,8 @@ from repro.experiments.cache import CACHE_SCHEMA, ResultCache, run_key
 from repro.experiments.cli import run_experiment
 from repro.experiments.figures import FIGURE1_CONFIGS
 from repro.experiments.journal import SweepJournal
-from repro.experiments.parallel import RunTask, run_tasks
-from repro.experiments.runner import ExperimentRunner, RunResult, RunSpec
+from repro.experiments.parallel import TraceGroup, default_jobs, run_tasks
+from repro.experiments.runner import ExperimentRunner, RunKey, RunResult, RunSpec
 from repro.experiments.tables import FIXED_TRACE_IMPROVEMENTS
 from repro.faults.retry import RetryPolicy
 from repro.service.store import ArtifactStore, artifact_key
@@ -50,12 +52,13 @@ SERVICE_EXPERIMENTS: Tuple[str, ...] = (
     "fig1", "fig2", "fig3", "fig4", "fig5", "tab1", "tab2", "tab3",
 )
 
-#: Default tasks per dispatched shard — small enough that a lost shard
-#: loses little work (every completed task checkpoints to the store as
-#: it lands anyway), large enough to amortise pool startup.
+#: Default trace groups per dispatched shard — small enough that a lost
+#: shard loses little work (every completed group checkpoints its runs
+#: to the store as it lands anyway), large enough to amortise pool
+#: startup.
 DEFAULT_SHARD_SIZE = 64
 
-#: Progress callback: ``(done_tasks, total_tasks)`` after each shard.
+#: Progress callback: ``(done_runs, total_runs)`` after each shard.
 ProgressFn = Callable[[int, int], None]
 
 
@@ -186,7 +189,9 @@ def sweep_specs(experiment: str, runner: ExperimentRunner) -> List[RunSpec]:
     raise ValueError(f"unknown experiment {experiment!r}")
 
 
-def shard_tasks(tasks: List[RunTask], shard_size: int) -> List[List[RunTask]]:
+def shard_tasks(
+    tasks: List[TraceGroup], shard_size: int
+) -> List[List[TraceGroup]]:
     """Split ``tasks`` into order-preserving shards of ``shard_size``."""
     if shard_size <= 0:
         raise ValueError(f"shard_size must be positive, got {shard_size}")
@@ -203,16 +208,21 @@ class ExecutorBackend:
 
     def run(
         self,
-        tasks: List[RunTask],
-        on_result: Callable[[int, RunTask, RunResult], None],
-    ) -> List[RunResult]:
-        """Execute ``tasks``; results in task order.
+        tasks: List[TraceGroup],
+        on_result: Callable[[int, TraceGroup, List[RunResult]], None],
+    ) -> List[List[RunResult]]:
+        """Execute ``tasks``; per-group result lists in task order.
 
-        ``on_result(index, task, result)`` fires as each completion
-        lands (the fleet checkpoints it to the store immediately, so a
-        shard lost mid-flight keeps everything that finished).
+        ``on_result(index, task, results)`` fires as each group lands
+        (the fleet checkpoints its runs to the store immediately, so a
+        shard lost mid-flight keeps every group that finished).
         """
         raise NotImplementedError
+
+    def workers(self) -> int:
+        """Tasks the backend runs at once; a sweep over fewer traces
+        splits its trace groups to fill them."""
+        return 1
 
 
 class LocalPoolBackend(ExecutorBackend):
@@ -230,9 +240,9 @@ class LocalPoolBackend(ExecutorBackend):
 
     def run(
         self,
-        tasks: List[RunTask],
-        on_result: Callable[[int, RunTask, RunResult], None],
-    ) -> List[RunResult]:
+        tasks: List[TraceGroup],
+        on_result: Callable[[int, TraceGroup, List[RunResult]], None],
+    ) -> List[List[RunResult]]:
         return run_tasks(
             tasks,
             jobs=self.jobs,
@@ -240,6 +250,9 @@ class LocalPoolBackend(ExecutorBackend):
             timeout=self.task_timeout,
             on_result=on_result,
         )
+
+    def workers(self) -> int:
+        return default_jobs() if self.jobs is None else max(1, self.jobs)
 
     def describe(self) -> str:
         jobs = self.jobs if self.jobs is not None else "all"
@@ -286,7 +299,7 @@ class Fleet:
         store: The artifact store shared with the one-shot CLIs.
         backend: Shard executor (defaults to a serial-friendly local
             pool backend).
-        shard_size: Tasks per dispatched shard.
+        shard_size: Trace groups per dispatched shard.
         journal_dir: When set, each sweep checkpoints completions to
             ``<journal_dir>/<sweep-key>.jsonl`` and replays it on the
             next attempt — a service killed mid-sweep resumes where it
@@ -389,11 +402,11 @@ class Fleet:
         probe: ExperimentRunner,
         cache: ResultCache,
         journal: Optional[SweepJournal],
-    ) -> Tuple[int, List[RunTask]]:
+    ) -> Tuple[int, List[RunKey]]:
         """Resolve the sweep's specs against the store; return the misses."""
-        seen: Set[Tuple[str, Improvement, SimConfig]] = set()
+        seen: Set[RunKey] = set()
         cache_hits = 0
-        pending: List[RunTask] = []
+        pending: List[RunKey] = []
         for name, improvements, config in sweep_specs(params.experiment, probe):
             config = probe._normalize_config(config)
             identity = (name, improvements, config)
@@ -407,41 +420,39 @@ class Fleet:
             if result is not None:
                 cache_hits += 1
                 continue
-            pending.append(
-                RunTask(
-                    name=name,
-                    improvements=improvements,
-                    config=config,
-                    instructions=params.instructions,
-                )
-            )
+            pending.append(identity)
         return cache_hits, pending
 
     def _dispatch(
         self,
         params: SweepParams,
-        pending: List[RunTask],
+        pending: List[RunKey],
         cache: ResultCache,
         journal: Optional[SweepJournal],
         progress: Optional[ProgressFn],
     ) -> Tuple[int, int]:
-        """Run the misses shard by shard, checkpointing each completion."""
+        """Run the misses per trace group, shard by shard, checkpointing
+        each run of a group as the group lands."""
         if not pending:
             return 0, 0
 
-        def checkpoint(index: int, task: RunTask, result: RunResult) -> None:
-            cache_key = run_key(
-                task.name, task.improvements, task.config, task.instructions
-            )
-            cache.store(cache_key, result)
-            if journal is not None:
-                journal.record(cache_key, result)
+        def checkpoint(
+            index: int, group: TraceGroup, results: List[RunResult]
+        ) -> None:
+            for key, result in zip(group.keys(), results):
+                cache_key = run_key(*key, group.instructions)
+                cache.store(cache_key, result)
+                if journal is not None:
+                    journal.record(cache_key, result)
 
-        shards = shard_tasks(pending, self.shard_size)
+        groups = TraceGroup.partition(
+            pending, params.instructions, min_tasks=self.backend.workers()
+        )
+        shards = shard_tasks(groups, self.shard_size)
         done = 0
         for shard in shards:
             self.backend.run(shard, on_result=checkpoint)
-            done += len(shard)
+            done += sum(len(group.runs) for group in shard)
             if progress is not None:
                 progress(done, len(pending))
         return len(pending), len(shards)

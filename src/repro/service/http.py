@@ -37,6 +37,11 @@ from repro.obs import metrics
 from repro.service.fleet import SERVICE_EXPERIMENTS, Fleet, FleetOutcome, SweepParams
 from repro.service.queue import FAILED, JobQueue
 
+#: Largest request body the service reads.  Sweep submissions are small
+#: JSON objects (well under 1 KiB); a longer declared body is refused
+#: with 413 before any of it is read.
+MAX_BODY_BYTES = 16 * 1024
+
 #: Experiment names by endpoint family.
 _FIGURES = tuple(n for n in SERVICE_EXPERIMENTS if n.startswith("fig"))
 _TABLES = tuple(n for n in SERVICE_EXPERIMENTS if n.startswith("tab"))
@@ -209,6 +214,32 @@ def _parse_query(raw: str) -> Dict[str, Any]:
     return out
 
 
+def body_length(headers: Any) -> int:
+    """The validated ``Content-Length`` of a request that carries a body.
+
+    Raises :class:`ServiceError` with 400 when the header is missing,
+    not a plain decimal integer, or negative, and with 413 when it
+    exceeds :data:`MAX_BODY_BYTES`.
+    """
+    raw = headers.get("Content-Length")
+    if raw is None:
+        raise ServiceError(400, "Content-Length header required")
+    text = raw.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ServiceError(400, f"Content-Length must be an integer, got {raw!r}")
+    if text.startswith("-"):
+        raise ServiceError(400, f"Content-Length must not be negative, got {raw!r}")
+    length = int(text)
+    if length > MAX_BODY_BYTES:
+        raise ServiceError(
+            413,
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit",
+        )
+    return length
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Route dispatch; all state lives on ``server.service``."""
 
@@ -256,8 +287,15 @@ class _Handler(BaseHTTPRequestHandler):
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self._send(status, body, "application/json", headers)
 
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json({"error": message, "status": status}, status=status)
+    def _send_error_json(
+        self,
+        status: int,
+        message: str,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        self._send_json(
+            {"error": message, "status": status}, status=status, headers=headers
+        )
 
     def _dispatch(self, method: str) -> None:
         try:
@@ -266,7 +304,11 @@ class _Handler(BaseHTTPRequestHandler):
             metrics.counter(
                 "repro_http_rejects_total", "Requests rejected by a handler."
             ).labels(code=str(exc.status)).inc()
-            self._send_error_json(exc.status, str(exc))
+            self._send_error_json(
+                exc.status,
+                str(exc),
+                {"Connection": "close"} if self.close_connection else None,
+            )
             return
         except Exception:
             # Observable by contract (RC501): the traceback goes back to
@@ -289,7 +331,13 @@ class _Handler(BaseHTTPRequestHandler):
         split = urlsplit(self.path)
         parts = [p for p in split.path.split("/") if p]
         if method == "POST" and parts == ["v1", "sweeps"]:
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = body_length(self.headers)
+            except ServiceError:
+                # The body is unframed or refused unread: close the
+                # connection so its bytes never parse as a next request.
+                self.close_connection = True
+                raise
             body = self.rfile.read(length) if length else b""
             response = self.service.handle_submit(body)
             self._send_json(response, status=202)

@@ -36,10 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        default="scalar",
+        default="vector",
         choices=["scalar", "vector"],
-        help="engine implementation (vector is the bit-identical columnar "
-        "batch engine; scalar is the per-instruction reference)",
+        help="engine implementation (vector, the default, is the columnar "
+        "batch engine; scalar is the bit-identical per-instruction reference)",
     )
     parser.add_argument(
         "--l1i-prefetcher",

@@ -19,12 +19,12 @@ class SimConfig:
 
     name: str = "main"
 
-    #: Which engine implementation runs the interval model: ``"scalar"``
-    #: (the per-instruction reference in :mod:`repro.sim.engine`) or
-    #: ``"vector"`` (the columnar batch engine in
-    #: :mod:`repro.sim.vector_engine`, pinned bit-identical to the scalar
-    #: engine by the differential test tier).
-    engine: str = "scalar"
+    #: Which engine implementation runs the interval model: ``"vector"``
+    #: (the production columnar batch engine in
+    #: :mod:`repro.sim.vector_engine`) or ``"scalar"`` (the
+    #: per-instruction reference in :mod:`repro.sim.engine`, kept as the
+    #: differential oracle the vector engine is pinned bit-identical to).
+    engine: str = "vector"
 
     # --- widths and windows ------------------------------------------------
     fetch_width: int = 6

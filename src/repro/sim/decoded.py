@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.champsim.branch_info import BranchRules, BranchType, deduce_branch_type
-from repro.champsim.trace import ChampSimInstr
+from repro.champsim.trace import ChampSimInstr, decode_block, decode_block_array
 from repro.sim.config import SimConfig
 
 try:  # numpy accelerates columnarisation; the fallback is pure python
@@ -153,12 +153,18 @@ class DecodedColumns:
     numpy-precomputed ``new_line`` break mask (``line[i] != line[i-1]``,
     the fetch stage's serialization points).  Event columns (branch
     outcome, target, memory operand tuples) are only indexed when the
-    event occurs; :attr:`decoded` keeps the original instruction objects
-    reachable for callers that need the row view back.
+    event occurs.
+
+    Two constructors: ``DecodedColumns(decoded)`` (alias
+    :func:`columnarize`) pivots already-decoded rows, and
+    :meth:`from_champsim_bytes` builds the columns straight from raw
+    ChampSim records — the production path, which never materialises
+    per-instruction objects.  :attr:`decoded` gives the row view back
+    either way (rebuilt from the columns on first use).
     """
 
     __slots__ = (
-        "decoded",
+        "_rows",
         "n",
         "ips",
         "lines",
@@ -179,13 +185,13 @@ class DecodedColumns:
     )
 
     def __init__(self, decoded: Sequence[DecodedInstr]) -> None:
-        self.decoded = (
+        self._rows: Optional[List[DecodedInstr]] = (
             decoded if isinstance(decoded, list) else list(decoded)
         )
-        decoded = self.decoded
-        self.n = n = len(decoded)
+        decoded = self._rows
+        self.n = len(decoded)
         not_branch = BranchType.NOT_BRANCH
-        self.ips = ips = [d.ip for d in decoded]
+        self.ips = [d.ip for d in decoded]
         self.kinds = [
             (KIND_SRC_MEM if d.src_mem else 0)
             | (KIND_DST_MEM if d.dst_mem else 0)
@@ -199,18 +205,6 @@ class DecodedColumns:
         self.targets = [d.target for d in decoded]
         self.src_mems = [d.src_mem for d in decoded]
         self.dst_mems = [d.dst_mem for d in decoded]
-        if _np is not None and n:
-            line_array = _np.array(ips, dtype=_np.uint64) >> _LINE_BITS
-            breaks = _np.empty(n, dtype=bool)
-            breaks[0] = True
-            _np.not_equal(line_array[1:], line_array[:-1], out=breaks[1:])
-            self.lines = (line_array << _LINE_BITS).tolist()
-            self.new_line = breaks.tolist()
-        else:
-            self.lines = [ip & _LINE_MASK for ip in ips]
-            self.new_line = [
-                i == 0 or self.lines[i] != self.lines[i - 1] for i in range(n)
-            ]
         max_reg = 0
         for regs in self.src_regs:
             for reg in regs:
@@ -220,6 +214,96 @@ class DecodedColumns:
             for reg in regs:
                 if reg > max_reg:
                     max_reg = reg
+        self._finish(
+            _np.array(self.ips, dtype=_np.uint64)
+            if _np is not None and self.n
+            else None,
+            max_reg,
+        )
+
+    @classmethod
+    def from_champsim_bytes(
+        cls, data: bytes, rules: BranchRules = BranchRules.ORIGINAL
+    ) -> "DecodedColumns":
+        """Columns for a raw ChampSim byte stream, with no per-record objects.
+
+        Equal, field for field, to
+        ``columnarize(decode_trace(decode_block(data), rules))``.  numpy
+        slices the 64-byte records into word columns.  Bytes 8..15 of a
+        record (branch flag, taken flag, two destination and four source
+        register slots) form its *signature*: branch type, register
+        tuples and the branch kind bit depend on nothing else, so they
+        are deduced once per unique signature and fanned out through
+        ``np.unique``'s inverse index.  Memory operands and next-IP
+        targets are per-record and come from vectorised masks.
+
+        Raises :class:`~repro.champsim.trace.ChampSimTraceError` when
+        ``data`` is not a whole number of records.
+        """
+        if _np is None:  # pragma: no cover - the toolchain bakes numpy in
+            return cls(decode_trace(decode_block(data), rules))
+        words = decode_block_array(data).view("<u8").reshape(-1, 8)
+        n = len(words)
+        columns = cls.__new__(cls)
+        columns._rows = None
+        columns.n = n
+        ip_array = words[:, 0]
+        signature = words[:, 1]
+        unique, inverse = _np.unique(signature, return_inverse=True)
+        sig_types: List[BranchType] = []
+        sig_src: List[Tuple[int, ...]] = []
+        sig_dst: List[Tuple[int, ...]] = []
+        max_reg = 0
+        for value in unique.tolist():
+            raw = value.to_bytes(8, "little")
+            instr = ChampSimInstr(
+                ip=0,
+                is_branch=bool(raw[0]),
+                branch_taken=bool(raw[1]),
+                dst_regs=tuple(r for r in raw[2:4] if r),
+                src_regs=tuple(r for r in raw[4:8] if r),
+            )
+            sig_types.append(deduce_branch_type(instr, rules))
+            sig_src.append(instr.src_regs)
+            sig_dst.append(instr.dst_regs)
+            max_reg = max(max_reg, *raw[2:8])
+        index = inverse.reshape(-1).tolist()
+        columns.branch_types = [sig_types[k] for k in index]
+        columns.src_regs = [sig_src[k] for k in index]
+        columns.dst_regs = [sig_dst[k] for k in index]
+
+        is_branch = (signature & 0xFF) != 0
+        taken = is_branch & ((signature & 0xFF00) != 0)
+        next_ip = ip_array.copy()
+        next_ip[:-1] = ip_array[1:]
+        columns.ips = ip_array.tolist()
+        columns.branch_takens = taken.tolist()
+        columns.targets = _np.where(taken, next_ip, 0).tolist()
+        columns.src_mems, has_src = _mem_column(words[:, 4:8])
+        columns.dst_mems, has_dst = _mem_column(words[:, 2:4])
+        columns.kinds = (
+            has_src * KIND_SRC_MEM
+            | has_dst * KIND_DST_MEM
+            | is_branch * KIND_BRANCH
+        ).tolist()
+        columns._finish(ip_array if n else None, max_reg)
+        return columns
+
+    def _finish(self, ip_array: "Optional[_np.ndarray]", max_reg: int) -> None:
+        """Fetch-line columns, register bound and empty derived caches."""
+        n = self.n
+        if ip_array is not None:
+            line_array = ip_array >> _LINE_BITS
+            breaks = _np.empty(n, dtype=bool)
+            breaks[0] = True
+            _np.not_equal(line_array[1:], line_array[:-1], out=breaks[1:])
+            self.lines = (line_array << _LINE_BITS).tolist()
+            self.new_line = breaks.tolist()
+        else:
+            self.lines = [ip & _LINE_MASK for ip in self.ips]
+            self.new_line = [
+                i == 0 or self.lines[i] != self.lines[i - 1] for i in range(n)
+            ]
         self.max_reg = max_reg
         #: Memoized component plans, keyed by the tuples from
         #: :meth:`plan_keys`.  The columns are immutable once built, so a
@@ -239,6 +323,30 @@ class DecodedColumns:
         self._fetch_events: Optional[
             List[Tuple[int, Optional[int], BranchType, Optional[int]]]
         ] = None
+
+    @property
+    def decoded(self) -> List[DecodedInstr]:
+        """The row view: one :class:`DecodedInstr` per instruction.
+
+        Columns built from rows return those rows; columns built from
+        bytes rebuild them once (the scalar engine's input form).
+        """
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = [
+                DecodedInstr(*fields)
+                for fields in zip(
+                    self.ips,
+                    self.branch_types,
+                    self.branch_takens,
+                    self.targets,
+                    self.src_regs,
+                    self.dst_regs,
+                    self.src_mems,
+                    self.dst_mems,
+                )
+            ]
+        return rows
 
     def __len__(self) -> int:
         return self.n
@@ -358,6 +466,27 @@ class DecodedColumns:
         dpf_key = ("dpf", config.l1d_prefetcher)
         ipf_key = ("ipf", config.l1i_prefetcher)
         return branch_key, dpf_key, ipf_key
+
+
+def _mem_column(
+    slots: "_np.ndarray",
+) -> "Tuple[List[Tuple[int, ...]], _np.ndarray]":
+    """Per-record tuples of the non-zero addresses in ``slots`` (an
+    ``(n, k)`` word array), in slot order, plus the non-empty mask."""
+    nonzero = slots != 0
+    counts = nonzero.sum(axis=1)
+    flat = slots[nonzero].tolist()
+    tuples: List[Tuple[int, ...]] = []
+    append = tuples.append
+    pos = 0
+    for count in counts.tolist():
+        if count:
+            end = pos + count
+            append(tuple(flat[pos:end]))
+            pos = end
+        else:
+            append(())
+    return tuples, counts != 0
 
 
 def columnarize(

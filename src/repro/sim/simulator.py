@@ -7,8 +7,11 @@
     stats = Simulator(SimConfig.main()).run(instrs, rules)
 
 ``instrs`` may be raw :class:`~repro.champsim.trace.ChampSimInstr`
-records, already-decoded instructions, or a path to a ChampSim trace
-file.  ``rules`` selects ChampSim's branch-deduction rule set — use the
+records, already-decoded instructions, a path to a ChampSim trace
+file, or :class:`~repro.sim.decoded.DecodedColumns` (the experiment
+pipeline's form, built by
+:meth:`~repro.sim.decoded.DecodedColumns.from_champsim_bytes`).
+``rules`` selects ChampSim's branch-deduction rule set — use the
 :attr:`~repro.core.convert.Converter.required_branch_rules` the converter
 reports for the trace.
 """
@@ -99,12 +102,15 @@ class Simulator:
     benchmarking) skips branch-type deduction for every instruction
     already seen.  Pass ``decode_cache=None`` to opt out.
 
-    ``engine`` overrides ``config.engine`` ("scalar" or "vector"); the
-    vector engine is bit-identical to the scalar reference (pinned by
-    ``tests/test_vector_engine_differential.py``) and additionally memoizes
-    the columnar view of the last trace, so repeated runs over one
-    unmutated trace object skip columnarisation the way the decode cache
-    skips decoding.
+    ``engine`` overrides ``config.engine`` ("vector", the default, or
+    "scalar", the per-instruction reference kept as the differential
+    oracle); the vector engine is bit-identical to the scalar reference
+    (pinned by ``tests/test_vector_engine_differential.py``) and
+    additionally memoizes the columnar view of the last trace, so
+    repeated runs over one unmutated trace object skip columnarisation
+    the way the decode cache skips decoding.  A
+    :class:`~repro.sim.decoded.DecodedColumns` input is used as is (the
+    scalar engine gets its row view).
     """
 
     def __init__(
@@ -140,18 +146,16 @@ class Simulator:
 
     def run(
         self,
-        trace: TraceLike,
+        trace: Union[TraceLike, DecodedColumns],
         rules: BranchRules = BranchRules.ORIGINAL,
     ) -> SimStats:
         """Simulate one trace with a fresh engine; return its statistics."""
         from repro import obs
 
-        engine = make_engine(self.config, decode_cache=self.decode_cache,
-                             engine=self.engine,
-                             component_pool=self._component_pool,
-                             batch_components=self.batch_components)
         payload: Union[List[DecodedInstr], DecodedColumns]
-        if self.engine == "vector":
+        if isinstance(trace, DecodedColumns):
+            payload = trace if self.engine == "vector" else trace.decoded
+        elif self.engine == "vector":
             columns = self._columns_memo_lookup(trace, rules)
             if columns is None:
                 decoded = self._decode(trace, rules)
@@ -162,6 +166,10 @@ class Simulator:
         else:
             payload = self._decode(trace, rules)
         with obs.span("sim.engine", instructions=len(payload)):
+            engine = make_engine(self.config, decode_cache=self.decode_cache,
+                                 engine=self.engine,
+                                 component_pool=self._component_pool,
+                                 batch_components=self.batch_components)
             # The vector engine's run() accepts DecodedColumns on top of
             # the base Engine signature; self.engine gates which form is
             # built, so the pairing is always valid.

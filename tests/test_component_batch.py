@@ -346,7 +346,7 @@ def test_batch_components_off_takes_live_path():
 def test_simulator_batch_flag_is_forwarded():
     decoded = _decoded_stream()
     sim = Simulator(SimConfig.main(), engine="vector", batch_components=False)
-    baseline = Simulator(SimConfig.main()).run(decoded)
+    baseline = Simulator(SimConfig.main(), engine="scalar").run(decoded)
     assert_stats_identical(sim.run(decoded), baseline, "nobatch simulator")
     assert sim._columns_memo[2].plan_cache == {}
 

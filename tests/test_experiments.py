@@ -58,15 +58,15 @@ def test_runner_trace_cache(runner):
 def test_runner_engine_override_is_bit_identical(runner):
     from tests.diffharness import assert_stats_identical
 
-    vector_runner = ExperimentRunner(instructions=4000, engine="vector")
-    scalar = runner.run("srv_0", Improvement.ALL)
-    vector = vector_runner.run("srv_0", Improvement.ALL)
+    scalar_runner = ExperimentRunner(instructions=4000, engine="scalar")
+    vector = runner.run("srv_0", Improvement.ALL)
+    scalar = scalar_runner.run("srv_0", Improvement.ALL)
     assert vector.stats is not scalar.stats
     assert_stats_identical(vector.stats, scalar.stats, "engine override")
     # The override rewrites the memo key, so the run is not aliased with
-    # a scalar run of the same (trace, improvements, config).
-    rerun = vector_runner.run("srv_0", Improvement.ALL, SimConfig.main())
-    assert rerun is vector
+    # a vector run of the same (trace, improvements, config).
+    rerun = scalar_runner.run("srv_0", Improvement.ALL, SimConfig.main())
+    assert rerun is scalar
 
 
 def test_cli_engine_flag(capsys):
@@ -81,7 +81,7 @@ def test_cli_engine_flag(capsys):
             "1500",
             "--no-cache",
             "--engine",
-            "vector",
+            "scalar",
         ]
     )
     assert rc == 0

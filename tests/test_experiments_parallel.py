@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.improvements import Improvement
 from repro.experiments.cache import ResultCache
-from repro.experiments.parallel import RunTask, TaskFailure, run_tasks
+from repro.experiments.parallel import TaskFailure, TraceGroup, run_tasks
 from repro.experiments.runner import ExperimentRunner
 from repro.sim.config import SimConfig
 
@@ -128,15 +128,9 @@ def _fail_first_attempt_task(task):
 
 
 def _tasks(names):
-    return [
-        RunTask(
-            name=name,
-            improvements=Improvement.NONE,
-            config=SimConfig.main(),
-            instructions=100,
-        )
-        for name in names
-    ]
+    return TraceGroup.partition(
+        [(name, Improvement.NONE, SimConfig.main()) for name in names], 100
+    )
 
 
 @pytest.mark.parametrize("jobs", [1, 4])

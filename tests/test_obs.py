@@ -592,3 +592,35 @@ def test_summarize_self_time_and_estimated(tmp_path):
     assert rows[("root",)]["total"] == pytest.approx(1.0)
     assert rows[("root", "child")]["estimated"] is False
     assert rows[("root", "guess")]["estimated"] is True
+
+
+# ----------------------------------------------------------------------
+# span coverage of the production experiment path
+# ----------------------------------------------------------------------
+
+
+def test_experiment_spans_cover_root_time(obs_reset, tmp_path, capsys):
+    """With ``--obs`` on a small Figure 1 sweep, the root spans' self
+    time (work no child span accounts for) is at most 5% of their total:
+    generation, conversion, columnarization and the engine are all
+    spanned on the path production runs."""
+    from repro.experiments.cli import main
+
+    log = tmp_path / "sweep.jsonl"
+    rc = main(
+        ["fig1", "--stride", "45", "--instructions", "2000", "--no-cache",
+         "--obs", "--obs-log", str(log)]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    obs.finalize()
+    rows = aggregate_logs([log])["spans"]
+    roots = [row for row in rows if len(row["path"]) == 1]
+    assert {row["name"] for row in roots} == {"experiment.run"}
+    children = {row["name"] for row in rows if len(row["path"]) == 2}
+    assert {"synth.generate", "core.convert", "sim.columnarize",
+            "sim.engine"} <= children
+    total = sum(row["total"] for row in roots)
+    self_time = sum(row["self"] for row in roots)
+    assert total > 0
+    assert self_time <= 0.05 * total, (self_time, total)

@@ -25,9 +25,8 @@ from repro import faults
 from repro.core.improvements import Improvement
 from repro.experiments.parallel import (
     PoolRecoveryError,
-    RunTask,
     TaskFailure,
-    execute_task,
+    TraceGroup,
     run_tasks,
 )
 from repro.faults import FaultPlan, RetryPolicy
@@ -45,15 +44,16 @@ def clean_faults():
 
 
 def _tasks(names=None):
-    return [
-        RunTask(
-            name=name,
-            improvements=Improvement.NONE,
-            config=SimConfig.main(),
-            instructions=INSTRUCTIONS,
-        )
-        for name in (names or SAMPLE_NAMES)
-    ]
+    """One trace group per name, each carrying two runs (the production
+    task type: a worker returns the group's results as a list)."""
+    return TraceGroup.partition(
+        [
+            (name, improvements, SimConfig.main())
+            for name in (names or SAMPLE_NAMES)
+            for improvements in (Improvement.NONE, Improvement.ALL)
+        ],
+        INSTRUCTIONS,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +62,13 @@ def baseline():
     return run_tasks(_tasks(), jobs=1)
 
 
-def _assert_identical(results, expected):
-    assert [r.trace for r in results] == [e.trace for e in expected]
+def _assert_identical(groups, expected_groups):
+    assert [len(g) for g in groups] == [len(g) for g in expected_groups]
+    results = [r for group in groups for r in group]
+    expected = [e for group in expected_groups for e in group]
+    assert [(r.trace, r.improvements) for r in results] == [
+        (e.trace, e.improvements) for e in expected
+    ]
     assert [r.stats for r in results] == [e.stats for e in expected]
     assert [r.conversion for r in results] == [e.conversion for e in expected]
 

@@ -123,7 +123,7 @@ def test_sharded_dispatch_matches_unsharded(tmp_path):
     fine = Fleet(
         ArtifactStore(tmp_path / "fine"),
         backend=LocalPoolBackend(jobs=1),
-        shard_size=2,
+        shard_size=1,  # one trace group per shard
     ).execute(_params("fig3"))
     assert fine.text == coarse.text
     assert fine.dispatched == coarse.dispatched

@@ -6,16 +6,19 @@ ephemeral port and drives it through :class:`ServiceClient`.
 """
 
 import json
+import socket
 import threading
 
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError as ClientError
-from repro.service.fleet import Fleet, LocalPoolBackend, SweepParams
+from repro.service.fleet import Fleet, LocalPoolBackend
 from repro.service.http import (
+    MAX_BODY_BYTES,
     ExperimentService,
     ServiceError,
     _parse_query,
+    body_length,
     make_server,
 )
 from repro.service.queue import JobQueue
@@ -98,6 +101,33 @@ def test_submit_enqueues_and_dedups_in_flight(service):
     assert third["job"] != first["job"]
     assert third["created"] is True
     assert service.queue.describe()["queued"] == 2
+
+
+@pytest.mark.parametrize(
+    "headers",
+    [{}, {"Content-Length": "many"}, {"Content-Length": "1.5"},
+     {"Content-Length": "-1"}, {"Content-Length": "-0"},
+     {"Content-Length": "\u0662"}, {"Content-Length": "1_0"}],
+    ids=["missing", "word", "float", "negative", "minus-zero", "non-ascii",
+         "underscore"],
+)
+def test_body_length_rejects_unframed_bodies_with_400(headers):
+    with pytest.raises(ServiceError) as err:
+        body_length(headers)
+    assert err.value.status == 400
+
+
+def test_body_length_refuses_oversized_bodies_with_413():
+    assert body_length({"Content-Length": str(MAX_BODY_BYTES)}) == MAX_BODY_BYTES
+    for length in (MAX_BODY_BYTES + 1, 10**15):
+        with pytest.raises(ServiceError) as err:
+            body_length({"Content-Length": str(length)})
+        assert err.value.status == 413
+
+
+def test_body_length_accepts_plain_lengths():
+    assert body_length({"Content-Length": "0"}) == 0
+    assert body_length({"Content-Length": " 42 "}) == 42
 
 
 def test_unknown_job_is_404(service):
@@ -229,6 +259,86 @@ def test_server_round_trip(tmp_path):
         with pytest.raises(ClientError) as err:
             client.job("job-999")
         assert err.value.status == 404
+    finally:
+        server.service.stop()
+        server.shutdown()
+        server.server_close()
+
+
+def _raw_post(port, length_header, body=b""):
+    """POST /v1/sweeps over a raw socket; returns (status, json, headers).
+
+    The socket stays open for writing after the request, so a server
+    that tried to read a body it was never sent would block until the
+    timeout instead of answering.
+    """
+    head = "POST /v1/sweeps HTTP/1.1\r\nHost: test\r\n"
+    if length_header is not None:
+        head += f"Content-Length: {length_header}\r\n"
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head.encode("ascii") + b"\r\n" + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    raw = b"".join(chunks)
+    header_blob, _, payload = raw.partition(b"\r\n\r\n")
+    lines = header_blob.decode("latin-1").split("\r\n")
+    status = int(lines[0].split()[1])
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return status, json.loads(payload), headers
+
+
+@pytest.mark.parametrize(
+    "length, status",
+    [(None, 400), ("-1", 400), ("twelve", 400), (str(10**12), 413),
+     (str(MAX_BODY_BYTES + 1), 413)],
+    ids=["missing", "negative", "non-integer", "huge", "just-over"],
+)
+def test_raw_socket_bad_content_length_is_answered_unread(tmp_path, length, status):
+    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    server = make_server("127.0.0.1", 0, fleet, start_worker=False)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        got, payload, headers = _raw_post(server.server_address[1], length)
+        assert got == status
+        assert payload["status"] == status
+        assert "Content-Length" in payload["error"] or "exceeds" in payload["error"]
+        # The connection closes instead of parsing leftovers as a request.
+        assert headers.get("Connection") == "close"
+        assert server.service.queue.describe()["queued"] == 0
+    finally:
+        server.service.stop()
+        server.shutdown()
+        server.server_close()
+
+
+def test_raw_socket_valid_length_still_submits(tmp_path):
+    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    server = make_server("127.0.0.1", 0, fleet, start_worker=False)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        body = json.dumps(TINY).encode()
+        port = server.server_address[1]
+        # Ask the server to close after answering so the read loop ends.
+        head = (
+            "POST /v1/sweeps HTTP/1.1\r\nHost: test\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(head.encode("ascii") + body)
+            raw = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        assert raw.startswith(b"HTTP/1.1 202")
+        assert server.service.queue.describe()["queued"] == 1
     finally:
         server.service.stop()
         server.shutdown()

@@ -72,7 +72,9 @@ def test_simulator_engine_kwarg_is_bit_identical(converted):
     from tests.diffharness import assert_stats_identical
 
     instrs, _ = converted
-    scalar = Simulator(SimConfig.main()).run(instrs, BranchRules.PATCHED)
+    scalar = Simulator(SimConfig.main(), engine="scalar").run(
+        instrs, BranchRules.PATCHED
+    )
     vector = Simulator(SimConfig.main(), engine="vector").run(
         instrs, BranchRules.PATCHED
     )
@@ -94,9 +96,9 @@ def test_simulator_rejects_unknown_engine():
 
 def test_cli_vector_engine_output_matches_scalar(converted, capsys):
     _, path = converted
-    assert sim_main([str(path), "--rules", "patched"]) == 0
+    assert sim_main([str(path), "--rules", "patched", "--engine", "scalar"]) == 0
     scalar_out = capsys.readouterr().out
-    assert sim_main([str(path), "--rules", "patched", "--engine", "vector"]) == 0
+    assert sim_main([str(path), "--rules", "patched"]) == 0  # vector default
     vector_out = capsys.readouterr().out
     assert "IPC" in vector_out
     assert vector_out == scalar_out

@@ -137,7 +137,9 @@ def test_simulator_columns_memo_is_bit_identical(golden_decoded):
     assert sim._columns_memo[2] is memo_columns
     assert_stats_identical(second, first, "memoized re-run")
     assert_stats_identical(
-        Simulator(SimConfig.main()).run(decoded), first, "scalar simulator"
+        Simulator(SimConfig.main(engine="scalar")).run(decoded),
+        first,
+        "scalar simulator",
     )
 
 
@@ -164,9 +166,11 @@ def test_vector_matches_scalar_with_obs_enabled(golden_decoded, tmp_path):
 
 
 def test_make_engine_builds_the_requested_engine():
-    assert type(make_engine(SimConfig.main())) is Engine
-    assert type(make_engine(SimConfig.main(engine="vector"))) is VectorEngine
-    assert type(make_engine(SimConfig.main(), engine="vector")) is VectorEngine
+    assert type(make_engine(SimConfig.main())) is VectorEngine  # default
+    assert type(make_engine(SimConfig.main(engine="scalar"))) is Engine
+    assert type(make_engine(SimConfig.main(), engine="scalar")) is Engine
+    override = make_engine(SimConfig.main(engine="scalar"), engine="vector")
+    assert type(override) is VectorEngine
     with pytest.raises(ValueError, match="unknown engine"):
         make_engine(SimConfig.main(), engine="simd")
 
