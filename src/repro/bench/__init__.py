@@ -1,9 +1,10 @@
 """Repeatable performance measurement (the ``repro-bench`` backend).
 
-The package times the three pipeline phases the repository optimises —
+The package times the four pipeline phases the repository optimises —
 ``convert`` (CVP-1 → ChampSim through the block fast path vs the legacy
-per-record path), ``lint`` (the trace-lint rule engine) and ``sim`` (the
-interval model with a warm vs cold decode cache) — with min-of-K wall
+per-record path), ``lint`` (the trace-lint rule engine), ``sim`` (the
+interval model with a warm vs cold decode cache) and ``synth`` (synthetic
+trace generation: static-program build vs walk) — with min-of-K wall
 timing, records/sec rates and the process peak RSS, and writes one
 ``BENCH_<phase>.json`` per phase for trajectory tracking.
 

@@ -2,7 +2,7 @@
 
 Typical usage::
 
-    repro-bench                      # convert + lint + sim, full sizes
+    repro-bench                      # convert + lint + sim + synth, full sizes
     repro-bench convert --quick      # golden fixtures only, 2 repeats
     repro-bench --compare BENCH_convert.json --threshold 2.0
 
@@ -38,7 +38,7 @@ QUICK_REPEATS = 3
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Benchmark the convert/lint/sim phases of the pipeline.",
+        description="Benchmark the convert/lint/sim/synth phases of the pipeline.",
     )
     parser.add_argument(
         "phases",
@@ -116,9 +116,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     parts.append(
                         f"{variant} {entry['records_per_sec']:,.0f} rec/s"
                     )
-            for key in sorted(workload):
-                if "speedup" in key and not isinstance(workload[key], dict):
-                    parts.append(f"{key} {workload[key]:.2f}x")
+            for key, value in sorted(workload.items()):
+                if isinstance(value, dict):
+                    continue
+                if "speedup" in key:
+                    parts.append(f"{key} {value:.2f}x")
+                elif key.endswith("_mib"):
+                    parts.append(f"{key} {value:.1f} MiB")
             print(f"[{phase}] {name}: " + "  ".join(parts))
         print(f"[{phase}] wrote {path}")
 

@@ -1,4 +1,4 @@
-"""The three ``repro-bench`` phases: convert, lint, sim.
+"""The four ``repro-bench`` phases: convert, lint, sim, synth.
 
 Every phase returns one JSON-serialisable payload (see
 :func:`repro.bench.harness.base_payload`) whose ``workloads`` map one
@@ -12,11 +12,15 @@ compression costs the same on the fast and legacy paths and would
 otherwise dominate both).  The sim phase compares a cold decode (no
 :class:`~repro.sim.decoded.DecodeCache`) against the warm cache a
 long-lived :class:`~repro.sim.simulator.Simulator` keeps across runs.
+The synth phase splits trace generation into its two layers: building
+the static program and walking it.
 """
 
 from __future__ import annotations
 
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence, Union
 
@@ -28,6 +32,15 @@ DEFAULT_FIXTURES = Path("tests/golden")
 #: Synthetic workload sizes (records) for the full, non-quick mode.
 FULL_CONVERT_RECORDS = 50_000
 FULL_SIM_RECORDS = 20_000
+
+#: Traces the synth phase generates: the large server program every
+#: experiment sample contains, and a small compute one.
+SYNTH_TRACES = ("srv_40", "compute_int_2")
+
+#: Walk length (records) of the synth phase; ``--quick`` shortens only
+#: the walk, since the static program's cost does not depend on it.
+FULL_SYNTH_RECORDS = 12_000
+QUICK_SYNTH_RECORDS = 2_000
 
 
 def _golden_fixtures(fixtures: Union[str, Path]) -> List[Path]:
@@ -260,11 +273,75 @@ def bench_sim(
     return payload
 
 
+# --------------------------------------------------------------------------
+# synth
+
+
+def bench_synth(
+    fixtures: Union[str, Path] = DEFAULT_FIXTURES,
+    repeats: int = 5,
+    quick: bool = False,
+) -> Dict[str, Any]:
+    """Synthetic trace generation: static-program build vs dynamic walk.
+
+    Per trace, ``build_program`` times :func:`~repro.synth.program.build_program`
+    (its ``records`` counts static templates: body ops plus terminators)
+    and ``walk`` times :meth:`TraceGenerator.generate` on a freshly built
+    generator.  ``tracemalloc_peak_mib`` is the Python-heap peak of one
+    whole ``make_trace`` call, measured apart from the timed runs because
+    tracing slows them down.  ``fixtures`` is unused: every input is
+    synthesised.
+    """
+    from repro.synth.generator import TraceGenerator, make_trace
+    from repro.synth.profiles import profile_for_trace
+    from repro.synth.program import build_program
+
+    payload = base_payload("synth", quick, repeats)
+    records = QUICK_SYNTH_RECORDS if quick else FULL_SYNTH_RECORDS
+    payload["walk_records"] = records
+    workloads = payload["workloads"]
+
+    for name in SYNTH_TRACES:
+        profile = profile_for_trace(name)
+        program = build_program(profile)
+        templates = sum(
+            len(block.body) + 1
+            for function in program.functions
+            for block in function.blocks
+        )
+        build = _timed_variant(lambda: build_program(profile), templates, repeats)
+
+        walk_best = float("inf")
+        for _ in range(repeats):
+            generator = TraceGenerator(profile)
+            start = time.perf_counter()
+            generator.generate(records)
+            walk_best = min(walk_best, time.perf_counter() - start)
+
+        tracemalloc.start()
+        try:
+            make_trace(name, records)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        workloads[name] = {
+            "build_program": build,
+            "walk": {
+                "seconds": walk_best,
+                "records": records,
+                "records_per_sec": rate(records, walk_best),
+            },
+            "tracemalloc_peak_mib": peak / (1 << 20),
+        }
+    return payload
+
+
 #: Phase name -> callable(fixtures, repeats, quick) -> payload.
 PHASES: Dict[str, Callable[..., Dict[str, Any]]] = {
     "convert": bench_convert,
     "lint": bench_lint,
     "sim": bench_sim,
+    "synth": bench_synth,
 }
 
 

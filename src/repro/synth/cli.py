@@ -14,6 +14,17 @@ from repro.cvp.writer import write_trace
 from repro.synth.generator import make_trace
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (a zero-length trace is an error)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-gen",
@@ -21,7 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-t", "--trace", required=True, help="trace name")
     parser.add_argument(
-        "-n", "--instructions", type=int, default=20_000, help="record count"
+        "-n",
+        "--instructions",
+        type=_positive_int,
+        default=20_000,
+        help="record count (>= 1)",
     )
     parser.add_argument(
         "-o", "--output", required=True, help="output path (.gz compressed)"

@@ -17,13 +17,30 @@ compare+branch), three setup slots and one terminator slot.  The
 terminator sits exactly 4 bytes before the next block so that a call's
 return address (``call_pc + 4``) is a real instruction — the first one of
 the following block — keeping the return-address stack semantics exact.
+
+Construction contract: :func:`build_program` draws from one
+``random.Random`` in a fixed order, and that order pins every trace,
+conversion and figure downstream (``GENERATOR_VERSION`` only moves when
+it changes).  Two things keep construction cheap without touching it:
+
+- Register-only templates (``alu``/``alu_cmp``, ``fp``/``fp_cmp``,
+  ``slow_alu``) depend only on the slot index and on which branch each
+  roll took, so they are built once at import and shared; only memory
+  templates carry per-site random fields.  Templates are immutable
+  ``NamedTuple`` records, so sharing them is safe.
+- :func:`_below` replaces ``randrange``/``choice``/``randint``.  It
+  repeats the rejection loop those wrappers reduce to
+  (``Random._randbelow_with_getrandbits``) over the public
+  ``getrandbits``, drawing exactly the same bits without the wrapper
+  overhead.  ``tests/test_synth_program.py`` pins the equivalence and a
+  digest of whole programs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.synth.profiles import WorkloadProfile
 
@@ -86,8 +103,7 @@ SETUP_SLOTS = 3
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpTemplate:
+class OpTemplate(NamedTuple):
     """One static body instruction.
 
     ``kind`` selects the dynamic emission logic:
@@ -124,8 +140,7 @@ class OpTemplate:
     cross_line: bool = False
 
 
-@dataclass(frozen=True)
-class Terminator:
+class Terminator(NamedTuple):
     """Block terminator.
 
     kinds: ``loop`` (back-edge to the own block), ``skip`` (conditional
@@ -207,14 +222,81 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """Draw from ``range(n)`` exactly as ``rng.randrange(n)`` does.
+
+    ``randrange(n)``, ``choice(seq)`` (``seq[_below(rng, len(seq))]``) and
+    ``randint(a, b)`` (``a + _below(rng, b - a + 1)``) all reduce to this
+    rejection loop over ``getrandbits``; calling it directly consumes the
+    same bits in the same order, minus the wrappers' argument handling.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _alu_ops(slot: int) -> Tuple[Tuple[OpTemplate, OpTemplate], ...]:
+    """``(alu, alu_cmp)`` pairs of ``slot``, one per second-source variant.
+
+    Variants, in order: the hot register, a cold register, X0.
+    """
+    dst = (LOW_SCRATCH[slot % len(LOW_SCRATCH)],)
+    src0 = LOW_SCRATCH[(slot + 1) % len(LOW_SCRATCH)]
+    hot = LOW_SCRATCH[(slot + 5) % len(LOW_SCRATCH)]
+    cold = HIGH_SCRATCH[slot % len(HIGH_SCRATCH)]
+    return tuple(
+        (OpTemplate("alu", dst, (src0, src1)), OpTemplate("alu_cmp", (), (src0, src1)))
+        for src1 in (hot, cold, 0)
+    )
+
+
+def _fp_ops(slot: int) -> Tuple[OpTemplate, OpTemplate]:
+    """``(fp, fp_cmp)`` templates of ``slot``."""
+    srcs = (
+        VEC_REGS[(slot + 1) % len(VEC_REGS)],
+        VEC_REGS[(slot + 2) % len(VEC_REGS)],
+    )
+    return (
+        OpTemplate("fp", (VEC_REGS[slot % len(VEC_REGS)],), srcs),
+        OpTemplate("fp_cmp", (), srcs),
+    )
+
+
+def _slow_alu_op(slot: int) -> OpTemplate:
+    srcs = (
+        LOW_SCRATCH[(slot + 1) % len(LOW_SCRATCH)],
+        LOW_SCRATCH[(slot + 3) % len(LOW_SCRATCH)],
+    )
+    return OpTemplate("slow_alu", (LOW_SCRATCH[slot % len(LOW_SCRATCH)],), srcs)
+
+
+#: Shared register-only templates, indexed by ``slot % period``.  The ALU
+#: period covers both the hot (8) and the cold (7) register rotation.
+_ALU_PERIOD = len(LOW_SCRATCH) * len(HIGH_SCRATCH)
+_ALU_OPS = tuple(_alu_ops(slot) for slot in range(_ALU_PERIOD))
+_FP_OPS = tuple(_fp_ops(slot) for slot in range(len(VEC_REGS)))
+_SLOW_ALU_OPS = tuple(_slow_alu_op(slot) for slot in range(len(LOW_SCRATCH)))
+
+#: Shared field-less terminators.
+_RET = Terminator(kind="ret")
+_JUMP = Terminator(kind="jump")
+_FALL = Terminator(kind="fall")
+
+_LOAD_STRIDES = (8, 8, 16, 24, 64)
+_WALKER_STRIDES = (8, 8, 16)
+_STORE_STRIDES = (8, 16, 64)
+
+
 def _pick_memory_load(
     rng: random.Random, profile: WorkloadProfile, slot_index: int
 ) -> OpTemplate:
     """Choose a load template according to the profile's form fractions."""
     dst = LOW_SCRATCH[slot_index % len(LOW_SCRATCH)]
-    base = POINTER_REGS[rng.randrange(len(POINTER_REGS))]
-    offset = rng.randrange(0, 1 << 16) * 8
-    stride = rng.choice((8, 8, 16, 24, 64))
+    base = POINTER_REGS[_below(rng, len(POINTER_REGS))]
+    offset = _below(rng, 1 << 16) * 8
+    stride = _LOAD_STRIDES[_below(rng, len(_LOAD_STRIDES))]
 
     roll = rng.random()
     role = "strided"
@@ -223,11 +305,13 @@ def _pick_memory_load(
     elif roll < profile.pointer_chase_frac + profile.random_access_frac:
         role = "random"
 
+    # Templates are built positionally, in OpTemplate's field order:
+    # kind, dst_regs, src_regs, form, role, base_reg, stride, pre_index,
+    # region_offset, size, cross_line.
     form_roll = rng.random()
     if form_roll < profile.prefetch_load_frac:
         return OpTemplate(
-            kind="load", form="prefetch", role=role, base_reg=base,
-            region_offset=offset, stride=stride,
+            "load", (), (), "prefetch", role, base, stride, False, offset
         )
     form_roll -= profile.prefetch_load_frac
     if form_roll < profile.base_update_load_frac:
@@ -237,36 +321,32 @@ def _pick_memory_load(
         # lands in a cold register: what matters about a walker is the
         # pointer, and this keeps the original converter's data-register
         # drop as benign as the paper measured (mem-regs ≈ 0).
+        walk_stride = _WALKER_STRIDES[_below(rng, len(_WALKER_STRIDES))]
         return OpTemplate(
-            kind="load", form="base_update", role="strided", base_reg=base,
-            dst_regs=(HIGH_SCRATCH[slot_index % len(HIGH_SCRATCH)],),
-            stride=rng.choice((8, 8, 16)),
-            pre_index=rng.random() < profile.pre_index_frac,
-            region_offset=offset,
+            "load", (HIGH_SCRATCH[slot_index % len(HIGH_SCRATCH)],), (),
+            "base_update", "strided", base, walk_stride,
+            rng.random() < profile.pre_index_frac, offset,
         )
     form_roll -= profile.base_update_load_frac
     if form_roll < profile.load_pair_frac:
         dst2 = HIGH_SCRATCH[(slot_index + 1) % len(HIGH_SCRATCH)]
         return OpTemplate(
-            kind="load", form="pair", role=role, base_reg=base,
-            dst_regs=(dst, dst2), region_offset=offset, stride=stride,
-            cross_line=rng.random() < profile.line_crossing_frac,
+            "load", (dst, dst2), (), "pair", role, base, stride, False, offset,
+            8, rng.random() < profile.line_crossing_frac,
         )
     form_roll -= profile.load_pair_frac
     if form_roll < profile.vector_load_frac:
-        count = rng.choice((2, 3))
+        count = (2, 3)[_below(rng, 2)]
         vecs = tuple(
             VLOAD_REGS[(slot_index + i) % len(VLOAD_REGS)] for i in range(count)
         )
         return OpTemplate(
-            kind="load", form="vector", role="strided", base_reg=base,
-            dst_regs=vecs, size=16, region_offset=offset, stride=stride,
-            cross_line=rng.random() < profile.line_crossing_frac,
+            "load", vecs, (), "vector", "strided", base, stride, False, offset,
+            16, rng.random() < profile.line_crossing_frac,
         )
     return OpTemplate(
-        kind="load", form="simple", role=role, base_reg=base, dst_regs=(dst,),
-        region_offset=offset, stride=stride,
-        cross_line=rng.random() < profile.line_crossing_frac,
+        "load", (dst,), (), "simple", role, base, stride, False, offset,
+        8, rng.random() < profile.line_crossing_frac,
     )
 
 
@@ -274,44 +354,38 @@ def _pick_memory_store(
     rng: random.Random, profile: WorkloadProfile, slot_index: int
 ) -> OpTemplate:
     data = LOW_SCRATCH[slot_index % len(LOW_SCRATCH)]
-    base = POINTER_REGS[rng.randrange(len(POINTER_REGS))]
-    offset = rng.randrange(0, 1 << 16) * 8
-    stride = rng.choice((8, 16, 64))
+    base = POINTER_REGS[_below(rng, len(POINTER_REGS))]
+    offset = _below(rng, 1 << 16) * 8
+    stride = _STORE_STRIDES[_below(rng, len(_STORE_STRIDES))]
     role = "random" if rng.random() < profile.random_access_frac else "strided"
 
     roll = rng.random()
     if roll < profile.dc_zva_frac:
         return OpTemplate(
-            kind="store", form="dc_zva", base_reg=base, size=64,
-            region_offset=offset, stride=64,
+            "store", (), (), "dc_zva", "strided", base, 64, False, offset, 64
         )
     roll -= profile.dc_zva_frac
     if roll < profile.base_update_store_frac:
         return OpTemplate(
-            kind="store", form="base_update", base_reg=base,
-            src_regs=(data,), stride=stride,
-            pre_index=rng.random() < profile.pre_index_frac,
-            region_offset=offset,
+            "store", (), (data,), "base_update", "strided", base, stride,
+            rng.random() < profile.pre_index_frac, offset,
         )
     roll -= profile.base_update_store_frac
     if roll < 0.02:
         status = HIGH_SCRATCH[(slot_index + 2) % len(HIGH_SCRATCH)]
         return OpTemplate(
-            kind="store", form="exclusive", base_reg=base,
-            src_regs=(data,), dst_regs=(status,), region_offset=offset,
-            stride=stride,
+            "store", (status,), (data,), "exclusive", "strided", base, stride,
+            False, offset,
         )
     if roll < 0.10:
         data2 = LOW_SCRATCH[(slot_index + 1) % len(LOW_SCRATCH)]
         return OpTemplate(
-            kind="store", form="pair", role=role, base_reg=base,
-            src_regs=(data, data2), region_offset=offset, stride=stride,
-            cross_line=rng.random() < profile.line_crossing_frac,
+            "store", (), (data, data2), "pair", role, base, stride, False,
+            offset, 8, rng.random() < profile.line_crossing_frac,
         )
     return OpTemplate(
-        kind="store", form="simple", role=role, base_reg=base, src_regs=(data,),
-        region_offset=offset, stride=stride,
-        cross_line=rng.random() < profile.line_crossing_frac,
+        "store", (), (data,), "simple", role, base, stride, False, offset,
+        8, rng.random() < profile.line_crossing_frac,
     )
 
 
@@ -326,39 +400,23 @@ def _pick_body_op(
         return _pick_memory_store(rng, profile, slot_index)
     roll -= profile.store_frac
     if roll < profile.fp_frac:
-        dst = VEC_REGS[slot_index % len(VEC_REGS)]
-        srcs = (
-            VEC_REGS[(slot_index + 1) % len(VEC_REGS)],
-            VEC_REGS[(slot_index + 2) % len(VEC_REGS)],
-        )
-        if rng.random() < profile.zero_dst_alu_frac:
-            return OpTemplate(kind="fp_cmp", src_regs=srcs)
-        return OpTemplate(kind="fp", dst_regs=(dst,), src_regs=srcs)
+        fp, fp_cmp = _FP_OPS[slot_index % len(VEC_REGS)]
+        return fp_cmp if rng.random() < profile.zero_dst_alu_frac else fp
     roll -= profile.fp_frac
     if roll < profile.slow_alu_frac:
-        dst = LOW_SCRATCH[slot_index % len(LOW_SCRATCH)]
-        srcs = (
-            LOW_SCRATCH[(slot_index + 1) % len(LOW_SCRATCH)],
-            LOW_SCRATCH[(slot_index + 3) % len(LOW_SCRATCH)],
-        )
-        return OpTemplate(kind="slow_alu", dst_regs=(dst,), src_regs=srcs)
-    dst = LOW_SCRATCH[slot_index % len(LOW_SCRATCH)]
-    srcs = (
-        LOW_SCRATCH[(slot_index + 1) % len(LOW_SCRATCH)],
-        LOW_SCRATCH[(slot_index + 5) % len(LOW_SCRATCH)],
-    )
+        return _SLOW_ALU_OPS[slot_index % len(LOW_SCRATCH)]
     # A sparse population of consumers reads the cold registers (the
     # second destinations of pairs/walkers) or X0 — so the original
     # converter's dropped-destination and forged-X0 inaccuracies have the
     # small, mixed-sign effect the paper measures for mem-regs (+0.01%).
     roll2 = rng.random()
+    variant = 0
     if roll2 < 0.04:
-        srcs = (srcs[0], HIGH_SCRATCH[slot_index % len(HIGH_SCRATCH)])
+        variant = 1  # cold register
     elif roll2 < 0.06:
-        srcs = (srcs[0], 0)  # X0
-    if rng.random() < profile.zero_dst_alu_frac:
-        return OpTemplate(kind="alu_cmp", src_regs=srcs)
-    return OpTemplate(kind="alu", dst_regs=(dst,), src_regs=srcs)
+        variant = 2  # X0
+    alu, alu_cmp = _ALU_OPS[slot_index % _ALU_PERIOD][variant]
+    return alu_cmp if rng.random() < profile.zero_dst_alu_frac else alu
 
 
 def _pick_terminator(
@@ -372,7 +430,7 @@ def _pick_terminator(
 ) -> Terminator:
     last_block = block == num_blocks - 1
     if last_block:
-        return Terminator(kind="ret")
+        return _RET
 
     roll = rng.random()
     if roll < profile.call_frac and num_functions > 2:
@@ -384,22 +442,23 @@ def _pick_terminator(
             )
             return Terminator(
                 kind="call", form=kind,
-                test_reg=TARGET_REGS[rng.randrange(len(TARGET_REGS))],
+                test_reg=TARGET_REGS[_below(rng, len(TARGET_REGS))],
             )
-        callee = rng.randrange(1, num_functions)
+        callee = 1 + _below(rng, num_functions - 1)
         while callee == func:
-            callee = rng.randrange(1, num_functions)
+            callee = 1 + _below(rng, num_functions - 1)
         return Terminator(kind="call", form="direct", callee=callee)
     roll -= profile.call_frac
 
     if roll < profile.loop_branch_frac * 0.35:
         # Most static loops have a stable trip count (predictable exit);
         # a minority draw a fresh count per visit (hard exits).
+        max_trip = max(2, profile.max_loop_trip)
         if rng.random() < 0.8:
-            trips = rng.randint(2, max(2, profile.max_loop_trip))
+            trips = 2 + _below(rng, max_trip - 1)
             trip_range = (trips, trips)
         else:
-            trip_range = (2, max(2, profile.max_loop_trip))
+            trip_range = (2, max_trip)
         return Terminator(
             kind="loop",
             form="reg" if rng.random() < profile.reg_source_branch_frac else "flag",
@@ -409,7 +468,7 @@ def _pick_terminator(
     can_skip = block < num_blocks - 2
     if can_skip and rng.random() < 0.55:
         behavior = "biased"
-        test_reg = LOW_SCRATCH[rng.randrange(len(LOW_SCRATCH))]
+        test_reg = LOW_SCRATCH[_below(rng, len(LOW_SCRATCH))]
         if rng.random() < profile.load_dependent_branch_frac:
             behavior = "load_dep"
             load_dsts = [
@@ -432,8 +491,8 @@ def _pick_terminator(
         )
 
     if rng.random() < 0.3:
-        return Terminator(kind="jump")
-    return Terminator(kind="fall")
+        return _JUMP
+    return _FALL
 
 
 def build_program(profile: WorkloadProfile, seed: Optional[int] = None) -> Program:

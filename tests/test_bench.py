@@ -153,6 +153,33 @@ def test_cli_quick_sim_reports_engine_variants(tmp_path, capsys):
     assert "vector_warm" in out and "engine_speedup" in out
 
 
+def test_cli_quick_synth_splits_build_and_walk(tmp_path, capsys):
+    from repro.bench.cli import main
+    from repro.bench.phases import QUICK_SYNTH_RECORDS, SYNTH_TRACES
+
+    code = main(
+        ["synth", "--quick", "--repeat", "1", "--output-dir", str(tmp_path)]
+    )
+    assert code == 0
+    report = load_report(tmp_path / "BENCH_synth.json")
+    assert report["walk_records"] == QUICK_SYNTH_RECORDS
+    assert sorted(report["workloads"]) == sorted(SYNTH_TRACES)
+    assert "srv_40" in SYNTH_TRACES  # --quick keeps the large program
+    for workload in report["workloads"].values():
+        build, walk = workload["build_program"], workload["walk"]
+        assert build["seconds"] > 0 and build["records_per_sec"] > 0
+        assert walk["records"] == QUICK_SYNTH_RECORDS
+        assert walk["records_per_sec"] > 0
+        assert workload["tracemalloc_peak_mib"] > 0
+    # The server program dwarfs the compute one in templates and memory.
+    srv = report["workloads"]["srv_40"]
+    small = next(w for n, w in report["workloads"].items() if n != "srv_40")
+    assert srv["build_program"]["records"] > 10 * small["build_program"]["records"]
+    assert srv["tracemalloc_peak_mib"] > small["tracemalloc_peak_mib"]
+    out = capsys.readouterr().out
+    assert "[synth] srv_40:" in out and "tracemalloc_peak_mib" in out
+
+
 def test_cli_compare_detects_regression(tmp_path):
     from repro.bench.cli import main
 

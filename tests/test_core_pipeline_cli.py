@@ -65,6 +65,16 @@ def test_gen_cli(tmp_path, capsys):
     assert "wrote 500 records" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("count", ["0", "-5", "ten"])
+def test_gen_cli_rejects_non_positive_instructions(count, tmp_path, capsys):
+    out = tmp_path / "gen.gz"
+    with pytest.raises(SystemExit) as exc:
+        gen_main(["-t", "srv_40", "-n", count, "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--instructions" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conversion_is_deterministic(cvp_file, tmp_path):
     a = tmp_path / "a.bin"
     b = tmp_path / "b.bin"
