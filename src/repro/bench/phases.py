@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence, Union
 
 from repro.bench.harness import base_payload, min_of_k, rate
+from repro.core.improvements import IMPROVEMENT_NAMES, Improvement
 
 #: Golden fixture directory used when the caller does not override it.
 DEFAULT_FIXTURES = Path("tests/golden")
@@ -83,14 +84,24 @@ def bench_convert(
     fixtures: Union[str, Path] = DEFAULT_FIXTURES,
     repeats: int = 5,
     quick: bool = False,
-    block_size: int = 4096,
 ) -> Dict[str, Any]:
-    """Fast (block) vs baseline (per-record) conversion of the golden suite."""
-    from repro.core.improvements import Improvement
-    from repro.core.pipeline import convert_file
+    """Fast (block) vs baseline (per-record) conversion of the golden suite.
+
+    ``fast`` is :func:`~repro.core.pipeline.convert_file`, the production
+    path; ``baseline`` drives the per-record reference
+    :meth:`~repro.core.convert.Converter.convert` into the same writer.
+    Per golden fixture, ``improvement_cost_s`` maps each Table 1
+    improvement to the fast-path time of ``All_imps`` minus the time with
+    that one improvement removed (min of interleaved repeats each): the
+    cost of the improvement measured on the path production runs.
+    """
+    from repro.champsim.trace import ChampSimTraceWriter
+    from repro.core.convert import Converter
+    from repro.core.pipeline import DEFAULT_BLOCK_SIZE, convert_file
+    from repro.cvp.reader import CvpTraceReader
 
     payload = base_payload("convert", quick, repeats)
-    payload["block_size"] = block_size
+    payload["block_size"] = DEFAULT_BLOCK_SIZE
     payload["output"] = "uncompressed"
     workloads = payload["workloads"]
 
@@ -99,32 +110,62 @@ def bench_convert(
         tmp = Path(tmpdir)
         counts = {path: _count_records(path) for path in golden}
 
-        def convert(sources: Sequence[Path], bs: int) -> Callable[[], None]:
+        def fast(
+            sources: Sequence[Path], improvements: Improvement = Improvement.ALL
+        ) -> Callable[[], None]:
             def work() -> None:
                 for source in sources:
-                    out = tmp / (source.stem + f".{bs}.champsimtrace")
-                    convert_file(source, out, Improvement.ALL, block_size=bs)
+                    out = tmp / (source.stem + ".fast.champsimtrace")
+                    convert_file(source, out, improvements)
+
+            return work
+
+        def baseline(sources: Sequence[Path]) -> Callable[[], None]:
+            def work() -> None:
+                for source in sources:
+                    out = tmp / (source.stem + ".baseline.champsimtrace")
+                    converter = Converter(Improvement.ALL)
+                    with CvpTraceReader(source) as reader:
+                        with ChampSimTraceWriter(out) as writer:
+                            writer.write_all(converter.convert(reader))
 
             return work
 
         def measure(sources: Sequence[Path], records: int) -> Dict[str, Any]:
-            fast = _timed_variant(convert(sources, block_size), records, repeats)
-            slow = _timed_variant(convert(sources, 0), records, repeats)
+            fast_run = _timed_variant(fast(sources), records, repeats)
+            slow_run = _timed_variant(baseline(sources), records, repeats)
             return {
-                "fast": fast,
-                "baseline": slow,
-                "speedup": fast["records_per_sec"] / slow["records_per_sec"],
+                "fast": fast_run,
+                "baseline": slow_run,
+                "speedup": fast_run["records_per_sec"]
+                / slow_run["records_per_sec"],
             }
 
         # The headline workload runs first, before longer workloads can
         # heat the machine into frequency throttling.
-        convert(golden, block_size)()  # warm code paths and the memo
+        fast(golden)()  # warm code paths and the memo
         workloads["golden_suite"] = measure(
             golden, sum(counts.values())
         )
+        # All_imps and each set with one improvement removed, timed in
+        # interleaved rounds so machine drift hits every variant alike.
+        variants = {"All_imps": Improvement.ALL}
+        for name, improvement in IMPROVEMENT_NAMES.items():
+            if name.startswith("imp_"):
+                variants[name[len("imp_"):]] = Improvement.ALL & ~improvement
         for path in golden:
             name = path.name.replace(".cvp.gz", "")
             workloads[name] = measure([path], counts[path])
+            best = dict.fromkeys(variants, float("inf"))
+            for _ in range(repeats):
+                for variant, improvements in variants.items():
+                    seconds = min_of_k(fast([path], improvements), 1)
+                    best[variant] = min(best[variant], seconds)
+            workloads[name]["improvement_cost_s"] = {
+                variant: best["All_imps"] - fastest
+                for variant, fastest in best.items()
+                if variant != "All_imps"
+            }
         if not quick:
             synthetic = _synthetic_cvp(tmp, FULL_CONVERT_RECORDS)
             workloads[synthetic.name.replace(".cvp.gz", "")] = measure(
@@ -144,7 +185,6 @@ def bench_lint(
 ) -> Dict[str, Any]:
     """Trace-lint rule engine throughput over the golden fixtures."""
     from repro.analysis.engine import TraceLinter
-    from repro.core.improvements import Improvement
 
     payload = base_payload("lint", quick, repeats)
     workloads = payload["workloads"]
@@ -173,25 +213,26 @@ def bench_sim(
 ) -> Dict[str, Any]:
     """Interval-model throughput: cold vs warm decode, scalar vs vector.
 
-    Per source, ``cold``/``warm`` time the scalar reference engine with
-    and without a warm :class:`~repro.sim.decoded.DecodeCache`;
-    ``vector_cold``/``vector_warm`` repeat the measurement with the
-    columnar vector engine (warm runs additionally reuse the simulator's
-    columnar memo, component pool, and batched component plans).
-    ``engine_speedup`` is vector-warm over scalar-warm throughput — the
-    number the CI bench-smoke job gates on — and
-    ``component_batch_speedup`` isolates the batched component models:
-    vector-warm with plans on versus the same warm simulator forced onto
-    the scalar per-call component path (``batch_components=False``).
+    Per source, ``cold``/``warm`` time the scalar reference
+    :class:`~repro.sim.engine.Engine`, built directly as the differential
+    oracle, without and with a warm
+    :class:`~repro.sim.decoded.DecodeCache`; ``vector_cold``/
+    ``vector_warm`` time the production
+    :class:`~repro.sim.simulator.Simulator` (a throwaway one per run, or
+    one long-lived one whose decode cache, columnar memo, component pool
+    and batched component plans are warm).  ``engine_speedup`` is
+    vector-warm over scalar-warm throughput — the number the CI
+    bench-smoke job gates on.
     """
     from repro.core.convert import Converter
-    from repro.core.improvements import Improvement
     from repro.cvp.reader import CvpTraceReader
     from repro.sim import SimConfig, Simulator
     from repro.sim.decoded import DecodeCache, decode_trace
+    from repro.sim.engine import Engine
 
     payload = base_payload("sim", quick, repeats)
     workloads = payload["workloads"]
+    config = SimConfig.main()
 
     sources = [max(_golden_fixtures(fixtures), key=_count_records)]
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmpdir:
@@ -216,41 +257,33 @@ def bench_sim(
                 repeats,
             )
 
-            # End-to-end: decode + interval model (engine-dominated).
+            # End-to-end scalar oracle: decode + interval model
+            # (engine-dominated), cold and through the warm decode cache.
             cold = _timed_variant(
-                lambda: Simulator(
-                    SimConfig.main(), decode_cache=None, engine="scalar"
-                ).run(instrs, rules),
+                lambda: Engine(config).run(instrs, rules),
                 len(instrs),
                 repeats,
             )
-            warm_sim = Simulator(SimConfig.main(), engine="scalar")
-            warm_sim.run(instrs, rules)  # populate the decode cache
             warm = _timed_variant(
-                lambda: warm_sim.run(instrs, rules), len(instrs), repeats
+                lambda: Engine(config, decode_cache=decode_cache).run(
+                    instrs, rules
+                ),
+                len(instrs),
+                repeats,
             )
 
-            # Vector engine, same protocol: a throwaway Simulator per
-            # run for the cold number, one long-lived Simulator (warm
-            # decode cache + columnar memo) for the warm number.
+            # Production path, same protocol: a throwaway Simulator per
+            # run for the cold number, one long-lived Simulator for the
+            # warm number.
             vector_cold = _timed_variant(
-                lambda: Simulator(
-                    SimConfig.main(), decode_cache=None, engine="vector"
-                ).run(instrs, rules),
+                lambda: Simulator(config).run(instrs, rules),
                 len(instrs),
                 repeats,
             )
-            vector_sim = Simulator(SimConfig.main(), engine="vector")
-            vector_sim.run(instrs, rules)  # populate cache + memo
+            vector_sim = Simulator(config)
+            vector_sim.run(instrs, rules)  # populate cache, memo and plans
             vector_warm = _timed_variant(
                 lambda: vector_sim.run(instrs, rules), len(instrs), repeats
-            )
-            nobatch_sim = Simulator(
-                SimConfig.main(), engine="vector", batch_components=False
-            )
-            nobatch_sim.run(instrs, rules)  # populate cache + memo + pool
-            vector_warm_nobatch = _timed_variant(
-                lambda: nobatch_sim.run(instrs, rules), len(instrs), repeats
             )
             workloads[name] = {
                 "decode_cold": decode_cold,
@@ -262,13 +295,10 @@ def bench_sim(
                 "speedup": warm["records_per_sec"] / cold["records_per_sec"],
                 "vector_cold": vector_cold,
                 "vector_warm": vector_warm,
-                "vector_warm_nobatch": vector_warm_nobatch,
                 "engine_speedup": vector_warm["records_per_sec"]
                 / warm["records_per_sec"],
                 "engine_speedup_cold": vector_cold["records_per_sec"]
                 / cold["records_per_sec"],
-                "component_batch_speedup": vector_warm["records_per_sec"]
-                / vector_warm_nobatch["records_per_sec"],
             }
     return payload
 

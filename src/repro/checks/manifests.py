@@ -27,7 +27,6 @@ from typing import Tuple
 #: itself stays full-coverage).
 SIM_CONFIG_KEY_FIELDS: Tuple[str, ...] = (
     "name",
-    "engine",
     "fetch_width",
     "dispatch_width",
     "exec_width",

@@ -24,6 +24,7 @@ import time
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.cliargs import positive_int
 from repro.core.improvements import IMPROVEMENT_NAMES, parse_improvements
 from repro.core.pipeline import ConversionResult, convert_file, convert_suite
 from repro.obs import logutil
@@ -63,23 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--block-size",
-        type=int,
-        default=4096,
-        help=(
-            "records per conversion block of the fast path "
-            "(default 4096; 0 = legacy record-at-a-time path; output is "
-            "byte-identical either way)"
-        ),
-    )
-    parser.add_argument(
         "--salvage",
         action="store_true",
         help=(
             "tolerate a truncated final record in the input trace: "
             "convert the complete leading records, warn, and report how "
-            "many trailing bytes were dropped (single-file mode; "
-            "requires the block path)"
+            "many trailing bytes were dropped (single-file mode)"
         ),
     )
     parser.add_argument(
@@ -101,13 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--output-dir", help="directory for the suite's trace pairs"
     )
     suite.add_argument(
-        "--instructions", type=int, default=20_000, help="trace length"
+        "--instructions", type=positive_int, default=20_000, help="trace length"
     )
     suite.add_argument(
-        "--limit", type=int, default=None, help="cap the number of traces"
+        "--limit", type=positive_int, default=None, help="cap the number of traces"
     )
     suite.add_argument(
-        "--stride", type=int, default=1, help="sample every Nth suite trace"
+        "--stride",
+        type=positive_int,
+        default=1,
+        help="sample every Nth suite trace",
     )
     suite.add_argument(
         "--jobs",
@@ -157,7 +150,6 @@ def _main_suite(args: argparse.Namespace, improvements) -> int:
             stride=args.stride,
             jobs=jobs,
             cache=cache,
-            block_size=args.block_size,
         )
     except TaskFailure as exc:
         print(f"repro-convert: {exc}", file=sys.stderr)
@@ -204,19 +196,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.salvage and not args.block_size:
-        print(
-            "repro-convert: --salvage requires the block path "
-            "(--block-size > 0)",
-            file=sys.stderr,
-        )
-        return 2
     result = convert_file(
-        args.trace,
-        args.output,
-        improvements,
-        block_size=args.block_size,
-        salvage=args.salvage,
+        args.trace, args.output, improvements, salvage=args.salvage
     )
     if result.salvaged_bytes:
         print(

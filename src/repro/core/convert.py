@@ -193,16 +193,9 @@ class Converter:
         The concatenated chunks are byte-identical to encoding
         :meth:`convert`'s output record by record, and :attr:`stats`
         accumulates identically; see :mod:`repro.core.fastconvert`.
-        With observability enabled (``REPRO_OBS``/``--obs``) the stream
-        additionally emits spans and counters — still byte-identical —
-        via :mod:`repro.core.obsconvert`.
+        This is the production conversion path; :meth:`convert` is its
+        per-record reference, kept for tests and benchmarks.
         """
-        from repro.obs import state as obs_state
-
-        if obs_state.enabled():
-            from repro.core.obsconvert import convert_blocks_to_bytes_observed
-
-            return convert_blocks_to_bytes_observed(self, source, block_size)
         from repro.core.fastconvert import convert_blocks_to_bytes
 
         return convert_blocks_to_bytes(self, source, block_size)

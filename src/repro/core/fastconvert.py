@@ -33,6 +33,7 @@ golden fixture and on property-based synthetic corpora.
 from __future__ import annotations
 
 import struct
+from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.champsim.regs import REG_FORGED_X0, champsim_reg
@@ -50,6 +51,11 @@ from repro.cvp.record import CvpRecord
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.convert import Converter
+
+#: Buckets sized for per-block transform times (seconds).
+_BLOCK_BUCKETS = (
+    1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 1.0,
+)
 
 #: Static-instruction memo bound.  One entry per unique (improvements,
 #: class, registers, taken) signature — typically a few dozen per
@@ -140,10 +146,8 @@ class BlockConverter:
     """Carried state for one fused block-conversion stream.
 
     Owns the live register file, the per-stream source/destination memos,
-    and the static-memo hit accounting, so a caller can drive conversion
-    block by block — :func:`convert_blocks_to_bytes` for the plain fast
-    path, :mod:`repro.core.obsconvert` to interleave sampled per-record
-    profiling blocks between fused ones.  Register state carries across
+    and the static-memo hit accounting, so :func:`convert_blocks_to_bytes`
+    can drive conversion block by block.  Register state carries across
     :meth:`convert_block` calls exactly as the per-record reader does.
     """
 
@@ -391,10 +395,99 @@ def convert_blocks_to_bytes(
     ``converter.convert(source)`` record by record, and
     ``converter.stats`` ends up equal as well.  Register state carries
     across block boundaries exactly as the per-record reader does.
+
+    With observability enabled the same loop additionally times each
+    block's decode and transform; see :func:`_observed_blocks`.
     """
+    from repro import obs
+
     reader = (
         source if isinstance(source, CvpTraceReader) else CvpTraceReader(source)
     )
     block_converter = BlockConverter(converter)
+    if obs.enabled():
+        yield from _observed_blocks(block_converter, reader, block_size)
+        return
     for block in reader.blocks(block_size):
         yield block_converter.convert_block(block)
+
+
+def _observed_blocks(
+    block_converter: BlockConverter,
+    reader: CvpTraceReader,
+    block_size: int,
+) -> Iterator[bytes]:
+    """The :func:`convert_blocks_to_bytes` loop, timed per block.
+
+    Emits one ``convert.stream`` span with an aggregated
+    ``convert.block_decode`` child, a per-block transform-time
+    histogram, and record/block/instruction and static-memo counters —
+    all after the stream ends, so the loop itself only reads the clock
+    twice per block.
+    """
+    from repro import obs
+
+    converter = block_converter.converter
+    # The converter's stats accumulate across files; count this stream's
+    # contribution only.
+    instrs_at_start = converter.stats.instructions_out
+    transform_times: List[float] = []
+    decode_time = 0.0
+    n_records = 0
+    with obs.span(
+        "convert.stream",
+        block_size=block_size,
+        improvements=converter.improvements.value,
+    ) as stream:
+        blocks = reader.blocks(block_size)
+        while True:
+            start = perf_counter()
+            block = next(blocks, None)
+            decoded = perf_counter()
+            decode_time += decoded - start
+            if block is None:
+                break
+            chunk = block_converter.convert_block(block)
+            transform_times.append(perf_counter() - decoded)
+            n_records += len(block)
+            yield chunk
+        # Decode time is summed over the stream, so the aggregated child
+        # is placed at the stream's start.
+        obs.emit_child_span(
+            "convert.block_decode",
+            stream.start,
+            decode_time,
+            {"blocks": len(transform_times)},
+        )
+        stream.set(
+            blocks=len(transform_times),
+            records=n_records,
+            transform_seconds=round(sum(transform_times), 6),
+            decode_seconds=round(decode_time, 6),
+        )
+
+    block_seconds = obs.histogram(
+        "repro_convert_block_seconds",
+        "Per-block transform+encode time.",
+        buckets=_BLOCK_BUCKETS,
+    )
+    for seconds in transform_times:
+        block_seconds.observe(seconds)
+    obs.counter("repro_convert_records_total", "CVP records converted.").inc(
+        n_records
+    )
+    obs.counter("repro_convert_blocks_total", "Record blocks converted.").inc(
+        len(transform_times)
+    )
+    obs.counter(
+        "repro_convert_instructions_total", "ChampSim instructions emitted."
+    ).inc(converter.stats.instructions_out - instrs_at_start)
+    lookups = block_converter.static_lookups
+    obs.counter(
+        "repro_convert_static_memo_lookups_total",
+        "Static-instruction memo probes.",
+    ).inc(lookups)
+    obs.counter(
+        "repro_convert_static_memo_hits_total",
+        "Static-instruction memo hits.",
+    ).inc(lookups - block_converter.static_misses)

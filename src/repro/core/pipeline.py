@@ -50,7 +50,6 @@ def convert_file(
     source: Union[str, Path],
     destination: Union[str, Path],
     improvements: Improvement = Improvement.NONE,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     salvage: bool = False,
 ) -> ConversionResult:
     """Convert a CVP-1 trace file to a ChampSim trace file.
@@ -58,20 +57,17 @@ def convert_file(
     Compression is chosen by suffix on both ends (``.gz`` for CVP input,
     ``.gz``/``.xz`` for ChampSim output).
 
-    ``block_size`` selects the block-based fast path (records per
-    block); pass ``0`` to force the legacy record-at-a-time path.  Both
-    paths produce byte-identical output and statistics.
+    Conversion runs the fused block path
+    (:meth:`~repro.core.convert.Converter.convert_to_bytes`) in blocks
+    of :data:`DEFAULT_BLOCK_SIZE` records.
 
     ``salvage`` tolerates a truncated final source record: the complete
     leading records convert normally, a warning is logged, and the
     result's :attr:`~ConversionResult.salvaged_bytes` reports how many
-    trailing bytes were dropped.  Salvage requires the block path
-    (``block_size > 0``).
+    trailing bytes were dropped.
     """
     from repro import obs
 
-    if salvage and not block_size:
-        raise ValueError("salvage requires the block path (block_size > 0)")
     source = Path(source)
     destination = Path(destination)
     converter = Converter(improvements)
@@ -82,11 +78,10 @@ def convert_file(
     ) as file_span:
         with CvpTraceReader(source, salvage=salvage) as reader:
             with ChampSimTraceWriter(destination) as writer:
-                if block_size:
-                    for chunk in converter.convert_to_bytes(reader, block_size):
-                        writer.write_encoded(chunk)
-                else:
-                    writer.write_all(converter.convert(reader))
+                for chunk in converter.convert_to_bytes(
+                    reader, DEFAULT_BLOCK_SIZE
+                ):
+                    writer.write_encoded(chunk)
             salvaged = int(reader.salvage_info.get("trailing_bytes", 0))
         file_span.set(
             records=converter.stats.records_in,
@@ -135,7 +130,6 @@ class _SuiteTask:
     instructions: int
     improvements: Improvement
     output_dir: str
-    block_size: int = DEFAULT_BLOCK_SIZE
 
 
 def _convert_suite_task(task: _SuiteTask) -> ConversionResult:
@@ -148,9 +142,7 @@ def _convert_suite_task(task: _SuiteTask) -> ConversionResult:
     cvp_path = output_dir / f"{task.name}.cvp.gz"
     out_path = output_dir / f"{task.name}.champsimtrace.gz"
     write_trace(records, cvp_path)
-    return convert_file(
-        cvp_path, out_path, task.improvements, block_size=task.block_size
-    )
+    return convert_file(cvp_path, out_path, task.improvements)
 
 
 def convert_suite(
@@ -162,7 +154,6 @@ def convert_suite(
     stride: int = 1,
     jobs: int = 1,
     cache: Optional["ConversionCache"] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> List[ConversionResult]:
     """Generate-and-convert a whole named suite to disk.
 
@@ -219,7 +210,6 @@ def convert_suite(
                 instructions=instructions,
                 improvements=improvements,
                 output_dir=str(output_dir),
-                block_size=block_size,
             )
         )
         task_indices.append(index)

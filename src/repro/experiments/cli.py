@@ -14,6 +14,7 @@ import time
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.cliargs import positive_int
 from repro.experiments import ablation, figures, report, tables
 from repro.experiments.journal import DEFAULT_JOURNAL_NAME, SweepJournal
 from repro.experiments.parallel import PoolRecoveryError, TaskFailure
@@ -42,16 +43,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="which figure/table to regenerate (or an ablation study)",
     )
     parser.add_argument(
-        "--instructions", type=int, default=12_000, help="trace length"
+        "--instructions", type=positive_int, default=12_000, help="trace length"
     )
     parser.add_argument(
         "--stride",
-        type=int,
+        type=positive_int,
         default=3,
         help="sample every Nth suite trace (1 = full suite)",
     )
     parser.add_argument(
-        "--limit", type=int, default=None, help="cap the number of traces"
+        "--limit", type=positive_int, default=None, help="cap the number of traces"
     )
     parser.add_argument(
         "--jobs",
@@ -67,15 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
             "fetch from a running repro-serve instead of simulating "
             "locally (e.g. http://127.0.0.1:8321); output is "
             "byte-identical to the local path"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        default=None,
-        choices=["scalar", "vector"],
-        help=(
-            "override the simulator engine for every run (vector is the "
-            "bit-identical columnar batch engine; default: per-config)"
         ),
     )
     parser.add_argument(
@@ -209,7 +201,6 @@ def _run_remote(args: "argparse.Namespace") -> int:
                 instructions=args.instructions,
                 stride=args.stride,
                 limit=args.limit,
-                engine=args.engine,
             )
         except ServiceError as exc:
             print(f"repro-experiment: {name}: {exc}", file=sys.stderr)
@@ -245,7 +236,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         stride=args.stride,
         cache=cache,
         jobs=None if args.jobs == 0 else args.jobs,
-        engine=args.engine,
         journal=journal,
         retry_policy=RetryPolicy(
             attempts=1 + max(0, args.retries),

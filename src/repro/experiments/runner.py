@@ -93,11 +93,6 @@ class ExperimentRunner:
             convert+simulate pipeline across process boundaries.
         jobs: Default worker count for :meth:`run_many`/:meth:`run_batch`
             (1 = serial; individual calls can override).
-        engine: Override ``SimConfig.engine`` on every run (``None``
-            keeps each config's own choice).  The vector engine is
-            bit-identical to the scalar reference, but the override is
-            part of the memo/cache key, so switching engines never
-            aliases previously cached results.
         journal: Optional :class:`~repro.experiments.journal.SweepJournal`
             checkpointing each completed task as it finishes; journalled
             results are replayed (before the disk cache) so an
@@ -117,7 +112,6 @@ class ExperimentRunner:
         stride: int = 1,
         cache: Optional["ResultCache"] = None,
         jobs: int = 1,
-        engine: Optional[str] = None,
         journal: Optional["SweepJournal"] = None,
         retry_policy: Optional["RetryPolicy"] = None,
         task_timeout: Optional[float] = None,
@@ -127,7 +121,6 @@ class ExperimentRunner:
         self.stride = stride
         self.cache = cache
         self.jobs = jobs
-        self.engine = engine
         self.journal = journal
         self.retry_policy = retry_policy
         self.task_timeout = task_timeout
@@ -216,13 +209,8 @@ class ExperimentRunner:
         return self._characterizations[name]
 
     def _normalize_config(self, config: Optional[SimConfig]) -> SimConfig:
-        """Default to ``SimConfig.main()`` and apply the engine override."""
-        from dataclasses import replace
-
-        config = config or SimConfig.main()
-        if self.engine is not None and config.engine != self.engine:
-            config = replace(config, engine=self.engine)
-        return config
+        """Default to ``SimConfig.main()``."""
+        return config or SimConfig.main()
 
     def _cache_key(self, name: str, improvements: Improvement, config: SimConfig) -> str:
         from repro.experiments.cache import run_key

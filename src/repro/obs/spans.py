@@ -107,9 +107,8 @@ def emit_child_span(
 ) -> None:
     """Emit a pre-measured span as a child of the current span.
 
-    For attribution records whose timing was sampled or computed rather
-    than measured by a ``with`` block (e.g. per-improvement convert time
-    scaled from a staged profile).
+    For records whose time was accumulated outside a ``with`` block
+    (e.g. convert's block-decode time, summed over a whole stream).
     """
     if not state.enabled():
         return

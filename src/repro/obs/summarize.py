@@ -144,16 +144,12 @@ def _fold_spans(
                 "count": 0,
                 "total": 0.0,
                 "self": 0.0,
-                "estimated": False,
             }
         row["count"] += 1
         row["total"] += record["dur"]
         row["self"] += max(
             0.0, record["dur"] - child_time.get(record["id"], 0.0)
         )
-        attrs = record.get("attrs") or {}
-        if attrs.get("estimated"):
-            row["estimated"] = True
 
 
 def _sorted_span_rows(
@@ -202,14 +198,11 @@ def render_text(
         lines.append("spans (total / self / count):")
         for row in spans:
             depth = len(row["path"]) - 1
-            marker = "~" if row.get("estimated") else " "
             lines.append(
-                f" {marker}{_fmt_seconds(row['total'])} "
+                f"  {_fmt_seconds(row['total'])} "
                 f"{_fmt_seconds(row['self'])} {row['count']:>8}  "
                 f"{'  ' * depth}{row['name']}"
             )
-        if any(row.get("estimated") for row in spans):
-            lines.append("  (~ = estimated from sampled profiling)")
 
     counters = summary.get("counters", [])
     if counters:

@@ -62,6 +62,11 @@ DEFAULT_SHARD_SIZE = 64
 ProgressFn = Callable[[int, int], None]
 
 
+def _positive_int(value: Any) -> bool:
+    """True for a JSON integer >= 1 (``true`` is an ``int`` in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 @dataclass(frozen=True)
 class SweepParams:
     """Everything that identifies one sweep's inputs (the job key)."""
@@ -70,7 +75,6 @@ class SweepParams:
     instructions: int = 12_000
     stride: int = 3
     limit: Optional[int] = None
-    engine: Optional[str] = None
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "SweepParams":
@@ -81,9 +85,7 @@ class SweepParams:
         """
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
-        unknown = set(payload) - {
-            "experiment", "instructions", "stride", "limit", "engine",
-        }
+        unknown = set(payload) - {"experiment", "instructions", "stride", "limit"}
         if unknown:
             raise ValueError(f"unknown field(s): {', '.join(sorted(unknown))}")
         experiment = payload.get("experiment")
@@ -95,21 +97,17 @@ class SweepParams:
         instructions = payload.get("instructions", 12_000)
         stride = payload.get("stride", 3)
         limit = payload.get("limit")
-        engine = payload.get("engine")
-        if not isinstance(instructions, int) or instructions <= 0:
+        if not _positive_int(instructions):
             raise ValueError("instructions must be a positive integer")
-        if not isinstance(stride, int) or stride <= 0:
+        if not _positive_int(stride):
             raise ValueError("stride must be a positive integer")
-        if limit is not None and (not isinstance(limit, int) or limit <= 0):
+        if limit is not None and not _positive_int(limit):
             raise ValueError("limit must be a positive integer or null")
-        if engine is not None and engine not in ("scalar", "vector"):
-            raise ValueError("engine must be 'scalar', 'vector', or null")
         return cls(
             experiment=experiment,
             instructions=instructions,
             stride=stride,
             limit=limit,
-            engine=engine,
         )
 
     def fingerprint(self) -> Dict[str, Any]:
@@ -124,7 +122,6 @@ class SweepParams:
             "instructions": self.instructions,
             "stride": self.stride,
             "limit": self.limit,
-            "engine": self.engine,
             "result_schema": CACHE_SCHEMA,
         }
 
@@ -144,7 +141,6 @@ class SweepParams:
             stride=self.stride,
             cache=cache,
             jobs=1,
-            engine=self.engine,
             journal=journal,
         )
 

@@ -16,7 +16,7 @@ Routes::
     GET  /metrics              Prometheus text exposition (0.0.4)
 
 Figure/table GETs take the sweep parameters as query string
-(``?instructions=12000&stride=3&limit=2&engine=vector``) and execute
+(``?instructions=12000&stride=3&limit=2``) and execute
 synchronously — a cold request simulates (through the fleet, sharded),
 a warm one serves the stored artifact with zero simulations.  The
 response carries ``X-Repro-Simulations`` (how many simulations the

@@ -29,7 +29,7 @@ Two presets mirror the paper's two ChampSim versions:
 from repro.sim.config import SimConfig
 from repro.sim.stats import SimStats
 from repro.sim.decoded import DecodedColumns, DecodedInstr, columnarize, decode_trace
-from repro.sim.simulator import ENGINE_NAMES, Simulator, make_engine, simulate
+from repro.sim.simulator import Simulator, simulate
 
 __all__ = [
     "SimConfig",
@@ -38,8 +38,6 @@ __all__ = [
     "DecodedInstr",
     "columnarize",
     "decode_trace",
-    "ENGINE_NAMES",
     "Simulator",
-    "make_engine",
     "simulate",
 ]

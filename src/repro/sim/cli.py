@@ -35,13 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ChampSim branch-deduction rules (patched for branch-regs traces)",
     )
     parser.add_argument(
-        "--engine",
-        default="vector",
-        choices=["scalar", "vector"],
-        help="engine implementation (vector, the default, is the columnar "
-        "batch engine; scalar is the bit-identical per-instruction reference)",
-    )
-    parser.add_argument(
         "--l1i-prefetcher",
         default="",
         help="instruction prefetcher name (IPC-1 submissions) or empty",
@@ -71,8 +64,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.warmup is not None:
         config = replace(config, warmup_fraction=args.warmup)
-    if args.engine != config.engine:
-        config = replace(config, engine=args.engine)
     rules = BranchRules.PATCHED if args.rules == "patched" else BranchRules.ORIGINAL
     stats = Simulator(config).run(args.trace, rules)
     print(stats.summary())

@@ -19,13 +19,6 @@ class SimConfig:
 
     name: str = "main"
 
-    #: Which engine implementation runs the interval model: ``"vector"``
-    #: (the production columnar batch engine in
-    #: :mod:`repro.sim.vector_engine`) or ``"scalar"`` (the
-    #: per-instruction reference in :mod:`repro.sim.engine`, kept as the
-    #: differential oracle the vector engine is pinned bit-identical to).
-    engine: str = "vector"
-
     # --- widths and windows ------------------------------------------------
     fetch_width: int = 6
     dispatch_width: int = 6

@@ -20,7 +20,6 @@ it expresses every first-order effect the paper measures (see DESIGN.md
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter
 from typing import Any, Dict, Optional, Sequence
 
 from repro.champsim.branch_info import BranchRules, BranchType
@@ -41,91 +40,6 @@ _LINE_MASK = ~(LINE_SIZE - 1)
 
 _CALL_TYPES = (BranchType.DIRECT_CALL, BranchType.INDIRECT_CALL)
 _INDIRECT_TYPES = (BranchType.INDIRECT, BranchType.INDIRECT_CALL)
-
-
-class _TimedCalls:
-    """Attribute-forwarding proxy that wall-times selected methods.
-
-    Installed over the engine's components only when observability is
-    enabled — the disabled hot loop never sees a proxy — charging each
-    listed method's time to a component bucket (``keys`` maps method
-    name to bucket).
-    """
-
-    __slots__ = ("_obj", "_times", "_keys")
-
-    def __init__(self, obj: Any, times: Dict[str, float], keys: Dict[str, str]) -> None:
-        self._obj = obj
-        self._times = times
-        self._keys = keys
-
-    def __getattr__(self, name: str) -> Any:
-        attr = getattr(self._obj, name)
-        key = self._keys.get(name)
-        if key is None:
-            return attr
-        times = self._times
-        bucket = key
-
-        def timed(*args: Any, **kwargs: Any) -> Any:
-            start = perf_counter()
-            try:
-                return attr(*args, **kwargs)
-            finally:
-                times[bucket] += perf_counter() - start
-
-        return timed
-
-
-def wrap_branch_components(
-    component_time: Dict[str, float],
-    direction: Any,
-    btb: Any,
-    ras: Any,
-    ittage: Any,
-    l1i_pf: Any,
-) -> tuple:
-    """Install :class:`_TimedCalls` over the branch/prefetch components.
-
-    Shared between the scalar and vector engines so both attribute the
-    same methods to the same ``sim.<component>`` buckets.
-    """
-    direction = _TimedCalls(
-        direction, component_time, {"predict": "branch", "update": "branch"}
-    )
-    btb = _TimedCalls(
-        btb, component_time, {"lookup": "branch", "install": "branch"}
-    )
-    ras = _TimedCalls(ras, component_time, {"pop": "branch", "push": "branch"})
-    if ittage is not None:
-        ittage = _TimedCalls(
-            ittage, component_time, {"predict": "branch", "update": "branch"}
-        )
-    if l1i_pf is not None:
-        l1i_pf = _TimedCalls(l1i_pf, component_time, {"on_fetch": "prefetch"})
-    return direction, btb, ras, ittage, l1i_pf
-
-
-def emit_engine_obs(component_time: Dict[str, float], n: int, cycles: int) -> None:
-    """Emit the per-component spans and engine counters for one run."""
-    from repro import obs
-
-    start = perf_counter()
-    for component, seconds in component_time.items():
-        if seconds > 0.0:
-            obs.emit_child_span(
-                f"sim.{component}",
-                start,
-                seconds,
-                {"instructions": n},
-            )
-    obs.counter(
-        "repro_sim_instructions_total",
-        "Instructions simulated (incl. warm-up).",
-    ).inc(n)
-    obs.counter(
-        "repro_sim_cycles_total", "Post-warm-up cycles simulated."
-    ).inc(cycles)
 
 
 class ComponentPool:
@@ -176,18 +90,20 @@ class ComponentPool:
 class Engine:
     """Single-run engine; construct fresh per simulation.
 
-    ``decode_cache`` (usually supplied by the long-lived
-    :class:`~repro.sim.simulator.Simulator`) lets :meth:`run` accept raw
+    This per-instruction engine is the differential oracle the
+    production :class:`~repro.sim.vector_engine.VectorEngine` is pinned
+    bit-identical to; tests and ``repro-bench sim`` build it directly.
+
+    ``decode_cache`` lets :meth:`run` accept raw
     :class:`~repro.champsim.trace.ChampSimInstr` sequences and decode
-    them through the shared pre-decode memo, so warm-up+measure loops
+    them through a shared pre-decode memo, so warm-up+measure loops
     over one trace stop re-decoding the same hot instructions.
 
-    ``component_pool`` (also simulator-supplied) recycles the previous
-    run's component objects when the engine type and configuration
-    match, skipping reconstruction; see :class:`ComponentPool`.
-    ``batch_components`` lets callers force the scalar per-call
-    component path in engines that support batched component plans (the
-    vector engine); the scalar engine ignores it.
+    ``component_pool`` (supplied by the long-lived
+    :class:`~repro.sim.simulator.Simulator` to its vector engines)
+    recycles the previous run's component objects when the engine type
+    and configuration match, skipping reconstruction; see
+    :class:`ComponentPool`.
     """
 
     def __init__(
@@ -195,11 +111,9 @@ class Engine:
         config: SimConfig,
         decode_cache: "Optional[DecodeCache]" = None,
         component_pool: "Optional[ComponentPool]" = None,
-        batch_components: bool = True,
     ) -> None:
         self.config = config
         self.decode_cache = decode_cache
-        self._batch_components = batch_components
         self.stats = SimStats()
         pool = component_pool
         if (
@@ -281,27 +195,6 @@ class Engine:
         ras = self.ras
         ittage = self.ittage
         l1i_pf = self.l1i_prefetcher
-
-        from repro.obs import state as obs_state
-
-        component_time: Optional[Dict[str, float]] = None
-        if obs_state.enabled():
-            # Exact per-component attribution: proxy the engine's
-            # components so cache accesses, predictor work, and prefetch
-            # issue are each timed.  Only the enabled path pays for it.
-            component_time = {"cache": 0.0, "branch": 0.0, "prefetch": 0.0}
-            hierarchy = _TimedCalls(
-                hierarchy,
-                component_time,
-                {
-                    "access_instruction": "cache",
-                    "access_data": "cache",
-                    "prefetch_instruction": "prefetch",
-                },
-            )
-            direction, btb, ras, ittage, l1i_pf = wrap_branch_components(
-                component_time, direction, btb, ras, ittage, l1i_pf
-            )
 
         n = len(decoded)
         warmup = int(n * config.warmup_fraction)
@@ -544,7 +437,4 @@ class Engine:
             stats.count_instruction()
 
         stats.cycles = max(1, last_retire - warmup_base_cycle)
-
-        if component_time is not None:
-            emit_engine_obs(component_time, n, stats.cycles)
         return stats

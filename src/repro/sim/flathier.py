@@ -249,22 +249,6 @@ class FlatHierarchy:
         _fill(l1, line, arrival)
         return latency, SRC_DRAM
 
-    def access_instruction_fast(self, line: int, now: int) -> Tuple[int, int]:
-        """Demand instruction fetch of the aligned ``line``."""
-        return self.demand_fast(self.l1i, line, now)
-
-    def access_data_fast(
-        self, ip: int, addr: int, now: int, is_write: bool = False
-    ) -> Tuple[int, int]:
-        """Demand data access; fires the L1D/L2 prefetcher hooks."""
-        latency, source = self.demand_fast(self.l1d, addr & _LINE_MASK, now)
-        l1_hit = source == SRC_L1
-        if self.l1d_prefetcher is not None:
-            self.l1d_prefetcher.on_access(ip, addr, l1_hit, self, now)
-        if self.l2_prefetcher is not None and not l1_hit:
-            self.l2_prefetcher.on_access(ip, addr, source == SRC_L2, self, now)
-        return latency, source
-
     # ------------------------------------------------------------------
     # reference-compatible object API (pluggable prefetchers, tests)
     # ------------------------------------------------------------------
@@ -278,7 +262,12 @@ class FlatHierarchy:
         self, ip: int, addr: int, now: int, is_write: bool = False
     ) -> AccessResult:
         """Demand data access; fires the L1D/L2 prefetcher hooks."""
-        latency, source = self.access_data_fast(ip, addr, now, is_write)
+        latency, source = self.demand_fast(self.l1d, addr & _LINE_MASK, now)
+        l1_hit = source == SRC_L1
+        if self.l1d_prefetcher is not None:
+            self.l1d_prefetcher.on_access(ip, addr, l1_hit, self, now)
+        if self.l2_prefetcher is not None and not l1_hit:
+            self.l2_prefetcher.on_access(ip, addr, source == SRC_L2, self, now)
         return AccessResult(latency=latency, source=_SOURCE_NAMES[source])
 
     # ------------------------------------------------------------------

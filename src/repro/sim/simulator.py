@@ -31,59 +31,14 @@ from repro.sim.decoded import (
     columnarize,
     decode_trace,
 )
-from repro.sim.engine import ComponentPool, Engine
+from repro.sim.engine import ComponentPool
 from repro.sim.stats import SimStats
 
 TraceLike = Union[str, Path, Sequence[ChampSimInstr], Sequence[DecodedInstr]]
 
-#: Engine implementations selectable via ``SimConfig.engine`` or the
-#: ``Simulator(engine=...)`` override.  Values are import paths resolved
-#: lazily so the scalar-only path never imports the vector machinery.
-ENGINE_NAMES = ("scalar", "vector")
-
-
-def make_engine(
-    config: SimConfig,
-    decode_cache: "Optional[DecodeCache]" = None,
-    engine: Optional[str] = None,
-    component_pool: "Optional[ComponentPool]" = None,
-    batch_components: bool = True,
-) -> Engine:
-    """Build the engine implementation selected by ``engine``.
-
-    ``engine=None`` defers to ``config.engine``; unknown names raise
-    ``ValueError`` listing the known implementations.  ``component_pool``
-    recycles a previous engine's components when type and config match
-    (see :class:`~repro.sim.engine.ComponentPool`); ``batch_components``
-    forces the scalar per-call component path when ``False`` (the
-    vector engine's batched component plans are on by default).
-    """
-    name = config.engine if engine is None else engine
-    if name == "scalar":
-        return Engine(
-            config,
-            decode_cache=decode_cache,
-            component_pool=component_pool,
-            batch_components=batch_components,
-        )
-    if name == "vector":
-        from repro.sim.vector_engine import VectorEngine
-
-        return VectorEngine(
-            config,
-            decode_cache=decode_cache,
-            component_pool=component_pool,
-            batch_components=batch_components,
-        )
-    raise ValueError(
-        f"unknown engine {name!r}; known: {list(ENGINE_NAMES)}"
-    )
-
 
 def _as_decoded(
-    trace: TraceLike,
-    rules: BranchRules,
-    cache: "Optional[DecodeCache]" = None,
+    trace: TraceLike, rules: BranchRules, cache: DecodeCache
 ) -> List[DecodedInstr]:
     if isinstance(trace, (str, Path)):
         return decode_trace(read_champsim_trace(trace), rules, cache=cache)
@@ -96,52 +51,29 @@ def _as_decoded(
 class Simulator:
     """Run the interval model over ChampSim traces.
 
-    The simulator is long-lived while each :class:`Engine` is per-run;
-    it owns the :class:`~repro.sim.decoded.DecodeCache` shared across
+    The simulator is long-lived while each
+    :class:`~repro.sim.vector_engine.VectorEngine` is per-run.  It owns
+    a private :class:`~repro.sim.decoded.DecodeCache` shared across
     runs, so re-simulating a trace (sweeps, warm-up+measure loops,
     benchmarking) skips branch-type deduction for every instruction
-    already seen.  Pass ``decode_cache=None`` to opt out.
-
-    ``engine`` overrides ``config.engine`` ("vector", the default, or
-    "scalar", the per-instruction reference kept as the differential
-    oracle); the vector engine is bit-identical to the scalar reference
-    (pinned by ``tests/test_vector_engine_differential.py``) and
-    additionally memoizes the columnar view of the last trace, so
-    repeated runs over one unmutated trace object skip columnarisation
-    the way the decode cache skips decoding.  A
-    :class:`~repro.sim.decoded.DecodedColumns` input is used as is (the
-    scalar engine gets its row view).
+    already seen, and it memoizes the columnar view of the last trace,
+    so repeated runs over one unmutated trace object skip
+    columnarisation too.  A :class:`~repro.sim.decoded.DecodedColumns`
+    input is used as is.  The scalar :class:`~repro.sim.engine.Engine`
+    is not reachable from here: it survives as the differential oracle
+    the vector engine is pinned bit-identical to
+    (``tests/test_vector_engine_differential.py``).
     """
 
-    def __init__(
-        self,
-        config: SimConfig,
-        decode_cache: "Union[Optional[DecodeCache], str]" = "fresh",
-        engine: Optional[str] = None,
-        batch_components: bool = True,
-    ) -> None:
+    def __init__(self, config: SimConfig) -> None:
         self.config = config
-        self.batch_components = batch_components
-        if decode_cache == "fresh":
-            decode_cache = DecodeCache()
-        elif decode_cache is not None and not isinstance(decode_cache, DecodeCache):
-            raise TypeError("decode_cache must be a DecodeCache, None, or 'fresh'")
-        self.decode_cache = decode_cache
-        if engine is None:
-            engine = config.engine
-        if engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {engine!r}; known: {list(ENGINE_NAMES)}"
-            )
-        self.engine = engine
-        #: Single-slot ``(trace, rules, columns)`` memo for the vector path.
+        self._decode_cache = DecodeCache()
+        #: Single-slot ``(trace, rules, columns)`` memo.
         self._columns_memo: Optional[
             Tuple[TraceLike, BranchRules, DecodedColumns]
         ] = None
-        #: Components captured from the last finished vector engine; the
-        #: next run adopts (and resets) them instead of reconstructing.
-        #: The scalar path stays cold-construction so reference timings
-        #: keep their meaning.
+        #: Components captured from the last finished engine; the next
+        #: run adopts (and resets) them instead of reconstructing.
         self._component_pool: Optional[ComponentPool] = None
 
     def run(
@@ -152,41 +84,37 @@ class Simulator:
         """Simulate one trace with a fresh engine; return its statistics."""
         from repro import obs
 
-        payload: Union[List[DecodedInstr], DecodedColumns]
+        # Imported on first use, so importing the package (and every CLI
+        # start-up) does not load the engine's planning modules.
+        from repro.sim.vector_engine import VectorEngine
+
         if isinstance(trace, DecodedColumns):
-            payload = trace if self.engine == "vector" else trace.decoded
-        elif self.engine == "vector":
-            columns = self._columns_memo_lookup(trace, rules)
-            if columns is None:
+            columns = trace
+        else:
+            cached = self._columns_memo_lookup(trace, rules)
+            if cached is None:
                 decoded = self._decode(trace, rules)
                 with obs.span("sim.columnarize", instructions=len(decoded)):
-                    columns = columnarize(decoded)
-                self._columns_memo = (trace, rules, columns)
-            payload = columns
-        else:
-            payload = self._decode(trace, rules)
-        with obs.span("sim.engine", instructions=len(payload)):
-            engine = make_engine(self.config, decode_cache=self.decode_cache,
-                                 engine=self.engine,
-                                 component_pool=self._component_pool,
-                                 batch_components=self.batch_components)
-            # The vector engine's run() accepts DecodedColumns on top of
-            # the base Engine signature; self.engine gates which form is
-            # built, so the pairing is always valid.
-            stats = engine.run(payload)  # type: ignore[arg-type]
-        if self.engine == "vector":
-            self._component_pool = engine.export_pool()
+                    cached = columnarize(decoded)
+                self._columns_memo = (trace, rules, cached)
+            columns = cached
+        with obs.span("sim.engine", instructions=len(columns)):
+            engine = VectorEngine(
+                self.config, component_pool=self._component_pool
+            )
+            stats = engine.run(columns)
+        self._component_pool = engine.export_pool()
         return stats
 
     def _decode(self, trace: TraceLike, rules: BranchRules) -> List[DecodedInstr]:
         from repro import obs
 
-        cache = self.decode_cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
+        cache = self._decode_cache
+        hits_before = cache.hits
+        misses_before = cache.misses
         with obs.span("sim.decode", rules=rules.name):
             decoded = _as_decoded(trace, rules, cache=cache)
-        if cache is not None and obs.enabled():
+        if obs.enabled():
             family = obs.counter(
                 "repro_sim_decode_cache_events_total",
                 "Decode-cache hits/misses during trace pre-decode.",
@@ -202,9 +130,9 @@ class Simulator:
         trace object (or path) under the same rules.
 
         A memo hit skips re-decoding entirely — the columnar view already
-        embeds the decode — which is the vector path's analogue of the
-        decode cache's warm hit.  The memo trusts that the caller has not
-        mutated the trace object (or rewritten the file) between runs, the
+        embeds the decode — much like the decode cache's warm hit.  The
+        memo trusts that the caller has not mutated the trace object (or
+        rewritten the file) between runs, the
         same contract :class:`~repro.sim.decoded.DecodeCache` places on
         its shared :class:`~repro.sim.decoded.DecodedInstr` entries.
         """

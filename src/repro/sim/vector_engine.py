@@ -33,16 +33,15 @@ for batch throughput (see ``docs/vector_engine.md``):
 
 The sweep runs in two phases split at the warm-up boundary, which hoists
 the per-instruction ``index == warmup`` check and the ``stats.enabled``
-test out of the loop entirely.  When observability is enabled the inline
-cache paths are bypassed in favour of the proxied method calls, so
-per-component time attribution stays exact (matching the scalar
-engine's behaviour of only paying for attribution when it is on).
+test out of the loop entirely.  Observability does not change the path:
+with it enabled, :meth:`VectorEngine.run` wraps the planning passes and
+the sweep in ``sim.plan.branch``, ``sim.plan.prefetch`` and
+``sim.sweep`` spans around exactly the code a disabled run executes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter
 from typing import Dict, Optional, Sequence, Union
 
 from repro.champsim.branch_info import BranchRules, BranchType
@@ -53,14 +52,9 @@ from repro.sim.decoded import (
     decode_trace,
 )
 from repro.sim.branch.batch import BranchTallies, resolve_branch_plan
-from repro.sim.engine import (
-    Engine,
-    _TimedCalls,
-    emit_engine_obs,
-    wrap_branch_components,
-)
+from repro.sim.engine import Engine
 from repro.sim.config import SimConfig
-from repro.sim.flathier import SRC_L1, FlatHierarchy
+from repro.sim.flathier import FlatHierarchy
 from repro.sim.prefetch.plan import (
     DataPlan,
     FetchPlan,
@@ -70,11 +64,6 @@ from repro.sim.prefetch.plan import (
 from repro.sim.stats import SimStats
 
 _BT_NOT_BRANCH = BranchType.NOT_BRANCH
-_BT_COND = BranchType.CONDITIONAL
-_BT_RETURN = BranchType.RETURN
-_BT_INDIRECT = BranchType.INDIRECT
-_BT_DIRECT_CALL = BranchType.DIRECT_CALL
-_BT_INDIRECT_CALL = BranchType.INDIRECT_CALL
 
 #: ``issue_load`` compaction bounds, mirrored from the scalar engine.
 _ISSUE_LOAD_LIMIT = 8192
@@ -86,11 +75,11 @@ class VectorEngine(Engine):
 
     Drop-in for :class:`~repro.sim.engine.Engine`: same constructor,
     same :meth:`run` contract (raw or pre-decoded streams, shared
-    decode cache), same observability attribution, bit-identical
-    statistics.  :meth:`run` additionally accepts an already-built
-    :class:`~repro.sim.decoded.DecodedColumns` so long-lived callers
-    (:class:`~repro.sim.simulator.Simulator`) can reuse columnarisation
-    across runs the way the decode cache reuses decodes.
+    decode cache), bit-identical statistics.  :meth:`run` additionally
+    accepts an already-built :class:`~repro.sim.decoded.DecodedColumns`
+    so long-lived callers (:class:`~repro.sim.simulator.Simulator`) can
+    reuse columnarisation across runs the way the decode cache reuses
+    decodes.
     """
 
     def _build_hierarchy(
@@ -106,66 +95,25 @@ class VectorEngine(Engine):
         rules: BranchRules = BranchRules.ORIGINAL,
     ) -> SimStats:
         """Simulate the whole trace; return the (post-warm-up) statistics."""
-        from repro.obs import state as obs_state
-
-        component_time: Optional[Dict[str, float]] = None
-        obs_enabled = obs_state.enabled()
-        if obs_enabled:
-            component_time = {
-                "columnarize": 0.0,
-                "cache": 0.0,
-                "branch": 0.0,
-                "prefetch": 0.0,
-            }
+        from repro import obs
 
         if isinstance(decoded, DecodedColumns):
             columns = decoded
         else:
             if decoded and not isinstance(decoded[0], DecodedInstr):
                 decoded = decode_trace(decoded, rules, cache=self.decode_cache)
-            if component_time is not None:
-                start = perf_counter()
-                columns = columnarize(decoded)
-                component_time["columnarize"] += perf_counter() - start
-            else:
-                columns = columnarize(decoded)
+            columns = columnarize(decoded)
 
         config = self.config
         stats = self.stats
         n = columns.n
         warmup = int(n * config.warmup_fraction)
         stats.enabled = warmup == 0
-
-        hierarchy = self._real_hierarchy = self.hierarchy
+        hierarchy = self.hierarchy
         hierarchy.counting = stats.enabled
-        direction = self.direction
-        btb = self.btb
-        ras = self.ras
-        ittage = self.ittage
-        l1i_pf = self.l1i_prefetcher
-        if component_time is not None:
-            hierarchy = _TimedCalls(
-                hierarchy,
-                component_time,
-                {
-                    "access_instruction_fast": "cache",
-                    "access_data_fast": "cache",
-                    "prefetch_instruction": "prefetch",
-                },
-            )
-            direction, btb, ras, ittage, l1i_pf = wrap_branch_components(
-                component_time, direction, btb, ras, ittage, l1i_pf
-            )
 
         # ---------------------------------------------- sweep-wide state
         self._columns = columns
-        self._hierarchy_view = hierarchy
-        self._direction = direction
-        self._btb = btb
-        self._ras = ras
-        self._ittage = ittage
-        self._l1i_pf = l1i_pf
-
         self._fetch_cycle = 0
         self._fetched_in_group = 0
         self._redirect_at = 0
@@ -191,33 +139,38 @@ class VectorEngine(Engine):
         self._prf_pending: deque = deque()
 
         # ------------------------------------------- component batch plans
-        self._branch_codes: Optional[list] = None
+        self._branch_codes: list = []
         self._plan_tallies: Optional[BranchTallies] = None
         self._dplan: Optional[DataPlan] = None
         self._iplan: Optional[FetchPlan] = None
         self._bplan_cursor = 0
         self._dplan_cursor = 0
         self._iplan_cursor = 0
-        if self._batch_components and not obs_enabled and n:
+        if n:
             self._resolve_plans(columns, warmup)
 
         warmup_base_cycle = 0
-        if warmup:
-            self._sweep(0, min(warmup, n), counting=False)
-        if warmup < n:
-            hierarchy_real = self._real_hierarchy
-            hierarchy_real.flush_stats()
-            hierarchy_real.counting = True
-            stats.enabled = True
-            warmup_base_cycle = self._last_retire
-            self._sweep(warmup, n, counting=True)
-            stats.instructions += n - warmup
-
-        self._real_hierarchy.flush_stats()
+        with obs.span("sim.sweep", instructions=n):
+            if warmup:
+                self._sweep(0, min(warmup, n), counting=False)
+            if warmup < n:
+                hierarchy.flush_stats()
+                hierarchy.counting = True
+                stats.enabled = True
+                warmup_base_cycle = self._last_retire
+                self._sweep(warmup, n, counting=True)
+                stats.instructions += n - warmup
+        hierarchy.flush_stats()
         stats.cycles = max(1, self._last_retire - warmup_base_cycle)
 
-        if component_time is not None:
-            emit_engine_obs(component_time, n, stats.cycles)
+        if obs.enabled():
+            obs.counter(
+                "repro_sim_instructions_total",
+                "Instructions simulated (incl. warm-up).",
+            ).inc(n)
+            obs.counter(
+                "repro_sim_cycles_total", "Post-warm-up cycles simulated."
+            ).inc(stats.cycles)
         return stats
 
     # ------------------------------------------------------------------
@@ -241,43 +194,47 @@ class VectorEngine(Engine):
         needs only the plan.  On a miss, the planning pass leaves each
         component in exactly the state a scalar run would have.
         """
+        from repro import obs
+
         cfg_branch_key, dpf_key, ipf_key = columns.plan_keys(self.config)
         plan_cache = columns.plan_cache
         bplan = plan_cache.get(cfg_branch_key)
-        if bplan is None:
-            idxs, ips, types, takens, targets = columns.branch_view()
-            bplan = resolve_branch_plan(
-                idxs,
-                ips,
-                types,
-                takens,
-                targets,
-                self.direction,
-                self.btb,
-                self.ras,
-                self.ittage,
-                self.config.ideal_targets,
-                warmup,
-            )
-            plan_cache[cfg_branch_key] = bplan
+        with obs.span("sim.plan.branch", cached=bplan is not None):
+            if bplan is None:
+                idxs, ips, types, takens, targets = columns.branch_view()
+                bplan = resolve_branch_plan(
+                    idxs,
+                    ips,
+                    types,
+                    takens,
+                    targets,
+                    self.direction,
+                    self.btb,
+                    self.ras,
+                    self.ittage,
+                    self.config.ideal_targets,
+                    warmup,
+                )
+                plan_cache[cfg_branch_key] = bplan
         self._branch_codes, self._plan_tallies = bplan
 
-        l1d_pf = self.hierarchy.l1d_prefetcher
-        if l1d_pf is not None and l1d_pf.stream_pure:
-            dplan = plan_cache.get(dpf_key)
-            if dplan is None:
-                ev_ips, ev_addrs = columns.access_events()
-                dplan = plan_data_stream(l1d_pf, ev_ips, ev_addrs)
-                plan_cache[dpf_key] = dplan
-            self._dplan = dplan
+        with obs.span("sim.plan.prefetch"):
+            l1d_pf = self.hierarchy.l1d_prefetcher
+            if l1d_pf is not None and l1d_pf.stream_pure:
+                dplan = plan_cache.get(dpf_key)
+                if dplan is None:
+                    ev_ips, ev_addrs = columns.access_events()
+                    dplan = plan_data_stream(l1d_pf, ev_ips, ev_addrs)
+                    plan_cache[dpf_key] = dplan
+                self._dplan = dplan
 
-        l1i_pf = self.l1i_prefetcher
-        if l1i_pf is not None and l1i_pf.stream_pure:
-            iplan = plan_cache.get(ipf_key)
-            if iplan is None:
-                iplan = plan_fetch_stream(l1i_pf, columns.fetch_events())
-                plan_cache[ipf_key] = iplan
-            self._iplan = iplan
+            l1i_pf = self.l1i_prefetcher
+            if l1i_pf is not None and l1i_pf.stream_pure:
+                iplan = plan_cache.get(ipf_key)
+                if iplan is None:
+                    iplan = plan_fetch_stream(l1i_pf, columns.fetch_events())
+                    plan_cache[ipf_key] = iplan
+                self._iplan = iplan
 
     # ------------------------------------------------------------------
 
@@ -303,14 +260,8 @@ class VectorEngine(Engine):
         dst_mems = columns.dst_mems
         config = self.config
 
-        flat = self._real_hierarchy
-        hierarchy = self._hierarchy_view
-        # Inline cache paths only when no obs proxy sits between the
-        # sweep and the hierarchy (attribution must stay exact).
-        inline_cache = hierarchy is flat
-        access_instruction_fast = hierarchy.access_instruction_fast
-        access_data_fast = hierarchy.access_data_fast
-        prefetch_instruction = hierarchy.prefetch_instruction
+        flat = self.hierarchy
+        prefetch_instruction = flat.prefetch_instruction
         demand_fast = flat.demand_fast
         l1i = flat.l1i
         l1i_sets = l1i.sets
@@ -327,8 +278,9 @@ class VectorEngine(Engine):
         l2_pf_hook = l2_pf.on_access if l2_pf is not None else None
 
         # Batched component plans (resolved by :meth:`_resolve_plans`;
-        # all ``None`` on the scalar component path).  Cursors persist
-        # across the warm-up and counting sweep phases via ``self``.
+        # the prefetch plans are ``None`` for timing-coupled prefetchers,
+        # which stay live).  Cursors persist across the warm-up and
+        # counting sweep phases via ``self``.
         bcodes = self._branch_codes
         dplan = self._dplan
         iplan = self._iplan
@@ -338,18 +290,7 @@ class VectorEngine(Engine):
         prefetch_data_run = flat.prefetch_data_run
         prefetch_instruction_run = flat.prefetch_instruction_run
 
-        direction = self._direction
-        direction_predict = direction.predict
-        direction_update = direction.update
-        btb_lookup = self._btb.lookup
-        btb_install = self._btb.install
-        ras_pop = self._ras.pop
-        ras_push = self._ras.push
-        ittage = self._ittage
-        if ittage is not None:
-            ittage_predict = ittage.predict
-            ittage_update = ittage.update
-        l1i_pf = self._l1i_pf
+        l1i_pf = self.l1i_prefetcher
         # With the fetch plan active the branch context embedded in it
         # already covers the prefetcher; otherwise a live instruction
         # prefetcher still needs the sweep to track it.
@@ -366,7 +307,6 @@ class VectorEngine(Engine):
         l1i_hit = l1i.latency
         alu_latency = config.alu_latency
         branch_latency = config.branch_latency
-        ideal_targets = config.ideal_targets
         fdip = config.fdip_lookahead if config.decoupled_frontend else 0
         prf_size = config.prf_size
 
@@ -395,20 +335,8 @@ class VectorEngine(Engine):
 
         n = columns.n
         bt_not_branch = _BT_NOT_BRANCH
-        bt_cond = _BT_COND
-        bt_return = _BT_RETURN
-        bt_indirect = _BT_INDIRECT
-        bt_direct_call = _BT_DIRECT_CALL
-        bt_indirect_call = _BT_INDIRECT_CALL
 
-        # Batched statistics (folded into SimStats / FlatHierarchy on exit).
-        b_branches = 0
-        b_taken = 0
-        b_direction = 0
-        b_target = 0
-        b_mispredicted = 0
-        by_type: Dict[BranchType, int] = {}
-        tgt_by_type: Dict[BranchType, int] = {}
+        # Batched cache statistics (folded into FlatHierarchy on exit).
         acc_l1i = miss_l1i = 0
         acc_l1d = miss_l1d = 0
 
@@ -441,35 +369,30 @@ class VectorEngine(Engine):
                 fetched_in_group = 0
                 if new_line:
                     line = lines[index]
-                    if inline_cache:
-                        set_state = l1i_sets.get(
-                            (line >> 6) % l1i_num_sets
-                        )
-                        if set_state is not None and line in set_state:
-                            l1i.clock = clk = l1i.clock + 1
-                            set_state[line] = clk
-                            ready = l1i_ready_get(line, 0)
-                            if ready > fetch_cycle:
-                                if counting:
-                                    acc_l1i += 1
-                                    miss_l1i += 1
-                                wait = ready - fetch_cycle
-                                latency = (
-                                    wait if wait > l1i_hit else l1i_hit
-                                )
-                                source = 1
-                            else:
-                                if counting:
-                                    acc_l1i += 1
-                                latency = l1i_hit
-                                source = 0
-                        else:
-                            latency, source = demand_fast(
-                                l1i, line, fetch_cycle
+                    set_state = l1i_sets.get(
+                        (line >> 6) % l1i_num_sets
+                    )
+                    if set_state is not None and line in set_state:
+                        l1i.clock = clk = l1i.clock + 1
+                        set_state[line] = clk
+                        ready = l1i_ready_get(line, 0)
+                        if ready > fetch_cycle:
+                            if counting:
+                                acc_l1i += 1
+                                miss_l1i += 1
+                            wait = ready - fetch_cycle
+                            latency = (
+                                wait if wait > l1i_hit else l1i_hit
                             )
+                            source = 1
+                        else:
+                            if counting:
+                                acc_l1i += 1
+                            latency = l1i_hit
+                            source = 0
                     else:
-                        latency, source = access_instruction_fast(
-                            line, fetch_cycle
+                        latency, source = demand_fast(
+                            l1i, line, fetch_cycle
                         )
                     extra = latency - l1i_hit
                     if extra > 0:
@@ -483,7 +406,7 @@ class VectorEngine(Engine):
                         l1i_pf.on_fetch(
                             line,
                             source == 0,
-                            hierarchy,
+                            flat,
                             fetch_cycle,
                             branch_ip=last_branch_ip,
                             branch_type=last_branch_type,
@@ -503,18 +426,13 @@ class VectorEngine(Engine):
                         while fdip_lines_ahead < fdip and fdip_cursor < n:
                             next_line = lines[fdip_cursor]
                             if next_line != fdip_last_line:
-                                if inline_cache:
-                                    # Already-resident lines are a no-op
-                                    # in prefetch_instruction; skip the
-                                    # call for them.
-                                    ps = l1i_sets.get(
-                                        (next_line >> 6) % l1i_num_sets
-                                    )
-                                    if ps is None or next_line not in ps:
-                                        prefetch_instruction(
-                                            next_line, fetch_cycle
-                                        )
-                                else:
+                                # Already-resident lines are a no-op
+                                # in prefetch_instruction; skip the
+                                # call for them.
+                                ps = l1i_sets.get(
+                                    (next_line >> 6) % l1i_num_sets
+                                )
+                                if ps is None or next_line not in ps:
                                     prefetch_instruction(
                                         next_line, fetch_cycle
                                     )
@@ -593,49 +511,44 @@ class VectorEngine(Engine):
                         writes = True
                         latency = alu_latency
                     for addr in addrs:
-                        if inline_cache:
-                            aline = addr & -64
-                            set_state = l1d_sets.get(
-                                (aline >> 6) % l1d_num_sets
-                            )
-                            if (
-                                set_state is not None
-                                and aline in set_state
-                            ):
-                                l1d.clock = clk = l1d.clock + 1
-                                set_state[aline] = clk
-                                ready = l1d_ready_get(aline, 0)
-                                if ready > issue:
-                                    if counting:
-                                        acc_l1d += 1
-                                        miss_l1d += 1
-                                    wait = ready - issue
-                                    lat = (
-                                        wait
-                                        if wait > l1d_latency
-                                        else l1d_latency
-                                    )
-                                    src = 1
-                                else:
-                                    if counting:
-                                        acc_l1d += 1
-                                    lat = l1d_latency
-                                    src = 0
+                        aline = addr & -64
+                        set_state = l1d_sets.get(
+                            (aline >> 6) % l1d_num_sets
+                        )
+                        if (
+                            set_state is not None
+                            and aline in set_state
+                        ):
+                            l1d.clock = clk = l1d.clock + 1
+                            set_state[aline] = clk
+                            ready = l1d_ready_get(aline, 0)
+                            if ready > issue:
+                                if counting:
+                                    acc_l1d += 1
+                                    miss_l1d += 1
+                                wait = ready - issue
+                                lat = (
+                                    wait
+                                    if wait > l1d_latency
+                                    else l1d_latency
+                                )
+                                src = 1
                             else:
-                                lat, src = demand_fast(l1d, aline, issue)
-                            if dplan is not None:
-                                reqs = dplan[aj]
-                                aj += 1
-                                if reqs is not None:
-                                    prefetch_data_run(reqs, issue)
-                            elif l1d_pf_hook is not None:
-                                l1d_pf_hook(ip, addr, src == 0, flat, issue)
-                            if l2_pf_hook is not None and src != 0:
-                                l2_pf_hook(ip, addr, src == 2, flat, issue)
+                                if counting:
+                                    acc_l1d += 1
+                                lat = l1d_latency
+                                src = 0
                         else:
-                            lat, src = access_data_fast(
-                                ip, addr, issue, writes
-                            )
+                            lat, src = demand_fast(l1d, aline, issue)
+                        if dplan is not None:
+                            reqs = dplan[aj]
+                            aj += 1
+                            if reqs is not None:
+                                prefetch_data_run(reqs, issue)
+                        elif l1d_pf_hook is not None:
+                            l1d_pf_hook(ip, addr, src == 0, flat, issue)
+                        if l2_pf_hook is not None and src != 0:
+                            l2_pf_hook(ip, addr, src == 2, flat, issue)
                         if not writes and lat > latency:
                             latency = lat
                     complete = issue + latency
@@ -643,107 +556,21 @@ class VectorEngine(Engine):
                     complete = issue + branch_latency
 
                 if kind & 4:
-                    if bcodes is not None:
-                        # Batched branch plan: redirect decision and
-                        # tallies precomputed by resolve_branch_plan.
-                        code = bcodes[bj]
-                        bj += 1
-                        if code == 1:
-                            redirect_at = complete + restart
-                        elif code:
-                            # Decode-time re-steer (BTB miss, taken).
-                            redirect_at = fetch_time + btb_miss_penalty
-                        if track_ctx:
-                            last_branch_ip = ip
-                            last_branch_type = branch_types[index]
-                            last_branch_target = (
-                                targets[index]
-                                if branch_takens[index]
-                                else None
-                            )
-                    else:
-                        branch_type = branch_types[index]
-                        taken = branch_takens[index]
-                        actual_target = targets[index]
-
-                        if branch_type is bt_cond:
-                            pred_taken = direction_predict(ip)
-                            direction_update(ip, taken)
-                            direction_wrong = pred_taken != taken
-                        else:
-                            pred_taken = True
-                            direction_wrong = False
-
-                        target_wrong = False
-                        btb_hit = True
-                        if ideal_targets:
-                            pass  # perfect targets: only direction redirects
-                        else:
-                            entry = btb_lookup(ip)
-                            btb_hit = entry is not None
-                            if branch_type is bt_return:
-                                pred_target = ras_pop()
-                            elif (
-                                branch_type is bt_indirect
-                                or branch_type is bt_indirect_call
-                            ):
-                                pred_target = None
-                                if ittage is not None:
-                                    pred_target = ittage_predict(ip)
-                                if pred_target is None and entry is not None:
-                                    pred_target = entry[0]
-                            else:
-                                pred_target = (
-                                    entry[0] if entry is not None else None
-                                )
-                            if (
-                                branch_type is bt_direct_call
-                                or branch_type is bt_indirect_call
-                            ):
-                                ras_push(ip + 4)
-                            if taken:
-                                btb_install(ip, actual_target, branch_type)
-                                if ittage is not None and (
-                                    branch_type is bt_indirect
-                                    or branch_type is bt_indirect_call
-                                ):
-                                    ittage_update(ip, actual_target)
-                                if pred_taken:
-                                    target_wrong = (
-                                        pred_target is None
-                                        or pred_target != actual_target
-                                    )
-
-                        if counting:
-                            b_branches += 1
-                            by_type[branch_type] = (
-                                by_type.get(branch_type, 0) + 1
-                            )
-                            if taken:
-                                b_taken += 1
-                            if direction_wrong:
-                                b_direction += 1
-                            if target_wrong:
-                                b_target += 1
-                                tgt_by_type[branch_type] = (
-                                    tgt_by_type.get(branch_type, 0) + 1
-                                )
-                            if direction_wrong or target_wrong:
-                                b_mispredicted += 1
-
-                        if direction_wrong or target_wrong:
-                            redirect_at = complete + restart
-                        elif taken and not ideal_targets and not btb_hit:
-                            # Decode-time re-steer: target computable, but the
-                            # front-end had no BTB entry to follow at fetch.
-                            redirect_at = fetch_time + btb_miss_penalty
-
-                        if l1i_pf is not None:
-                            last_branch_ip = ip
-                            last_branch_type = branch_type
-                            last_branch_target = (
-                                actual_target if taken else None
-                            )
+                    # Batched branch plan: redirect decision and tallies
+                    # precomputed by resolve_branch_plan.
+                    code = bcodes[bj]
+                    bj += 1
+                    if code == 1:
+                        redirect_at = complete + restart
+                    elif code:
+                        # Decode-time re-steer (BTB miss, taken).
+                        redirect_at = fetch_time + btb_miss_penalty
+                    if track_ctx:
+                        last_branch_ip = ip
+                        last_branch_type = branch_types[index]
+                        last_branch_target = (
+                            targets[index] if branch_takens[index] else None
+                        )
 
             for reg in dsts:
                 reg_ready[reg] = complete
@@ -797,30 +624,17 @@ class VectorEngine(Engine):
             flat.miss_l1d += miss_l1d
         if counting and self._plan_tallies is not None:
             # Fold the branch plan's precomputed (already warm-up-gated)
-            # tallies into the sweep-local counters exactly once, so the
-            # single SimStats fold below covers both component paths.
+            # tallies into SimStats exactly once.
             (
-                t_branches,
-                t_taken,
-                t_direction,
-                t_target,
-                t_mispredicted,
-                t_by_type,
-                t_tgt_by_type,
+                b_branches,
+                b_taken,
+                b_direction,
+                b_target,
+                b_mispredicted,
+                by_type,
+                tgt_by_type,
             ) = self._plan_tallies
             self._plan_tallies = None
-            b_branches += t_branches
-            b_taken += t_taken
-            b_direction += t_direction
-            b_target += t_target
-            b_mispredicted += t_mispredicted
-            for branch_type, count in t_by_type.items():
-                by_type[branch_type] = by_type.get(branch_type, 0) + count
-            for branch_type, count in t_tgt_by_type.items():
-                tgt_by_type[branch_type] = (
-                    tgt_by_type.get(branch_type, 0) + count
-                )
-        if counting and b_branches:
             stats = self.stats
             stats.branches += b_branches
             stats.taken_branches += b_taken

@@ -10,19 +10,9 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
+from repro.cliargs import positive_int
 from repro.cvp.writer import write_trace
 from repro.synth.generator import make_trace
-
-
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1 (a zero-length trace is an error)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-n",
         "--instructions",
-        type=_positive_int,
+        type=positive_int,
         default=20_000,
         help="record count (>= 1)",
     )

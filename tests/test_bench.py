@@ -132,6 +132,16 @@ def test_cli_quick_convert_writes_report(tmp_path, capsys):
     assert suite["fast"]["records_per_sec"] > 0
     assert suite["baseline"]["records_per_sec"] > 0
     assert suite["speedup"] > 0
+    # Per fixture, each Table 1 improvement is costed on the fast path.
+    fixtures = [name for name in report["workloads"] if name != "golden_suite"]
+    assert fixtures
+    for name in fixtures:
+        costs = report["workloads"][name]["improvement_cost_s"]
+        assert set(costs) == {
+            "mem-regs", "base-update", "mem-footprint",
+            "call-stack", "branch-regs", "flag-regs",
+        }
+        assert all(isinstance(value, float) for value in costs.values())
     out = capsys.readouterr().out
     assert "[convert] golden_suite:" in out
 

@@ -6,7 +6,7 @@ sequence it replaces — same return values, same table/stack/LRU state
 afterwards.  This module pins each twin directly (the differential
 engine tests only see the composition), plus the machinery the batch
 path rides on: stream-purity declarations, the per-columns plan cache,
-the component pool, and the observability bypass.
+the component pool, and observability on the planned path.
 """
 
 import random
@@ -286,7 +286,7 @@ def test_pool_rejected_on_config_or_type_mismatch():
 def test_ipc1_pool_reset_is_bit_identical(name):
     """Pooled re-runs reset every IPC-1 prefetcher to cold state."""
     decoded = _decoded_stream()
-    sim = Simulator(SimConfig.ipc1(l1i_prefetcher=name), engine="vector")
+    sim = Simulator(SimConfig.ipc1(l1i_prefetcher=name))
     first = sim.run(decoded)
     second = sim.run(decoded)  # adopts + resets the pooled components
     assert_stats_identical(second, first, name)
@@ -295,9 +295,7 @@ def test_ipc1_pool_reset_is_bit_identical(name):
 @pytest.mark.parametrize("name", DIRECTION_PREDICTORS)
 def test_direction_predictor_pool_reset_is_bit_identical(name):
     decoded = _decoded_stream()
-    sim = Simulator(
-        SimConfig.main(direction_predictor=name), engine="vector"
-    )
+    sim = Simulator(SimConfig.main(direction_predictor=name))
     first = sim.run(decoded)
     second = sim.run(decoded)
     assert_stats_identical(second, first, name)
@@ -305,7 +303,7 @@ def test_direction_predictor_pool_reset_is_bit_identical(name):
 
 def test_simulator_reuses_vector_components_across_runs():
     decoded = _decoded_stream()
-    sim = Simulator(SimConfig.main(), engine="vector")
+    sim = Simulator(SimConfig.main())
     first = sim.run(decoded)
     pool = sim._component_pool
     assert pool is not None
@@ -316,7 +314,7 @@ def test_simulator_reuses_vector_components_across_runs():
 
 
 # --------------------------------------------------------------------------
-# Plan cache and the batch on/off switch
+# Plan cache
 
 
 def test_plan_cache_populated_and_stable():
@@ -333,29 +331,11 @@ def test_plan_cache_populated_and_stable():
     assert_stats_identical(second, reference, "plan-cache hit")
 
 
-def test_batch_components_off_takes_live_path():
-    decoded = _decoded_stream()
-    config = SimConfig.main()
-    columns = columnarize(decoded)
-    reference = Engine(config).run(decoded)
-    stats = VectorEngine(config, batch_components=False).run(columns)
-    assert columns.plan_cache == {}  # the live path never plans
-    assert_stats_identical(stats, reference, "batch disabled")
-
-
-def test_simulator_batch_flag_is_forwarded():
-    decoded = _decoded_stream()
-    sim = Simulator(SimConfig.main(), engine="vector", batch_components=False)
-    baseline = Simulator(SimConfig.main(), engine="scalar").run(decoded)
-    assert_stats_identical(sim.run(decoded), baseline, "nobatch simulator")
-    assert sim._columns_memo[2].plan_cache == {}
-
-
 # --------------------------------------------------------------------------
-# Observability bypass (obs attribution stays per-call)
+# Observability observes the planned path
 
 
-def test_obs_enabled_run_bypasses_batch_and_attributes(tmp_path):
+def test_obs_enabled_run_takes_the_planned_path(tmp_path):
     import repro.obs as obs
     from repro.obs import events
 
@@ -363,8 +343,9 @@ def test_obs_enabled_run_bypasses_batch_and_attributes(tmp_path):
 
     decoded = _decoded_stream()
     config = SimConfig.main()
-    columns = columnarize(decoded)
     reference = Engine(config).run(decoded)
+    unobserved = VectorEngine(config).run(columnarize(decoded))
+    columns = columnarize(decoded)
     log = tmp_path / "obs.jsonl"
     _reset_obs()
     try:
@@ -372,13 +353,13 @@ def test_obs_enabled_run_bypasses_batch_and_attributes(tmp_path):
         stats = VectorEngine(config).run(columns)
     finally:
         _reset_obs()
-    # Instrumented runs take the live per-call path so _TimedCalls can
-    # attribute component time; nothing may be planned around them.
-    assert columns.plan_cache == {}
-    assert_stats_identical(stats, reference, "obs-enabled vector")
+    # Instrumented runs plan exactly as uninstrumented ones do.
+    assert columns.plan_cache
+    assert_stats_identical(stats, reference, "obs-enabled vs scalar oracle")
+    assert_stats_identical(stats, unobserved, "obs-enabled vs obs-disabled")
     spans = {
         row["name"]
         for row in events.iter_events(log)
         if row["type"] == "span"
     }
-    assert "sim.branch" in spans  # per-component attribution survived
+    assert {"sim.plan.branch", "sim.plan.prefetch", "sim.sweep"} <= spans

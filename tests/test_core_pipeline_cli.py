@@ -75,6 +75,21 @@ def test_gen_cli_rejects_non_positive_instructions(count, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--instructions", "--stride", "--limit"])
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_convert_suite_cli_rejects_non_positive_sampling(
+    flag, value, tmp_path, capsys
+):
+    out = tmp_path / "suite"
+    with pytest.raises(SystemExit) as exc:
+        convert_main(
+            ["--suite", "IPC1", "--output-dir", str(out), flag, value]
+        )
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conversion_is_deterministic(cvp_file, tmp_path):
     a = tmp_path / "a.bin"
     b = tmp_path / "b.bin"

@@ -55,37 +55,26 @@ def test_runner_trace_cache(runner):
     assert runner.trace("srv_0") is runner.trace("srv_0")
 
 
-def test_runner_engine_override_is_bit_identical(runner):
-    from tests.diffharness import assert_stats_identical
-
-    scalar_runner = ExperimentRunner(instructions=4000, engine="scalar")
-    vector = runner.run("srv_0", Improvement.ALL)
-    scalar = scalar_runner.run("srv_0", Improvement.ALL)
-    assert vector.stats is not scalar.stats
-    assert_stats_identical(vector.stats, scalar.stats, "engine override")
-    # The override rewrites the memo key, so the run is not aliased with
-    # a vector run of the same (trace, improvements, config).
-    rerun = scalar_runner.run("srv_0", Improvement.ALL, SimConfig.main())
-    assert rerun is scalar
-
-
 def test_cli_engine_flag(capsys):
+    # Every run goes through the production engine; there is no flag to
+    # pick another one.
     from repro.experiments.cli import main
 
-    rc = main(
-        [
-            "fig1",
-            "--stride",
-            "45",
-            "--instructions",
-            "1500",
-            "--no-cache",
-            "--engine",
-            "scalar",
-        ]
-    )
-    assert rc == 0
-    assert "Figure 1" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig1", "--no-cache", "--engine", "scalar"])
+    assert excinfo.value.code == 2
+    assert "--engine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--instructions", "--stride", "--limit"])
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_cli_rejects_non_positive_sampling(flag, value, capsys):
+    from repro.experiments.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig1", "--no-cache", flag, value])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_figure1_shape(runner):

@@ -17,7 +17,6 @@ Each step replaces a reference implementation that survives only here:
 import glob
 import random
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -37,8 +36,8 @@ from repro.experiments.cache import conversion_stats_to_dict
 from repro.experiments.runner import ExperimentRunner
 from repro.sim.config import SimConfig
 from repro.sim.decoded import DecodedColumns, columnarize, decode_trace
+from repro.sim.engine import Engine
 from repro.sim.prefetch.ipc1 import IPC1_PREFETCHERS
-from repro.sim.simulator import Simulator
 from repro.synth.generator import make_trace
 
 from tests.diffharness import assert_stats_identical
@@ -211,7 +210,7 @@ def oracle():
             instrs = list(converter.convert(records))
             conversion = conversion_stats_to_dict(converter.stats)
             for config in CONFIGS:
-                stats = Simulator(replace(config, engine="scalar")).run(
+                stats = Engine(config).run(
                     instrs, converter.required_branch_rules
                 )
                 expected[(name, improvements, config)] = (stats, conversion)
@@ -256,14 +255,6 @@ def test_single_trace_pool_batch_is_split_and_matches_oracle(oracle):
         stats, _ = oracle[(name, improvements, config)]
         assert result.improvements == improvements
         assert_stats_identical(result.stats, stats, (improvements, config.name))
-
-
-def test_runner_engine_override_runs_scalar_over_columns(oracle):
-    runner = ExperimentRunner(instructions=INSTRUCTIONS, engine="scalar")
-    for name, improvements, config in SPECS[:4]:
-        result = runner.run(name, improvements, config)
-        stats, _ = oracle[(name, improvements, config)]
-        assert_stats_identical(result.stats, stats, (name, config.name))
 
 
 def test_conversion_memo_keeps_one_slot_shared_by_configs():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.champsim.trace import encode_instr
+from repro.champsim.trace import ChampSimTraceWriter, encode_instr
 from repro.core.convert import Converter
 from repro.core.fastconvert import (
     clear_static_memo,
@@ -116,34 +116,26 @@ def test_convert_file_block_and_legacy_outputs_identical(tmp_path):
     fast_out = tmp_path / "fast.champsimtrace"
     slow_out = tmp_path / "slow.champsimtrace"
     fast_result = convert_file(source, fast_out, Improvement.ALL)
-    slow_result = convert_file(source, slow_out, Improvement.ALL, block_size=0)
+    legacy = Converter(Improvement.ALL)
+    with CvpTraceReader(source) as reader:
+        with ChampSimTraceWriter(slow_out) as writer:
+            writer.write_all(legacy.convert(reader))
     assert_bytes_identical(fast_out.read_bytes(), slow_out.read_bytes())
     assert_stats_identical(
         conversion_stats_to_dict(fast_result.stats),
-        conversion_stats_to_dict(slow_result.stats),
+        conversion_stats_to_dict(legacy.stats),
     )
-    assert fast_result.branch_rules == slow_result.branch_rules
+    assert fast_result.branch_rules == legacy.required_branch_rules
 
 
-def test_cli_block_size_flag(tmp_path):
+def test_cli_block_size_flag(tmp_path, capsys):
+    # The block path is the only conversion path; there is no flag to
+    # size or bypass it.
     from repro.core.cli import main
 
-    out_fast = tmp_path / "fast.champsimtrace"
-    out_slow = tmp_path / "slow.champsimtrace"
-    assert main(["-t", GOLDEN[0], "-o", str(out_fast), "-i", "All_imps"]) == 0
-    assert (
-        main(
-            [
-                "-t",
-                GOLDEN[0],
-                "-o",
-                str(out_slow),
-                "-i",
-                "All_imps",
-                "--block-size",
-                "0",
-            ]
-        )
-        == 0
-    )
-    assert_bytes_identical(out_fast.read_bytes(), out_slow.read_bytes())
+    out = tmp_path / "out.champsimtrace"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["-t", GOLDEN[0], "-o", str(out), "--block-size", "0"])
+    assert excinfo.value.code == 2
+    assert "--block-size" in capsys.readouterr().err
+    assert not out.exists()

@@ -22,7 +22,7 @@ from repro.obs import events, logutil, metrics, promfile, spans, state
 from repro.obs.events import ObsLogError, worker_log_path
 from repro.obs.instruments import CACHE_EVENTS_METRIC, CacheCounters
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
-from repro.obs.summarize import aggregate_logs
+from repro.obs.summarize import aggregate_logs, render_text
 
 
 def _reset_obs() -> None:
@@ -73,7 +73,7 @@ def test_disabled_span_is_shared_noop(obs_reset):
     with first as opened:
         opened.set(records=1)  # must be accepted and discarded
     # Pre-measured child spans are equally free when disabled.
-    obs.emit_child_span("convert.encode", 0.0, 1.0, {"estimated": True})
+    obs.emit_child_span("convert.block_decode", 0.0, 1.0, {"blocks": 1})
 
 
 def test_disabled_convert_overhead_within_3_percent(obs_reset, small_trace):
@@ -419,10 +419,13 @@ def test_observed_convert_byte_identity(obs_log, small_trace):
     names = {row["name"] for row in summary["spans"]}
     assert "convert.stream" in names
     assert "convert.block_decode" in names
-    assert "convert.improvement.mem_regs" in names
     counters = {c["name"]: c["value"] for c in summary["counters"]}
     assert counters["repro_convert_records_total"] == len(small_trace)
     assert counters["repro_convert_static_memo_lookups_total"] > 0
+    histograms = {h["name"]: h["count"] for h in summary["histograms"]}
+    assert histograms["repro_convert_block_seconds"] == counters[
+        "repro_convert_blocks_total"
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -585,13 +588,14 @@ def test_summarize_self_time_and_estimated(tmp_path):
              "dur": 1.0},
         ],
     )
-    rows = {
-        tuple(row["path"]): row for row in aggregate_logs([log])["spans"]
-    }
+    summary = aggregate_logs([log])
+    rows = {tuple(row["path"]): row for row in summary["spans"]}
     assert rows[("root",)]["self"] == pytest.approx(0.4)
     assert rows[("root",)]["total"] == pytest.approx(1.0)
-    assert rows[("root", "child")]["estimated"] is False
-    assert rows[("root", "guess")]["estimated"] is True
+    # Every span is measured: an ``estimated`` attribute left in an old
+    # log is carried as an attribute only, never marked in the report.
+    assert "estimated" not in rows[("root", "guess")]
+    assert "~" not in render_text(summary)
 
 
 # ----------------------------------------------------------------------

@@ -138,7 +138,6 @@ def test_sweep_params_fingerprint_distinguishes_inputs():
         SweepParams("fig1", INSTRUCTIONS + 1, STRIDE, LIMIT),
         SweepParams("fig1", INSTRUCTIONS, STRIDE + 1, LIMIT),
         SweepParams("fig1", INSTRUCTIONS, STRIDE, None),
-        SweepParams("fig1", INSTRUCTIONS, STRIDE, LIMIT, engine="vector"),
     ):
         assert other.key() != base.key()
 

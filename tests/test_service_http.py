@@ -77,13 +77,42 @@ def test_submit_invalid_param_types_are_400(service):
         {"instructions": "many"},
         {"stride": 0},
         {"limit": 0},
-        {"engine": "quantum"},
     ):
         payload = dict(TINY)
         payload.update(overlay)
         with pytest.raises(ServiceError) as err:
             service.handle_submit(json.dumps(payload).encode())
         assert err.value.status == 400
+
+
+def test_submit_boolean_params_are_400(service):
+    # JSON ``true`` is a Python int; accepting it would key the same
+    # sweep twice (once as ``true``, once as ``1``).
+    payload = {"experiment": "fig1", "instructions": True, "stride": True,
+               "limit": True}
+    with pytest.raises(ServiceError) as err:
+        service.handle_submit(json.dumps(payload).encode())
+    assert err.value.status == 400
+    for field in ("instructions", "stride", "limit"):
+        with pytest.raises(ServiceError) as err:
+            service.handle_submit(json.dumps({**TINY, field: True}).encode())
+        assert err.value.status == 400
+        assert field in str(err.value)
+    assert service.queue.describe()["queued"] == 0
+
+
+def test_engine_is_an_unknown_field(service):
+    body = json.dumps(dict(TINY, engine="vector")).encode()
+    with pytest.raises(ServiceError) as err:
+        service.handle_submit(body)
+    assert err.value.status == 400
+    assert "engine" in str(err.value)
+    with pytest.raises(ServiceError) as err:
+        service.handle_render(
+            "figures", "fig3", _parse_query("stride=27&engine=vector")
+        )
+    assert err.value.status == 400
+    assert "engine" in str(err.value)
 
 
 def test_submit_enqueues_and_dedups_in_flight(service):
@@ -179,10 +208,9 @@ def test_unknown_artifact_is_404(service):
 
 
 def test_parse_query_coerces_ints_and_rejects_junk():
-    assert _parse_query("instructions=800&stride=27&engine=vector") == {
+    assert _parse_query("instructions=800&stride=27") == {
         "instructions": 800,
         "stride": 27,
-        "engine": "vector",
     }
     with pytest.raises(ServiceError) as err:
         _parse_query("instructions=lots")

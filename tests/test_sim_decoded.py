@@ -178,14 +178,18 @@ def test_cache_rejects_nonpositive_maxsize():
 def test_simulator_results_identical_with_and_without_cache():
     from repro.sim import SimConfig, Simulator
 
+    from repro.sim.vector_engine import VectorEngine
+
     stream = _mixed_stream() * 5
-    cached_sim = Simulator(SimConfig.main())  # "fresh" cache by default
-    uncached_sim = Simulator(SimConfig.main(), decode_cache=None)
+    cached_sim = Simulator(SimConfig.main())
     first = cached_sim.run(stream)
-    assert_stats_identical(uncached_sim.run(stream), first, "uncached vs cached")
-    # Re-running through the now-warm cache changes nothing.
-    assert_stats_identical(cached_sim.run(stream), first, "warm re-run")
-    assert cached_sim.decode_cache.hits > 0
+    # An engine with no decode cache decodes every record afresh.
+    uncached = VectorEngine(SimConfig.main()).run(stream)
+    assert_stats_identical(uncached, first, "uncached vs cached")
+    # Re-running a copy of the stream (no columnar-memo hit) through the
+    # now-warm cache changes nothing.
+    assert_stats_identical(cached_sim.run(list(stream)), first, "warm re-run")
+    assert cached_sim._decode_cache.hits > 0
 
 
 def test_each_simulator_gets_its_own_fresh_cache():
@@ -193,18 +197,19 @@ def test_each_simulator_gets_its_own_fresh_cache():
 
     a = Simulator(SimConfig.main())
     b = Simulator(SimConfig.main())
-    assert a.decode_cache is not b.decode_cache
-    shared = DecodeCache()
-    assert Simulator(SimConfig.main(), decode_cache=shared).decode_cache is (
-        shared
-    )
+    assert isinstance(a._decode_cache, DecodeCache)
+    assert a._decode_cache is not b._decode_cache
 
 
 def test_simulator_rejects_bogus_cache_argument():
     from repro.sim import SimConfig, Simulator
 
+    # The decode cache is private to the simulator: no argument selects
+    # or shares one.
     with pytest.raises(TypeError):
         Simulator(SimConfig.main(), decode_cache="warm")
+    with pytest.raises(TypeError):
+        Simulator(SimConfig.main(), decode_cache=DecodeCache())
 
 
 def test_engine_accepts_predecoded_and_raw_streams():

@@ -96,3 +96,40 @@ def test_stats_gating():
     stats.enabled = True
     h.access_data(0x10, 0x900000, now=0)
     assert stats.cache_misses["L1D"] == 1
+
+
+def test_flat_hierarchy_object_api_matches_reference():
+    """The vector engine's FlatHierarchy keeps the reference object API
+    (``access_instruction``/``access_data``) that pluggable prefetchers
+    and callers outside the sweep use: same results, same statistics."""
+    import random
+
+    from repro.sim.flathier import FlatHierarchy
+    from repro.sim.prefetch import make_data_prefetcher
+
+    config = SimConfig.main(
+        l1d=(1024, 2, 5), l2=(4096, 4, 14), llc=(16384, 4, 34)
+    )
+    ref_stats, flat_stats = SimStats(), SimStats()
+    ref = CacheHierarchy(config, ref_stats)
+    flat = FlatHierarchy(config, flat_stats)
+    for h in (ref, flat):
+        h.l1d_prefetcher = make_data_prefetcher("ip_stride", "l1d")
+        h.l2_prefetcher = make_data_prefetcher("next_line", "l2")
+    rng = random.Random(5)
+    now = 0
+    for _ in range(2000):
+        now += rng.randrange(4)
+        if rng.random() < 0.3:
+            addr = 0x400000 + 64 * rng.randrange(96)
+            pair = (ref.access_instruction(addr, now),
+                    flat.access_instruction(addr, now))
+        else:
+            ip = 0x1000 + 4 * rng.randrange(16)
+            addr = 64 * rng.randrange(512) + rng.randrange(64)
+            write = rng.random() < 0.25
+            pair = (ref.access_data(ip, addr, now, is_write=write),
+                    flat.access_data(ip, addr, now, is_write=write))
+        assert pair[1] == pair[0]
+    flat.flush_stats()
+    assert flat_stats.to_dict() == ref_stats.to_dict()

@@ -7,6 +7,7 @@ from repro.champsim.trace import write_champsim_trace
 from repro.core import Improvement, convert_trace
 from repro.sim import SimConfig, Simulator, decode_trace, simulate
 from repro.sim.cli import main as sim_main
+from repro.sim.engine import Engine
 from repro.synth import make_trace
 
 
@@ -68,40 +69,29 @@ def test_cli_ipc1_with_prefetcher(converted, capsys):
     assert "IPC" in capsys.readouterr().out
 
 
-def test_simulator_engine_kwarg_is_bit_identical(converted):
+def test_simulator_matches_scalar_oracle(converted):
     from tests.diffharness import assert_stats_identical
 
     instrs, _ = converted
-    scalar = Simulator(SimConfig.main(), engine="scalar").run(
-        instrs, BranchRules.PATCHED
-    )
-    vector = Simulator(SimConfig.main(), engine="vector").run(
-        instrs, BranchRules.PATCHED
-    )
-    assert_stats_identical(vector, scalar, "Simulator(engine='vector')")
-
-
-def test_simulator_honours_config_engine(converted):
-    instrs, _ = converted
-    sim = Simulator(SimConfig.main(engine="vector"))
-    assert sim.engine == "vector"
-    stats = sim.run(instrs, BranchRules.PATCHED)
-    assert stats.instructions == len(instrs)
+    scalar = Engine(SimConfig.main()).run(instrs, BranchRules.PATCHED)
+    vector = Simulator(SimConfig.main()).run(instrs, BranchRules.PATCHED)
+    assert_stats_identical(vector, scalar, "Simulator vs scalar oracle")
 
 
 def test_simulator_rejects_unknown_engine():
-    with pytest.raises(ValueError, match="unknown engine"):
-        Simulator(SimConfig.main(), engine="simd")
+    # One way to compute a run: the simulator takes only its config.
+    with pytest.raises(TypeError):
+        Simulator(SimConfig.main(), engine="scalar")
+    assert not hasattr(SimConfig.main(), "engine")
 
 
 def test_cli_vector_engine_output_matches_scalar(converted, capsys):
-    _, path = converted
-    assert sim_main([str(path), "--rules", "patched", "--engine", "scalar"]) == 0
-    scalar_out = capsys.readouterr().out
-    assert sim_main([str(path), "--rules", "patched"]) == 0  # vector default
+    instrs, path = converted
+    assert sim_main([str(path), "--rules", "patched"]) == 0
     vector_out = capsys.readouterr().out
+    scalar = Engine(SimConfig.main()).run(instrs, BranchRules.PATCHED)
     assert "IPC" in vector_out
-    assert vector_out == scalar_out
+    assert vector_out == scalar.summary() + "\n"
 
 
 def test_cli_rejects_unknown_engine(converted, capsys):

@@ -30,7 +30,7 @@ from repro.champsim.branch_info import BranchRules, BranchType
 from repro.core.convert import Converter
 from repro.core.improvements import Improvement
 from repro.cvp.reader import CvpTraceReader
-from repro.sim import SimConfig, Simulator, columnarize, make_engine
+from repro.sim import SimConfig, Simulator, columnarize
 from repro.sim.decoded import DecodedInstr, decode_trace
 from repro.sim.engine import Engine
 from repro.sim.vector_engine import VectorEngine
@@ -129,7 +129,7 @@ def test_vector_accepts_columns_rows_and_raw(golden_decoded):
 
 def test_simulator_columns_memo_is_bit_identical(golden_decoded):
     decoded = golden_decoded[GOLDEN[0]]
-    sim = Simulator(SimConfig.main(), engine="vector")
+    sim = Simulator(SimConfig.main())
     first = sim.run(decoded)
     assert sim._columns_memo is not None
     memo_columns = sim._columns_memo[2]
@@ -137,16 +137,14 @@ def test_simulator_columns_memo_is_bit_identical(golden_decoded):
     assert sim._columns_memo[2] is memo_columns
     assert_stats_identical(second, first, "memoized re-run")
     assert_stats_identical(
-        Simulator(SimConfig.main(engine="scalar")).run(decoded),
-        first,
-        "scalar simulator",
+        Engine(SimConfig.main()).run(decoded), first, "scalar oracle"
     )
 
 
 def test_vector_matches_scalar_with_obs_enabled(golden_decoded, tmp_path):
-    # With instrumentation on, the vector engine routes cache accesses
-    # through the timed component wrappers instead of its inline fast
-    # paths — the stats must not notice (docs/observability.md).
+    # With instrumentation on, the vector engine runs the same planned,
+    # inlined path inside its phase spans — the stats must not notice
+    # (docs/observability.md).
     import repro.obs as obs
 
     from tests.test_obs import _reset_obs
@@ -163,16 +161,6 @@ def test_vector_matches_scalar_with_obs_enabled(golden_decoded, tmp_path):
     assert_stats_identical(
         Engine(config).run(decoded), scalar, "obs on vs off"
     )
-
-
-def test_make_engine_builds_the_requested_engine():
-    assert type(make_engine(SimConfig.main())) is VectorEngine  # default
-    assert type(make_engine(SimConfig.main(engine="scalar"))) is Engine
-    assert type(make_engine(SimConfig.main(), engine="scalar")) is Engine
-    override = make_engine(SimConfig.main(engine="scalar"), engine="vector")
-    assert type(override) is VectorEngine
-    with pytest.raises(ValueError, match="unknown engine"):
-        make_engine(SimConfig.main(), engine="simd")
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
