@@ -2,8 +2,8 @@
 
 Linting is a pure function of the trace bytes, the improvement set, the
 ChampSim branch-rule choice, and the selected rules — so reports are
-cached under the SHA-256 of exactly those inputs, reusing the layout and
-atomic-write machinery of :mod:`repro.experiments.cache`::
+cached under the SHA-256 of exactly those inputs, as a blob kind of
+:class:`repro.service.store.BlobStore`::
 
     <cache_dir>/lint/<key[:2]>/<key>.json
 
@@ -24,9 +24,8 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import LintReport
 from repro.champsim.branch_info import BranchRules
 from repro.core.improvements import Improvement
-from repro.experiments.cache import default_cache_dir
 from repro.obs.instruments import CacheCounters, InstrumentedCache
-from repro.service.store import BlobKind, BlobStore, describe_counters, file_digest
+from repro.service.store import BlobKind, BlobStore, file_digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.analysis.engine import TraceLinter
@@ -109,18 +108,11 @@ class LintCache(InstrumentedCache):
 
     def __init__(self, root: Optional[Union[str, Path]] = None):
         self.counters = CacheCounters("lint")
-        self._blobs = BlobStore(
-            root if root is not None else default_cache_dir(),
-            LINT_KIND,
-            self.counters,
-        )
+        self._blobs = BlobStore(root, LINT_KIND, self.counters)
 
     @property
     def root(self) -> Path:
         return self._blobs.root
-
-    def _path(self, key: str) -> Path:
-        return self._blobs.path(key)
 
     def load(self, key: str) -> Optional[LintReport]:
         """The cached report for ``key``, or None (counted as hit/miss)."""
@@ -130,7 +122,7 @@ class LintCache(InstrumentedCache):
         self._blobs.store(key, report_to_dict(report))
 
     def describe(self) -> str:
-        return describe_counters(self.counters, self.root)
+        return self._blobs.describe()
 
 
 def lint_file_cached(

@@ -1,9 +1,10 @@
 """Content-addressed cache for check reports (keeps the CI gate fast).
 
 Checking is a pure function of the source bytes and the selected rules,
-so reports are cached under the SHA-256 of exactly those inputs,
-reusing the layout and atomic-write machinery of
-:mod:`repro.experiments.cache`::
+so reports are cached under the SHA-256 of exactly those inputs, as a
+blob kind of the one persistence primitive
+(:class:`repro.service.store.BlobStore`: digest-verified, quarantined
+when damaged)::
 
     <cache_dir>/checks/<key[:2]>/<key>.json
 
@@ -25,14 +26,16 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from repro.checks.engine import CheckReport
 from repro.checks.findings import Finding
 from repro.checks.project import CheckProject
-from repro.experiments.cache import _atomic_write_json, default_cache_dir
 from repro.obs.instruments import CacheCounters, InstrumentedCache
+from repro.service.store import BlobKind, BlobStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.checks.engine import CheckRunner
 
 #: Bump on any change to the serialised report payload.
-CHECK_SCHEMA = 1
+#: 2: reports are blob-store envelopes carrying a ``digest`` field
+#: (SHA-256 of the canonical report payload) verified on load.
+CHECK_SCHEMA = 2
 
 #: Bump whenever any rule's behaviour changes (new rules, changed
 #: checks, changed messages) — cached reports from older rule sets must
@@ -82,43 +85,44 @@ def report_from_dict(payload: dict, from_cache: bool = False) -> CheckReport:
     )
 
 
+def _cached_report_from_dict(payload: dict) -> CheckReport:
+    """Blob-store decode hook: cached loads are marked ``from_cache``."""
+    return report_from_dict(payload, from_cache=True)
+
+
+#: The check-report blob family.
+CHECK_KIND = BlobKind(name="checks", schema=CHECK_SCHEMA, body_field="report")
+
+
 class CheckCache(InstrumentedCache):
-    """On-disk store of check reports, keyed by :func:`check_key`."""
+    """On-disk store of check reports, keyed by :func:`check_key`.
+
+    A thin view over the service blob store
+    (:class:`repro.service.store.BlobStore`), like
+    :class:`~repro.analysis.cache.LintCache`: absent or
+    schema-mismatched entries are plain misses; corrupt entries
+    (unparseable, missing fields, digest mismatch) are moved to
+    ``<root>/quarantine/`` with a ``cache.corrupt`` event and then
+    missed — a tampered report can never pass the gate.
+    """
 
     def __init__(self, root: Optional[Union[str, Path]] = None):
-        self.root = Path(root) if root is not None else default_cache_dir()
         self.counters = CacheCounters("checks")
+        self._blobs = BlobStore(root, CHECK_KIND, self.counters)
 
-    def _path(self, key: str) -> Path:
-        return self.root / "checks" / key[:2] / f"{key}.json"
+    @property
+    def root(self) -> Path:
+        return self._blobs.root
 
     def load(self, key: str) -> Optional[CheckReport]:
         """The cached report for ``key``, or None (counted as hit/miss)."""
-        try:
-            payload = json.loads(self._path(key).read_text())
-            if payload.get("schema") != CHECK_SCHEMA:
-                raise ValueError("schema mismatch")
-            report = report_from_dict(payload["report"], from_cache=True)
-        except (OSError, ValueError, KeyError, TypeError):
-            self.counters.miss()
-            return None
-        self.counters.hit()
-        return report
+        return self._blobs.load(key, _cached_report_from_dict)
 
     def store(self, key: str, report: CheckReport) -> None:
-        payload = {"schema": CHECK_SCHEMA, "report": report_to_dict(report)}
-        try:
-            _atomic_write_json(self._path(key), payload)
-        except OSError:
-            self.counters.store_error()
-            return
-        self.counters.store()
+        self._blobs.store(key, report_to_dict(report))
 
     def describe(self) -> str:
-        return (
-            f"{self.counters.describe_hit_miss()} stores={self.stores} "
-            f"dir={self.root}"
-        )
+        return self._blobs.describe()
 
 
 def check_paths_cached(

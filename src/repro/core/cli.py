@@ -6,7 +6,7 @@ Single-file mode mirrors the paper's appendix::
 
 Suite mode is the on-disk twin of ``convert_traces_seq.sh``, with the
 per-trace work fanned out across worker processes and previously
-converted traces reused via sidecar stat files::
+converted traces reused via the conversion store::
 
     repro-convert --suite CVP1public --output-dir traces/ --jobs 4
 
@@ -24,7 +24,7 @@ import time
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.cliargs import positive_int
+from repro.cliargs import non_negative_int, positive_int
 from repro.core.improvements import IMPROVEMENT_NAMES, parse_improvements
 from repro.core.pipeline import ConversionResult, convert_file, convert_suite
 from repro.obs import logutil
@@ -104,14 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suite.add_argument(
         "--jobs",
-        type=int,
+        type=non_negative_int,
         default=1,
         help="worker processes for suite conversion (0 = all cores)",
     )
     suite.add_argument(
         "--no-cache",
         action="store_true",
-        help="reconvert every trace even when sidecar stats match",
+        help="reconvert every trace even when a stored conversion matches",
     )
     obs.add_obs_flags(parser)
     logutil.add_logging_flags(parser)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.champsim.branch_info import BranchRules
 from repro.champsim.trace import ChampSimTraceWriter
@@ -132,15 +132,22 @@ class _SuiteTask:
     output_dir: str
 
 
+def suite_paths(output_dir: Union[str, Path], name: str) -> Tuple[Path, Path]:
+    """The (CVP-1 source, ChampSim output) files of suite trace ``name``."""
+    output_dir = Path(output_dir)
+    return (
+        output_dir / f"{name}.cvp.gz",
+        output_dir / f"{name}.champsimtrace.gz",
+    )
+
+
 def _convert_suite_task(task: _SuiteTask) -> ConversionResult:
     """Worker entry point: synthesise, write the CVP trace, convert it."""
     from repro.cvp.writer import write_trace
     from repro.synth.generator import make_trace
 
     records = make_trace(task.generator, task.instructions)
-    output_dir = Path(task.output_dir)
-    cvp_path = output_dir / f"{task.name}.cvp.gz"
-    out_path = output_dir / f"{task.name}.champsimtrace.gz"
+    cvp_path, out_path = suite_paths(task.output_dir, task.name)
     write_trace(records, cvp_path)
     return convert_file(cvp_path, out_path, task.improvements)
 
@@ -165,7 +172,8 @@ def convert_suite(
     ``jobs`` fans the per-trace work out across processes (results keep
     suite order; ``None`` = all cores).  With a
     :class:`~repro.experiments.cache.ConversionCache`, traces whose
-    sidecar key matches and whose output file is intact are skipped.
+    stored conversion matches and whose output file is intact are
+    skipped.
     """
     from repro.synth.suite import (
         IPC1_TO_CVP1,
@@ -190,16 +198,17 @@ def convert_suite(
     output_dir.mkdir(parents=True, exist_ok=True)
 
     resolved: dict = {}
+    keys: dict = {}
     tasks: List[_SuiteTask] = []
     task_indices: List[int] = []
     for index, name in enumerate(names):
         if cache is not None:
             from repro.experiments.cache import conversion_key
 
-            key = conversion_key(
+            keys[name] = conversion_key(
                 name, generator_of[name], instructions, improvements
             )
-            hit = cache.load(name, key)
+            hit = cache.load(name, keys[name])
             if hit is not None:
                 resolved[index] = hit
                 continue
@@ -220,12 +229,7 @@ def convert_suite(
         outcomes = run_tasks(tasks, jobs=jobs, task_fn=_convert_suite_task)
         for task, index, result in zip(tasks, task_indices, outcomes):
             if cache is not None:
-                from repro.experiments.cache import conversion_key
-
-                key = conversion_key(
-                    task.name, task.generator, instructions, improvements
-                )
-                cache.store(task.name, key, result)
+                cache.store(task.name, keys[task.name], result)
             resolved[index] = result
 
     return [resolved[index] for index in range(len(names))]

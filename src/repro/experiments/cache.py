@@ -27,16 +27,17 @@ corrupt).  The cache directory defaults to ``~/.cache/repro`` and is
 overridden by the ``REPRO_CACHE_DIR`` environment variable.
 
 :class:`ConversionCache` applies the same keying to on-disk suite
-conversions (``repro-convert --suite``): a sidecar JSON next to each
-output trace records the inputs and the output digest, so a re-run skips
-conversions whose inputs and output file are both intact.
+conversions (``repro-convert --suite``): a ``conversions`` entry under
+the suite's output directory records the conversion's stats and the
+output trace's digest, so a re-run skips conversions whose inputs and
+output file are both intact.
 
 The storage mechanics (envelope layout, digest verification, quarantine,
-atomic writes) live in :mod:`repro.service.store` — the service's
-content-addressed artifact store — and :class:`ResultCache` is a thin
-view over its ``runs`` blob kind, so ``repro-serve`` and the one-shot
-CLIs share entries byte-for-byte.  The keying functions stay here: they
-are experiment-domain knowledge, not storage.
+atomic writes) live in :mod:`repro.service.store` — the one persistence
+primitive — and both caches here are thin views over its blob kinds, so
+``repro-serve`` and the one-shot CLIs share entries byte-for-byte.  The
+keying functions stay here: they are experiment-domain knowledge, not
+storage.
 """
 
 from __future__ import annotations
@@ -47,21 +48,11 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from repro import faults
 from repro.champsim.branch_info import BranchRules, BranchType
 from repro.core.convert import ConversionStats
 from repro.core.improvements import Improvement
 from repro.obs.instruments import CacheCounters, InstrumentedCache
-from repro.service.store import (
-    BlobKind,
-    BlobStore,
-    atomic_write_json,
-    default_store_root,
-    describe_counters,
-    file_digest,
-    payload_digest,
-    quarantine_entry,
-)
+from repro.service.store import BlobKind, BlobStore, StaleEntry, file_digest
 from repro.sim.config import SimConfig
 from repro.sim.stats import SimStats
 from repro.synth.generator import GENERATOR_VERSION
@@ -72,17 +63,10 @@ __all__ = [
     "ResultCache",
     "config_fingerprint",
     "conversion_key",
-    "default_cache_dir",
-    "file_digest",
-    "payload_digest",
-    "quarantine_entry",
     "run_key",
     "run_result_from_dict",
     "run_result_to_dict",
 ]
-
-#: Historic import spelling, kept for the modules/tests that bind it.
-_atomic_write_json = atomic_write_json
 
 #: Bump on any change to the serialised payload layout; old entries
 #: become unreadable (treated as misses) rather than misdecoded.
@@ -94,11 +78,6 @@ CACHE_SCHEMA = 2
 _BRANCH_KEYED_FIELDS = frozenset(
     {"target_misses_by_type", "branches_by_type", "branch_counts"}
 )
-
-
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
-    return default_store_root()
 
 
 # ----------------------------------------------------------------------
@@ -237,16 +216,14 @@ class ResultCache(InstrumentedCache):
     (:class:`repro.service.store.BlobStore`): keying, schema stamping,
     digest verification, quarantine, and store-error absorption all live
     there; this class only binds the ``runs`` kind to the RunResult
-    (de)serialisers.
+    (de)serialisers.  It is also the sweep checkpoint: runs are stored
+    as they finish, so an interrupted sweep re-run against the same root
+    simulates only what was lost.
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
         self.counters = CacheCounters("result")
-        self._blobs = BlobStore(
-            root if root is not None else default_cache_dir(),
-            RESULT_KIND,
-            self.counters,
-        )
+        self._blobs = BlobStore(root, RESULT_KIND, self.counters)
 
     @property
     def root(self) -> Path:
@@ -254,9 +231,6 @@ class ResultCache(InstrumentedCache):
 
     def _path(self, key: str) -> Path:
         return self._blobs.path(key)
-
-    def _quarantine_dir(self) -> Path:
-        return self._blobs.quarantine_dir()
 
     def load(self, key: str) -> Optional["RunResult"]:  # noqa: F821
         """The cached result for ``key``, or None (counted as hit/miss).
@@ -275,110 +249,66 @@ class ResultCache(InstrumentedCache):
 
     def describe(self) -> str:
         """Counter summary for CLI/CI reporting."""
-        return describe_counters(self.counters, self.root, store_errors=True)
+        return self._blobs.describe()
 
 
-class ConversionCache:
-    """Sidecar-based reuse of on-disk suite conversions.
+#: The suite-conversion blob family, stored under the suite's output
+#: directory (``<output_dir>/conversions/``).
+CONVERSION_KIND = BlobKind(
+    name="conversions", schema=CACHE_SCHEMA, body_field="conversion"
+)
 
-    For every converted trace, :meth:`store` writes
-    ``<name>.convstats.json`` next to the output recording the conversion
-    key, the serialised :class:`ConversionResult` fields, and the output
-    file's digest.  :meth:`load` reuses the conversion only when the key
-    matches *and* the output file still hashes to the recorded digest.
+
+class ConversionCache(InstrumentedCache):
+    """Reuse of on-disk suite conversions, keyed by :func:`conversion_key`.
+
+    A view over ``BlobStore(output_dir, CONVERSION_KIND)``: each entry
+    holds the conversion's branch rules and stats plus the digest of the
+    output trace.  Source and destination paths are derived from
+    ``output_dir`` and the trace name (never read back from the entry),
+    and a hit requires the output file to still match its digest — a
+    missing or replaced output is a plain miss (stale, reconvert), while
+    a damaged entry is quarantined like any other blob.
     """
 
     def __init__(self, output_dir: Union[str, Path]) -> None:
         self.output_dir = Path(output_dir)
         self.counters = CacheCounters("conversion")
-
-    def _sidecar(self, name: str) -> Path:
-        return self.output_dir / f"{name}.convstats.json"
+        self._blobs = BlobStore(self.output_dir, CONVERSION_KIND, self.counters)
 
     def load(self, name: str, key: str) -> Optional["ConversionResult"]:  # noqa: F821
-        """The reusable conversion for ``name``, or None.
+        """The reusable conversion of trace ``name``, or None."""
+        from repro.core.pipeline import ConversionResult, suite_paths
 
-        Staleness (schema/key/output-digest mismatch, output file gone)
-        is a plain miss — the conversion legitimately needs redoing.  A
-        sidecar that cannot be parsed or is missing fields is corrupt
-        and gets quarantined like any other damaged cache entry.
-        """
-        from repro.core.pipeline import ConversionResult
+        source, destination = suite_paths(self.output_dir, name)
 
-        sidecar = self._sidecar(name)
-        try:
-            payload = json.loads(sidecar.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not a JSON object")
-        except OSError:
-            self.counters.miss()
-            return None
-        except ValueError as exc:
-            quarantine_entry(
-                sidecar,
-                self.output_dir / "quarantine",
-                self.counters,
-                key,
-                f"{type(exc).__name__}: {exc}",
-            )
-            self.counters.miss()
-            return None
-        try:
-            if payload.get("schema") != CACHE_SCHEMA:
-                self.counters.miss()
-                return None
-            if payload.get("key") != key:
-                self.counters.miss()
-                return None
-            destination = Path(payload["destination"])
-            if file_digest(destination) != payload["output_digest"]:
-                self.counters.miss()
-                return None
-            result = ConversionResult(
-                source=Path(payload["source"]),
+        def decode(body: Dict[str, Any]) -> ConversionResult:
+            try:
+                digest = file_digest(destination)
+            except OSError as exc:
+                raise StaleEntry(f"output trace unreadable: {exc}") from exc
+            if digest != body["output_digest"]:
+                raise StaleEntry(f"output trace {destination} changed")
+            return ConversionResult(
+                source=source,
                 destination=destination,
-                improvements=Improvement(payload["improvements"]),
-                branch_rules=BranchRules(payload["branch_rules"]),
-                stats=conversion_stats_from_dict(payload["stats"]),
+                improvements=Improvement(body["improvements"]),
+                branch_rules=BranchRules(body["branch_rules"]),
+                stats=conversion_stats_from_dict(body["stats"]),
             )
-        except OSError:
-            # Output trace missing/unreadable: stale, reconvert.
-            self.counters.miss()
-            return None
-        except (ValueError, KeyError, TypeError) as exc:
-            quarantine_entry(
-                sidecar,
-                self.output_dir / "quarantine",
-                self.counters,
-                key,
-                f"{type(exc).__name__}: {exc}",
-            )
-            self.counters.miss()
-            return None
-        self.counters.hit()
-        return result
+
+        return self._blobs.load(key, decode)
 
     def store(self, name: str, key: str, result: "ConversionResult") -> None:  # noqa: F821
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "key": key,
-            "source": str(result.source),
-            "destination": str(result.destination),
-            "improvements": result.improvements.value,
-            "branch_rules": result.branch_rules.value,
-            "stats": conversion_stats_to_dict(result.stats),
-            "output_digest": file_digest(result.destination),
-        }
-        sidecar = self._sidecar(name)
-        try:
-            _atomic_write_json(sidecar, payload)
-        except OSError:
-            self.counters.store_error()
-            return
-        self.counters.store()
-        faults.store_fault(sidecar)
+        self._blobs.store(
+            key,
+            {
+                "improvements": result.improvements.value,
+                "branch_rules": result.branch_rules.value,
+                "stats": conversion_stats_to_dict(result.stats),
+                "output_digest": file_digest(result.destination),
+            },
+        )
 
     def describe(self) -> str:
-        return describe_counters(
-            self.counters, self.output_dir, stores=False, quarantined=False
-        )
+        return self._blobs.describe()

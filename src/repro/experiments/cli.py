@@ -14,9 +14,13 @@ import time
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.cliargs import positive_int
+from repro.cliargs import (
+    non_negative_float,
+    non_negative_int,
+    positive_float,
+    positive_int,
+)
 from repro.experiments import ablation, figures, report, tables
-from repro.experiments.journal import DEFAULT_JOURNAL_NAME, SweepJournal
 from repro.experiments.parallel import PoolRecoveryError, TaskFailure
 from repro.experiments.runner import ExperimentRunner
 from repro.faults.retry import RetryPolicy
@@ -56,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=non_negative_int,
         default=1,
         help="worker processes for the sweeps (0 = all cores)",
     )
@@ -74,8 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help=(
-            "on-disk result cache directory (default: $REPRO_CACHE_DIR "
-            "or ~/.cache/repro)"
+            "on-disk result store (default: $REPRO_CACHE_DIR or "
+            "~/.cache/repro); every finished run is stored as it lands, "
+            "so re-running an interrupted sweep on the same store "
+            "resumes it"
         ),
     )
     parser.add_argument(
@@ -85,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=non_negative_int,
         default=1,
         help="extra attempts per failing task (default: 1)",
     )
     parser.add_argument(
         "--retry-backoff",
-        type=float,
+        type=non_negative_float,
         default=0.0,
         help=(
             "base seconds before the first retry; doubles per attempt "
@@ -100,28 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--task-timeout",
-        type=float,
+        type=positive_float,
         default=None,
         help=(
             "per-task wall-clock bound in seconds for parallel sweeps; "
             "hung workers are killed and their pool restarted"
-        ),
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help=(
-            "checkpoint each completed task to a JSONL journal "
-            f"(default with --resume: ./{DEFAULT_JOURNAL_NAME})"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "replay completed tasks from the journal before running; "
-            "an interrupted sweep continues where it died"
         ),
     )
     obs.add_obs_flags(parser)
@@ -224,21 +213,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.experiments.cache import ResultCache
 
         cache = ResultCache(args.cache_dir)
-    journal = None
-    if args.journal is not None or args.resume:
-        journal = SweepJournal(
-            args.journal if args.journal is not None else DEFAULT_JOURNAL_NAME,
-            resume=args.resume,
-        )
     runner = ExperimentRunner(
         instructions=args.instructions,
         limit=args.limit,
         stride=args.stride,
         cache=cache,
         jobs=None if args.jobs == 0 else args.jobs,
-        journal=journal,
         retry_policy=RetryPolicy(
-            attempts=1 + max(0, args.retries),
+            attempts=1 + args.retries,
             backoff_base=args.retry_backoff,
             jitter=0.1 if args.retry_backoff else 0.0,
         ),
@@ -246,27 +228,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     chosen = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     print(f"[runner {runner.describe()}]")
-    if journal is not None and len(journal):
-        print(f"[journal resumed {len(journal)} completed task(s)]")
-    try:
-        for name in chosen:
-            start = time.time()
-            print()
-            try:
-                print(run_experiment(name, runner))
-            except TaskFailure as exc:
-                _print_quarantine_report(name, exc)
-                return EXIT_TASK_FAILURE
-            except PoolRecoveryError as exc:
-                print(
-                    f"repro-experiment: {name}: infrastructure failure: {exc}",
-                    file=sys.stderr,
-                )
-                return EXIT_INFRA_FAILURE
-            print(f"[{name} took {time.time() - start:.1f}s]")
-    finally:
-        if journal is not None:
-            journal.close()
+    for name in chosen:
+        start = time.time()
+        print()
+        try:
+            print(run_experiment(name, runner))
+        except TaskFailure as exc:
+            _print_quarantine_report(name, exc)
+            return EXIT_TASK_FAILURE
+        except PoolRecoveryError as exc:
+            print(
+                f"repro-experiment: {name}: infrastructure failure: {exc}",
+                file=sys.stderr,
+            )
+            return EXIT_INFRA_FAILURE
+        print(f"[{name} took {time.time() - start:.1f}s]")
     print()
     print(f"[simulations={runner.simulations}]")
     if cache is not None:

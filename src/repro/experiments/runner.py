@@ -21,7 +21,9 @@ Two layers extend the in-process memo:
 
 - an optional :class:`~repro.experiments.cache.ResultCache` persists
   results on disk, so repeated CLI/benchmark invocations replay warm
-  sweeps without simulating;
+  sweeps without simulating.  Every run is stored as soon as it
+  finishes, which makes the store the sweep's checkpoint too: re-running
+  an interrupted sweep against it simulates only the lost runs;
 - :meth:`ExperimentRunner.run_many` / :meth:`ExperimentRunner.run_batch`
   fan the cache misses of a whole sweep out across worker processes
   (``jobs``), with results returned in deterministic request order.
@@ -47,7 +49,6 @@ from repro.synth.suite import IPC1_TO_CVP1, cvp1_public_trace_names, ipc1_trace_
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.experiments.cache import ResultCache
-    from repro.experiments.journal import SweepJournal
     from repro.experiments.parallel import TraceGroup
     from repro.faults.retry import RetryPolicy
 
@@ -93,10 +94,6 @@ class ExperimentRunner:
             convert+simulate pipeline across process boundaries.
         jobs: Default worker count for :meth:`run_many`/:meth:`run_batch`
             (1 = serial; individual calls can override).
-        journal: Optional :class:`~repro.experiments.journal.SweepJournal`
-            checkpointing each completed task as it finishes; journalled
-            results are replayed (before the disk cache) so an
-            interrupted sweep resumes where it died.
         retry_policy: Optional :class:`~repro.faults.retry.RetryPolicy`
             governing task retries in the parallel fan-out (``None`` =
             the fleet default: two attempts, no backoff).
@@ -112,7 +109,6 @@ class ExperimentRunner:
         stride: int = 1,
         cache: Optional["ResultCache"] = None,
         jobs: int = 1,
-        journal: Optional["SweepJournal"] = None,
         retry_policy: Optional["RetryPolicy"] = None,
         task_timeout: Optional[float] = None,
     ) -> None:
@@ -121,7 +117,6 @@ class ExperimentRunner:
         self.stride = stride
         self.cache = cache
         self.jobs = jobs
-        self.journal = journal
         self.retry_policy = retry_policy
         self.task_timeout = task_timeout
         #: Convert+simulate executions actually performed by this process
@@ -246,6 +241,34 @@ class ExperimentRunner:
             conversion=conversion,
         )
 
+    def resolve(self, specs: Iterable[RunSpec]) -> List[RunKey]:
+        """Memoise every spec's stored result; the deduplicated misses.
+
+        Each spec is looked up in the memo, then in the store (one load
+        per run: hits are memoised, so later lookups never reach the
+        store again).  The misses come back in first-request order.
+        """
+        pending: Dict[RunKey, None] = {}
+        for name, improvements, config in specs:
+            config = self._normalize_config(config)
+            key = (name, improvements, config)
+            if key in self._runs or key in pending:
+                continue
+            cached = None
+            if self.cache is not None:
+                cached = self.cache.load(self._cache_key(*key))
+            if cached is None:
+                pending[key] = None
+            else:
+                self._runs[key] = cached
+        return list(pending)
+
+    def record(self, key: RunKey, result: RunResult) -> None:
+        """Memoise and store one finished run (the sweep checkpoint)."""
+        self._runs[key] = result
+        if self.cache is not None:
+            self.cache.store(self._cache_key(*key), result)
+
     def run(
         self,
         name: str,
@@ -255,32 +278,21 @@ class ExperimentRunner:
         """Convert + simulate (memoised; disk-cached when a cache is set)."""
         config = self._normalize_config(config)
         key = (name, improvements, config)
-        if key in self._runs:
-            return self._runs[key]
-        cache_key = self._cache_key(name, improvements, config)
-        result = None
-        if self.journal is not None:
-            result = self.journal.lookup(cache_key)
-        if result is None and self.cache is not None:
-            result = self.cache.load(cache_key)
-        if result is None:
-            result = self._execute(name, improvements, config)
-            if self.cache is not None:
-                self.cache.store(cache_key, result)
-        if self.journal is not None:
-            self.journal.record(cache_key, result)
-        self._runs[key] = result
-        return result
+        if self.resolve([key]):
+            self.record(key, self._execute(*key))
+        return self._runs[key]
 
     def run_group(self, group: "TraceGroup") -> List[RunResult]:
-        """Run one trace group's runs in order (memoised and cached like
-        :meth:`run`), then release the conversion memo: no later group
-        converts the same trace, so its columns are dead weight."""
+        """Run and record one trace group's unmemoised runs in order,
+        then release the conversion memo: no later group converts the
+        same trace, so its columns are dead weight.  The store is not
+        probed again: groups hold runs :meth:`resolve` already missed."""
+        keys = group.keys()
         try:
-            return [
-                self.run(group.name, improvements, config)
-                for improvements, config in group.runs
-            ]
+            for key in keys:
+                if key not in self._runs:
+                    self.record(key, self._execute(*key))
+            return [self._runs[key] for key in keys]
         finally:
             self._conversion = None
 
@@ -325,42 +337,25 @@ class ExperimentRunner:
     ) -> List[RunResult]:
         """Run arbitrary (trace, improvements, config) specs in one pool.
 
-        Memo, journal, and disk-cache hits are resolved up front; only
-        the misses (deduplicated) run, grouped by trace
+        :meth:`resolve` memoises the memo and store hits up front; only
+        the misses run, grouped by trace
         (:meth:`~repro.experiments.parallel.TraceGroup.partition`).
-        With ``jobs<=1`` the groups run inline through :meth:`run`, so
-        serial and parallel share one code path per result.  In pool
+        With ``jobs<=1`` the groups run inline through
+        :meth:`run_group`, the body pool workers run, so serial and
+        parallel share one code path per group.  In pool
         mode one task carries one trace's group, so each trace is
         generated once per batch (a batch over fewer traces than
         workers splits its groups so every worker gets work); each
-        group's runs are cached and journalled *as the group arrives*
-        (not after the batch), so a sweep killed mid-flight checkpoints
-        every finished group.
+        group's runs are recorded *as the group arrives* (not after the
+        batch), so a sweep killed mid-flight has stored every finished
+        group.
         """
         jobs = self.jobs if jobs is None else jobs
-        resolved: Dict[int, RunResult] = {}
-        pending: Dict[RunKey, List[int]] = {}
-        for index, (name, improvements, config) in enumerate(specs):
-            config = self._normalize_config(config)
-            key = (name, improvements, config)
-            if key in self._runs:
-                resolved[index] = self._runs[key]
-                continue
-            if key in pending:
-                pending[key].append(index)
-                continue
-            cache_key = self._cache_key(name, improvements, config)
-            cached = None
-            if self.journal is not None:
-                cached = self.journal.lookup(cache_key)
-            if cached is None and self.cache is not None:
-                cached = self.cache.load(cache_key)
-            if cached is not None:
-                self._runs[key] = cached
-                resolved[index] = cached
-            else:
-                pending[key] = [index]
-
+        keys = [
+            (name, improvements, self._normalize_config(config))
+            for name, improvements, config in specs
+        ]
+        pending = self.resolve(keys)
         if pending:
             from repro.experiments.parallel import (
                 TraceGroup,
@@ -369,7 +364,7 @@ class ExperimentRunner:
             )
 
             groups = TraceGroup.partition(
-                list(pending),
+                pending,
                 self.instructions,
                 min_tasks=default_jobs() if jobs is None else jobs,
             )
@@ -377,35 +372,27 @@ class ExperimentRunner:
                 for group in groups:
                     self.run_group(group)
             else:
-
-                def _checkpoint(
-                    task_index: int, group: TraceGroup, results: List[RunResult]
-                ) -> None:
-                    # Worker-side executions count as this runner's
-                    # simulations: the counter means "simulations
-                    # performed on behalf of this runner", so a
-                    # warm-cache sweep is 0 regardless of jobs.
-                    for key, result in zip(group.keys(), results):
-                        self.simulations += 1
-                        self._runs[key] = result
-                        cache_key = self._cache_key(*key)
-                        if self.cache is not None:
-                            self.cache.store(cache_key, result)
-                        if self.journal is not None:
-                            self.journal.record(cache_key, result)
-
                 run_tasks(
                     groups,
                     jobs=jobs,
                     policy=self.retry_policy,
                     timeout=self.task_timeout,
-                    on_result=_checkpoint,
+                    on_result=self.record_group,
                 )
-            for key, indices in pending.items():
-                for index in indices:
-                    resolved[index] = self._runs[key]
+        return [self._runs[key] for key in keys]
 
-        return [resolved[index] for index in range(len(specs))]
+    def record_group(
+        self, task_index: int, group: "TraceGroup", results: List[RunResult]
+    ) -> None:
+        """Record a trace group's results as they arrive from a worker.
+
+        The ``on_result`` hook of the pool: worker-side executions count
+        as this runner's simulations ("simulations performed on behalf
+        of this runner"), so a warm-store sweep is 0 regardless of jobs.
+        """
+        for key, result in zip(group.keys(), results):
+            self.simulations += 1
+            self.record(key, result)
 
     # ------------------------------------------------------------------
     # derived helpers

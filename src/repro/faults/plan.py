@@ -36,7 +36,8 @@ KNOWN_SITES = frozenset(
         "worker.crash",
         "worker.hang",
         "worker.exc",
-        # experiments/cache.py + analysis/cache.py store paths
+        # service/store.py BlobStore.store: every blob kind (runs, lint,
+        # checks, conversions, artifacts)
         "cache.corrupt",
         "cache.truncate",
         # cvp/blockio.py buffered reads

@@ -5,7 +5,7 @@ into a long-running service: every paper figure/table/ablation becomes a
 cacheable, shardable query.  Four layers, bottom to top:
 
 - :mod:`repro.service.store` — a content-addressed artifact store
-  unifying the result, lint, and conversion caches (plus rendered
+  unifying the result, lint, check and conversion caches (plus rendered
   figure/table artifacts) behind one keyed, schema-stamped,
   digest-verified blob API with quarantine semantics;
 - :mod:`repro.service.queue` + :mod:`repro.service.fleet` — an async

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.cliargs import non_negative_int, positive_float, positive_int
 from repro.faults.retry import RetryPolicy
 from repro.obs import logutil
 from repro.service.fleet import DEFAULT_SHARD_SIZE, Fleet, LocalPoolBackend
@@ -48,36 +48,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=non_negative_int,
         default=1,
         help="worker processes per shard (0 = all cores)",
     )
     parser.add_argument(
         "--shard-size",
-        type=int,
+        type=positive_int,
         default=DEFAULT_SHARD_SIZE,
         help="trace groups (one task per trace) per dispatched shard",
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=non_negative_int,
         default=1,
         help="extra attempts per failing task (default: 1)",
     )
     parser.add_argument(
         "--task-timeout",
-        type=float,
+        type=positive_float,
         default=None,
         help="per-task wall-clock bound in seconds",
-    )
-    parser.add_argument(
-        "--journal-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "checkpoint sweep completions to per-sweep journals here; "
-            "an interrupted sweep resumes where it died"
-        ),
     )
     obs.add_obs_flags(parser)
     logutil.add_logging_flags(parser)
@@ -91,15 +82,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     store = ArtifactStore(args.store)
     backend = LocalPoolBackend(
         jobs=None if args.jobs == 0 else args.jobs,
-        retry_policy=RetryPolicy(attempts=1 + max(0, args.retries)),
+        retry_policy=RetryPolicy(attempts=1 + args.retries),
         task_timeout=args.task_timeout,
     )
-    fleet = Fleet(
-        store,
-        backend=backend,
-        shard_size=args.shard_size,
-        journal_dir=Path(args.journal_dir) if args.journal_dir else None,
-    )
+    fleet = Fleet(store, backend=backend, shard_size=args.shard_size)
     server = make_server(args.host, args.port, fleet)
     host, port = server.server_address[:2]
     print(

@@ -4,21 +4,24 @@ The fleet turns one queued sweep (``SweepParams``) into the exact output
 ``repro-experiment`` would print, byte for byte, by splitting the work
 into the two halves the serving tier needs:
 
-1. **warm the store** — decompose the experiment into its per-
+1. **warm the runner** — decompose the experiment into its per-
    trace×config run specs (the same cross products the figure/table
-   functions sweep), probe the result cache for each, group the misses
+   functions sweep), resolve them against the result store
+   (:meth:`~repro.experiments.runner.ExperimentRunner.resolve`: one
+   load per run, hits memoised), group the misses
    per trace into :class:`~repro.experiments.parallel.TraceGroup` tasks
    (one task per trace, so each trace is generated once per sweep and
    its configs share one conversion), shard the groups into bounded
    batches, and dispatch the shards through a pluggable
    :class:`ExecutorBackend` (locally the PR-7 hardened
    :func:`~repro.experiments.parallel.run_tasks` supervisor — retries,
-   timeouts, pool recovery, graceful degradation);
-2. **render from the warm store** — call the *same*
-   :func:`repro.experiments.cli.run_experiment` the CLI calls, with a
-   fresh runner over the warmed cache, so every internal sweep resolves
-   to cache hits and the rendered text is identical to the direct path
-   by construction (the differential tests pin this).
+   timeouts, pool recovery, graceful degradation), recording each
+   group's runs in the runner and the store as it lands;
+2. **render from the warm runner** — call the *same*
+   :func:`repro.experiments.cli.run_experiment` the CLI calls, with the
+   same runner, so every internal sweep finds its runs in the memo and
+   the rendered text is identical to the direct path by construction
+   (the differential tests pin this).
 
 Rendered text is then persisted in the artifact store under the sweep's
 content fingerprint, so a repeat query skips even the rendering — the
@@ -30,14 +33,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.improvements import Improvement
-from repro.experiments.cache import CACHE_SCHEMA, ResultCache, run_key
+from repro.experiments.cache import CACHE_SCHEMA, ResultCache
 from repro.experiments.cli import run_experiment
 from repro.experiments.figures import FIGURE1_CONFIGS
-from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import TraceGroup, default_jobs, run_tasks
 from repro.experiments.runner import ExperimentRunner, RunKey, RunResult, RunSpec
 from repro.experiments.tables import FIXED_TRACE_IMPROVEMENTS
@@ -132,8 +133,7 @@ class SweepParams:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def runner(self, cache: Optional[ResultCache] = None,
-               journal: Optional[SweepJournal] = None) -> ExperimentRunner:
+    def runner(self, cache: Optional[ResultCache] = None) -> ExperimentRunner:
         """A serial runner over ``cache`` with these sampling params."""
         return ExperimentRunner(
             instructions=self.instructions,
@@ -141,7 +141,6 @@ class SweepParams:
             stride=self.stride,
             cache=cache,
             jobs=1,
-            journal=journal,
         )
 
 
@@ -265,7 +264,7 @@ class FleetOutcome:
     #: Simulations actually performed by this execution (0 on any warm
     #: path — the differential gate and CI smoke assert on this).
     simulations: int
-    #: Run specs resolved from the store/journal without simulating.
+    #: Distinct runs resolved from the store without simulating.
     cache_hits: int
     #: Run specs dispatched to the backend.
     dispatched: int
@@ -296,10 +295,9 @@ class Fleet:
         backend: Shard executor (defaults to a serial-friendly local
             pool backend).
         shard_size: Trace groups per dispatched shard.
-        journal_dir: When set, each sweep checkpoints completions to
-            ``<journal_dir>/<sweep-key>.jsonl`` and replays it on the
-            next attempt — a service killed mid-sweep resumes where it
-            died even if the store write raced.
+
+    A sweep interrupted mid-flight keeps every run it stored; executing
+    it again resolves those from the store and dispatches only the rest.
     """
 
     def __init__(
@@ -307,18 +305,10 @@ class Fleet:
         store: ArtifactStore,
         backend: Optional[ExecutorBackend] = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        journal_dir: Optional[Path] = None,
     ) -> None:
         self.store = store
         self.backend = backend if backend is not None else LocalPoolBackend(jobs=1)
         self.shard_size = shard_size
-        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-
-    def _journal(self, params: SweepParams) -> Optional[SweepJournal]:
-        if self.journal_dir is None:
-            return None
-        path = self.journal_dir / f"{params.key()}.jsonl"
-        return SweepJournal(path, resume=path.exists())
 
     def execute(
         self,
@@ -350,29 +340,23 @@ class Fleet:
             )
 
         cache = self.store.result_cache()
-        journal = self._journal(params)
-        try:
-            with obs.span(
-                "service.sweep",
-                experiment=params.experiment,
-                instructions=params.instructions,
-            ) as sweep_span:
-                probe = params.runner(cache=cache, journal=journal)
-                cache_hits, pending = self._probe(params, probe, cache, journal)
-                dispatched, shards = self._dispatch(
-                    params, pending, cache, journal, progress
-                )
-                # Render with the exact function the CLI uses, over the
-                # now-warm store: byte-identical output by construction.
-                render = params.runner(cache=cache, journal=journal)
-                text = run_experiment(params.experiment, render)
-                sweep_span.set(
-                    dispatched=dispatched, cache_hits=cache_hits,
-                    render_simulations=render.simulations,
-                )
-        finally:
-            if journal is not None:
-                journal.close()
+        runner = params.runner(cache=cache)
+        with obs.span(
+            "service.sweep",
+            experiment=params.experiment,
+            instructions=params.instructions,
+        ) as sweep_span:
+            pending = runner.resolve(sweep_specs(params.experiment, runner))
+            cache_hits = cache.hits
+            shards = self._dispatch(params, pending, runner, progress)
+            # Render with the exact function the CLI uses, over the
+            # runner that now holds every run: byte-identical output by
+            # construction.
+            text = run_experiment(params.experiment, runner)
+            sweep_span.set(
+                dispatched=len(pending), cache_hits=cache_hits,
+                render_simulations=runner.simulations - len(pending),
+            )
         artifacts.store(
             key,
             {
@@ -385,70 +369,32 @@ class Fleet:
             experiment=params.experiment,
             text=text,
             artifact_key=key,
-            simulations=dispatched + render.simulations,
+            simulations=runner.simulations,
             cache_hits=cache_hits,
-            dispatched=dispatched,
+            dispatched=len(pending),
             shards=shards,
             warm_artifact=False,
         )
-
-    def _probe(
-        self,
-        params: SweepParams,
-        probe: ExperimentRunner,
-        cache: ResultCache,
-        journal: Optional[SweepJournal],
-    ) -> Tuple[int, List[RunKey]]:
-        """Resolve the sweep's specs against the store; return the misses."""
-        seen: Set[RunKey] = set()
-        cache_hits = 0
-        pending: List[RunKey] = []
-        for name, improvements, config in sweep_specs(params.experiment, probe):
-            config = probe._normalize_config(config)
-            identity = (name, improvements, config)
-            if identity in seen:
-                continue
-            seen.add(identity)
-            cache_key = run_key(name, improvements, config, params.instructions)
-            result = journal.lookup(cache_key) if journal is not None else None
-            if result is None:
-                result = cache.load(cache_key)
-            if result is not None:
-                cache_hits += 1
-                continue
-            pending.append(identity)
-        return cache_hits, pending
 
     def _dispatch(
         self,
         params: SweepParams,
         pending: List[RunKey],
-        cache: ResultCache,
-        journal: Optional[SweepJournal],
+        runner: ExperimentRunner,
         progress: Optional[ProgressFn],
-    ) -> Tuple[int, int]:
-        """Run the misses per trace group, shard by shard, checkpointing
-        each run of a group as the group lands."""
+    ) -> int:
+        """Run the misses per trace group, shard by shard, recording each
+        group's runs as the group lands; the number of shards."""
         if not pending:
-            return 0, 0
-
-        def checkpoint(
-            index: int, group: TraceGroup, results: List[RunResult]
-        ) -> None:
-            for key, result in zip(group.keys(), results):
-                cache_key = run_key(*key, group.instructions)
-                cache.store(cache_key, result)
-                if journal is not None:
-                    journal.record(cache_key, result)
-
+            return 0
         groups = TraceGroup.partition(
             pending, params.instructions, min_tasks=self.backend.workers()
         )
         shards = shard_tasks(groups, self.shard_size)
         done = 0
         for shard in shards:
-            self.backend.run(shard, on_result=checkpoint)
+            self.backend.run(shard, on_result=runner.record_group)
             done += sum(len(group.runs) for group in shard)
             if progress is not None:
                 progress(done, len(pending))
-        return len(pending), len(shards)
+        return len(shards)

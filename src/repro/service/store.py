@@ -1,10 +1,12 @@
-"""Content-addressed artifact store — the service's persistence layer.
+"""Content-addressed artifact store — the one persistence primitive.
 
-One blob API for every artifact the pipeline persists.  The store grew
-out of three sibling caches (:class:`~repro.experiments.cache.ResultCache`,
-:class:`~repro.analysis.cache.LintCache`, and the conversion sidecars)
-that each reimplemented the same contract; the contract now lives here
-once and the caches are thin views over it:
+One blob API for everything the pipeline persists: experiment runs
+(:class:`~repro.experiments.cache.ResultCache`), lint and check reports
+(:class:`~repro.analysis.cache.LintCache`,
+:class:`~repro.checks.cache.CheckCache`), suite conversions
+(:class:`~repro.experiments.cache.ConversionCache`) and rendered
+figure/table artifacts.  The contract lives here once and the caches are
+thin views over it:
 
 - **keyed**: every artifact lives under the SHA-256 of a canonical JSON
   encoding of its inputs (the caller computes the key; the store never
@@ -23,8 +25,13 @@ once and the caches are thin views over it:
 
 Layout (two-level fan-out keeps directories small)::
 
-    <root>/<kind>/<key[:2]>/<key>.json     # runs/, lint/, artifacts/
+    <root>/<kind>/<key[:2]>/<key>.json     # runs/, lint/, checks/, artifacts/
     <root>/quarantine/                     # damaged entries, preserved
+
+(suite conversions use the same layout, ``conversions/`` under the
+suite's output directory).  The result store doubles as the sweep
+checkpoint: every finished run is stored as it lands, so re-running an
+interrupted sweep against the same root simulates only what was lost.
 
 The root defaults to ``~/.cache/repro`` and is overridden by the
 ``REPRO_CACHE_DIR`` environment variable, so the service and the one-shot
@@ -62,7 +69,7 @@ def default_store_root() -> Path:
 
 
 # ----------------------------------------------------------------------
-# shared primitives (canonical home; the caches re-export them)
+# shared primitives
 # ----------------------------------------------------------------------
 
 
@@ -86,19 +93,6 @@ def payload_digest(payload: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    """Write JSON via a same-directory temp file + rename.
-
-    Concurrent writers (parallel workers, fleet shards, parallel CI
-    jobs) race benignly: both write the same content-addressed payload
-    and the last rename wins.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
-
-
 def _emit_cache_corrupt(
     cache: str, key: str, path: Path, moved: str, reason: str
 ) -> None:
@@ -119,63 +113,14 @@ def _emit_cache_corrupt(
     )
 
 
-def quarantine_entry(
-    path: Path,
-    quarantine_dir: Path,
-    counters: CacheCounters,
-    key: str,
-    reason: str,
-) -> None:
-    """Move a corrupt entry aside; record what happened and why.
-
-    Quarantining (instead of deleting or leaving in place) serves two
-    needs at once: the bad bytes are preserved for diagnosis, and the
-    next lookup of the key is a clean miss-then-store rather than a
-    re-parse of the same damaged file on every run.  The move itself is
-    best-effort — a store on failing storage must still degrade to a
-    miss, never an exception.
-    """
-    try:
-        quarantine_dir.mkdir(parents=True, exist_ok=True)
-        destination = quarantine_dir / path.name
-        os.replace(path, destination)
-        _emit_cache_corrupt(counters.cache, key, path, str(destination), reason)
-    except OSError as exc:
-        _emit_cache_corrupt(
-            counters.cache,
-            key,
-            path,
-            "",
-            f"{reason}; quarantine move failed: {exc}",
-        )
-    counters.quarantine()
-
-
-def describe_counters(
-    counters: CacheCounters,
-    root: Union[str, Path],
-    stores: bool = True,
-    store_errors: bool = False,
-    quarantined: bool = True,
-) -> str:
-    """The shared one-line counter summary every cache/store reports.
-
-    One implementation for the ``hits=H misses=M [stores=S]
-    [store_errors=E] [quarantined=Q] dir=<root>`` strings that
-    :class:`~repro.experiments.cache.ResultCache`,
-    :class:`~repro.experiments.cache.ConversionCache`, and
-    :class:`~repro.analysis.cache.LintCache` used to assemble by hand.
-    The flags mirror each cache's historic shape — the strings are CLI
-    output contracts pinned by tests, so optional segments only appear
-    where (and when) they always did: ``stores`` unconditionally when
-    enabled, ``store_errors``/``quarantined`` only when non-zero.
-    """
-    out = counters.describe_hit_miss()
-    if stores:
-        out += f" stores={counters.stores}"
-    if store_errors and counters.store_errors:
+def describe_counters(counters: CacheCounters, root: Union[str, Path]) -> str:
+    """The one-line counter summary every cache/store reports:
+    ``hits=H misses=M stores=S [store_errors=E] [quarantined=Q] dir=<root>``,
+    the bracketed segments only when non-zero."""
+    out = f"{counters.describe_hit_miss()} stores={counters.stores}"
+    if counters.store_errors:
         out += f" store_errors={counters.store_errors}"
-    if quarantined and counters.quarantined:
+    if counters.quarantined:
         out += f" quarantined={counters.quarantined}"
     return f"{out} dir={root}"
 
@@ -208,6 +153,16 @@ class BlobKind:
 ARTIFACT_KIND = BlobKind(
     name="artifacts", schema=ARTIFACT_SCHEMA, body_field="artifact"
 )
+
+
+class StaleEntry(Exception):
+    """Raised by a ``decode`` hook when an intact entry no longer applies.
+
+    The envelope is undamaged (its digest matched) but something it
+    describes outside the store has changed — say, the output file a
+    conversion entry vouches for.  :meth:`BlobStore.load` treats it like
+    a schema mismatch: a plain miss, no quarantine.
+    """
 
 
 class BlobStore:
@@ -243,7 +198,8 @@ class BlobStore:
     ) -> Optional[Any]:
         """The stored body for ``key``, or None (counted as hit/miss).
 
-        Absent and schema-mismatched envelopes are plain misses.
+        Absent and schema-mismatched envelopes are plain misses, as is
+        a body ``decode`` reports stale (:class:`StaleEntry`).
         Corrupt envelopes — unparseable JSON, invalid UTF-8, missing
         fields, a digest that no longer matches the body, or a body
         ``decode`` rejects — are quarantined (moved to
@@ -267,27 +223,52 @@ class BlobStore:
                 raise ValueError("payload is not a JSON object")
             if payload.get("schema") != self.kind.schema:
                 # Stale schema, not damage: a plain miss, no quarantine.
-                self.counters.miss()
-                return None
+                raise StaleEntry("schema mismatch")
             body = payload[self.kind.body_field]
             if payload.get("digest") != payload_digest(body):
                 raise ValueError("payload digest mismatch")
             value = body if decode is None else decode(body)
+        except StaleEntry:
+            self.counters.miss()
+            return None
         except (ValueError, KeyError, TypeError) as exc:
-            quarantine_entry(
-                path,
-                self.quarantine_dir(),
-                self.counters,
-                key,
-                f"{type(exc).__name__}: {exc}",
-            )
+            self._quarantine(path, key, f"{type(exc).__name__}: {exc}")
             self.counters.miss()
             return None
         self.counters.hit()
         return value
 
+    def _quarantine(self, path: Path, key: str, reason: str) -> None:
+        """Move a corrupt entry aside; record what happened and why.
+
+        Quarantining (instead of deleting or leaving in place) serves
+        two needs at once: the bad bytes are preserved for diagnosis,
+        and the next lookup of the key is a clean miss-then-store rather
+        than a re-parse of the same damaged file on every run.  The move
+        itself is best-effort — a store on failing storage must still
+        degrade to a miss, never an exception.
+        """
+        cache = self.counters.cache
+        try:
+            quarantine_dir = self.quarantine_dir()
+            quarantine_dir.mkdir(parents=True, exist_ok=True)
+            destination = quarantine_dir / path.name
+            os.replace(path, destination)
+            _emit_cache_corrupt(cache, key, path, str(destination), reason)
+        except OSError as exc:
+            _emit_cache_corrupt(
+                cache, key, path, "", f"{reason}; quarantine move failed: {exc}"
+            )
+        self.counters.quarantine()
+
     def store(self, key: str, body: Any) -> None:
-        """Persist ``body`` (a JSON-safe payload) under ``key``."""
+        """Persist ``body`` (a JSON-safe payload) under ``key``.
+
+        The write goes through a same-directory temp file and a rename:
+        concurrent writers (pool workers, fleet shards, parallel CI
+        jobs) race benignly, since both write the same content-addressed
+        payload and the last rename wins.
+        """
         payload = {
             "schema": self.kind.schema,
             "digest": payload_digest(body),
@@ -295,7 +276,10 @@ class BlobStore:
         }
         path = self.path(key)
         try:
-            atomic_write_json(path, payload)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+            tmp.write_text(json.dumps(payload, sort_keys=True))
+            os.replace(tmp, path)
         except OSError:
             self.counters.store_error()
             return
@@ -304,9 +288,7 @@ class BlobStore:
 
     def describe(self) -> str:
         """Counter summary for CLI/CI reporting."""
-        return describe_counters(
-            self.counters, self.root, store_errors=True
-        )
+        return describe_counters(self.counters, self.root)
 
 
 # ----------------------------------------------------------------------
@@ -335,12 +317,10 @@ class ArtifactStore:
     """Every artifact kind under one root: the service's storage façade.
 
     One instance owns the result runs, lint reports, and rendered
-    figure/table artifacts of a store directory (conversion sidecars
-    share the same envelope helpers but live next to their output
-    traces).  The per-kind views are the *same classes* the one-shot
-    CLIs use, over the same root — so a sweep simulated by
-    ``repro-experiment`` is a warm hit for ``repro-serve`` and vice
-    versa.
+    figure/table artifacts of a store directory.  The per-kind views
+    are the *same classes* the one-shot CLIs use, over the same root —
+    so a sweep simulated by ``repro-experiment`` is a warm hit for
+    ``repro-serve`` and vice versa.
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:

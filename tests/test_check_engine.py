@@ -141,11 +141,33 @@ def test_cache_schema_mismatch_misses(tmp_path):
         }
     )
     cache.store("ab" * 32, report)
-    stored = cache._path("ab" * 32)
+    stored = cache._blobs.path("ab" * 32)
     payload = json.loads(stored.read_text())
     payload["schema"] = 999
     stored.write_text(json.dumps(payload))
     assert cache.load("ab" * 32) is None
+
+
+def test_cache_report_with_finding_removed_is_quarantined(tmp_path):
+    """A tampered cached report must miss, never pass the gate short."""
+    runner = CheckRunner(rules=resolve_check_rules(select=["RC1"]))
+    fixture = REPO_ROOT / "tests" / "fixtures" / "checks" / "rc1xx"
+    first = check_paths_cached(runner, [fixture], CheckCache(tmp_path))
+    assert len(first.findings) > 1
+
+    (stored,) = (tmp_path / "checks").glob("*/*.json")
+    payload = json.loads(stored.read_text())
+    del payload["report"]["findings"][0]
+    stored.write_text(json.dumps(payload))
+
+    cache = CheckCache(tmp_path)
+    again = check_paths_cached(runner, [fixture], cache)
+    assert not again.from_cache
+    assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 1)
+    assert len(list((tmp_path / "quarantine").iterdir())) == 1
+    assert [f.to_dict() for f in again.findings] == [
+        f.to_dict() for f in first.findings
+    ]
 
 
 def test_report_dict_roundtrip():

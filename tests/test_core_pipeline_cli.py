@@ -90,6 +90,18 @@ def test_convert_suite_cli_rejects_non_positive_sampling(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-3", "x"])
+def test_convert_suite_cli_rejects_negative_jobs(value, tmp_path, capsys):
+    out = tmp_path / "suite"
+    with pytest.raises(SystemExit) as exc:
+        convert_main(
+            ["--suite", "IPC1", "--output-dir", str(out), "--jobs", value]
+        )
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conversion_is_deterministic(cvp_file, tmp_path):
     a = tmp_path / "a.bin"
     b = tmp_path / "b.bin"

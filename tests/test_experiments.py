@@ -77,6 +77,40 @@ def test_cli_rejects_non_positive_sampling(flag, value, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--task-timeout", "0"),
+        ("--task-timeout", "-1"),
+        ("--task-timeout", "nan"),
+        ("--retry-backoff", "-2"),
+        ("--retry-backoff", "inf"),
+        ("--retries", "-5"),
+        ("--jobs", "-3"),
+        ("--jobs", "two"),
+    ],
+)
+def test_cli_rejects_out_of_range_pool_flags(flag, value, capsys):
+    from repro.experiments.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig1", "--no-cache", flag, value])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_cli_accepts_pool_flag_bounds():
+    from repro.experiments.cli import build_parser
+
+    args = build_parser().parse_args(
+        ["fig1", "--jobs", "0", "--retries", "0", "--retry-backoff", "0",
+         "--task-timeout", "0.5"]
+    )
+    assert (args.jobs, args.retries, args.retry_backoff, args.task_timeout) == (
+        0, 0, 0.0, 0.5
+    )
+
+
 def test_figure1_shape(runner):
     data = figure1(runner)
     assert data.traces == len(runner.public_trace_names())

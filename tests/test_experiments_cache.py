@@ -350,8 +350,8 @@ def test_injected_store_corruption_recovers(sample_result, tmp_path):
 
 
 def test_env_override_controls_default_dir(monkeypatch, tmp_path):
-    from repro.experiments.cache import default_cache_dir
+    from repro.service.store import default_store_root
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "override"))
-    assert default_cache_dir() == tmp_path / "override"
+    assert default_store_root() == tmp_path / "override"
     assert ResultCache().root == tmp_path / "override"

@@ -374,6 +374,7 @@ def test_cache_counters_mirror_and_reset_survival(obs_reset):
 
 def test_cache_describe_formats(tmp_path, obs_reset):
     from repro.analysis.cache import LintCache
+    from repro.checks.cache import CheckCache
     from repro.experiments.cache import ConversionCache, ResultCache
 
     result = ResultCache(tmp_path / "rc")
@@ -384,11 +385,19 @@ def test_cache_describe_formats(tmp_path, obs_reset):
     )
     conversion = ConversionCache(tmp_path / "cc")
     assert conversion.load("x", "0" * 64) is None
-    assert conversion.describe() == f"hits=0 misses=1 dir={tmp_path / 'cc'}"
+    assert (
+        conversion.describe()
+        == f"hits=0 misses=1 stores=0 dir={tmp_path / 'cc'}"
+    )
     lint = LintCache(tmp_path / "lc")
     assert lint.load("0" * 64) is None
     assert (
         lint.describe() == f"hits=0 misses=1 stores=0 dir={tmp_path / 'lc'}"
+    )
+    checks = CheckCache(tmp_path / "ck")
+    assert checks.load("0" * 64) is None
+    assert (
+        checks.describe() == f"hits=0 misses=1 stores=0 dir={tmp_path / 'ck'}"
     )
 
 

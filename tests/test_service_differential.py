@@ -79,6 +79,31 @@ def test_result_cache_warmth_survives_artifact_invalidation(tmp_path):
     assert second.text == first.text
 
 
+def test_served_sweep_reads_each_run_once(tmp_path, monkeypatch):
+    """Probe, dispatch and render share one runner: a cold sweep and a
+    re-render from stored runs each load every run blob exactly once."""
+    from repro.service.store import BlobStore
+
+    loads = []
+    load = BlobStore.load
+
+    def counting_load(self, key, *args, **kwargs):
+        if self.kind.name == "runs":
+            loads.append(key)
+        return load(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(BlobStore, "load", counting_load)
+    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    cold = fleet.execute(_params("fig1"))
+    assert (cold.simulations, cold.cache_hits) == (cold.dispatched, 0)
+    assert len(loads) == len(set(loads)) == cold.dispatched > 0
+
+    loads.clear()
+    rerender = fleet.execute(_params("fig2"))  # same runs, new artifact
+    assert (rerender.simulations, rerender.dispatched) == (0, 0)
+    assert len(loads) == len(set(loads)) == rerender.cache_hits == cold.dispatched
+
+
 def test_store_warmth_survives_fleet_restart(tmp_path):
     """A new fleet over the same root (a service restart) is warm."""
     first = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))

@@ -159,6 +159,26 @@ def test_body_length_accepts_plain_lengths():
     assert body_length({"Content-Length": " 42 "}) == 42
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--shard-size", "0"),
+        ("--jobs", "-2"),
+        ("--retries", "-4"),
+        ("--task-timeout", "-1"),
+        ("--task-timeout", "0"),
+    ],
+)
+def test_serve_cli_rejects_out_of_range_flags(flag, value, capsys):
+    """Bad fleet flags fail at startup (exit 2), not at request time."""
+    from repro.service.cli import build_parser
+
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([flag, value])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_unknown_job_is_404(service):
     with pytest.raises(ServiceError) as err:
         service.handle_job("job-999")

@@ -2,9 +2,9 @@
 
 Parity with ``test_experiments_cache.py``: the same corruption
 properties (any bit-flip or truncation reads as a miss + quarantine,
-never a wrong payload) hold for the generic :class:`BlobStore` the
-result/lint caches now delegate to — here exercised directly on the
-``artifacts`` kind.
+never a wrong payload) hold for the generic :class:`BlobStore` every
+cache delegates to — exercised directly on the ``artifacts`` kind and
+through the check-report and suite-conversion views.
 """
 
 import json
@@ -18,6 +18,7 @@ from repro.service.store import (
     ArtifactStore,
     BlobKind,
     BlobStore,
+    StaleEntry,
     artifact_key,
     describe_counters,
     payload_digest,
@@ -78,35 +79,87 @@ def test_decode_hook_applies_on_hit(stored):
 # ----------------------------------------------------------------------
 
 
-def test_any_single_byte_flip_never_returns_wrong_value(stored, tmp_path):
+def _stored_entries(stored, tmp_path):
+    """One stored entry per kind under test, as ``(path, load, expected)``:
+    the artifact blob, a check report and a suite conversion (the last
+    two through their cache views, so their decoders run too)."""
+    from repro.champsim.branch_info import BranchRules
+    from repro.checks.cache import CheckCache, report_from_dict, report_to_dict
+    from repro.checks.findings import Finding, Severity
+    from repro.core.convert import ConversionStats
+    from repro.core.improvements import Improvement
+    from repro.core.pipeline import ConversionResult, suite_paths
+    from repro.experiments.cache import ConversionCache
+
     store, key = stored
-    path = store.path(key)
-    pristine = path.read_bytes()
-    step = max(1, len(pristine) // 64)
-    for offset in range(0, len(pristine), step):
-        damaged = bytearray(pristine)
-        damaged[offset] ^= 0x01
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(bytes(damaged))
-        loaded = BlobStore(tmp_path, ARTIFACT_KIND).load(key)
-        assert loaded is None or loaded == BODY, (
-            f"byte flip at offset {offset} misdecoded"
+    entries = [
+        (store.path(key), lambda: BlobStore(tmp_path, ARTIFACT_KIND).load(key), BODY)
+    ]
+
+    finding = Finding("RC101", Severity.ERROR, "a.py", 3, "boom")
+    report = report_from_dict(
+        {"root": "a", "files": 1, "rule_ids": ["RC101"],
+         "findings": [finding.to_dict()]}
+    )
+    CheckCache(tmp_path).store(key, report)
+
+    def load_report():
+        loaded = CheckCache(tmp_path).load(key)
+        return None if loaded is None else report_to_dict(loaded)
+
+    entries.append(
+        (CheckCache(tmp_path)._blobs.path(key), load_report, report_to_dict(report))
+    )
+
+    output_dir = tmp_path / "suite"
+    source, destination = suite_paths(output_dir, "srv_0")
+    output_dir.mkdir()
+    destination.write_bytes(b"converted trace bytes")
+    conversion = ConversionResult(
+        source=source,
+        destination=destination,
+        improvements=Improvement.ALL,
+        branch_rules=BranchRules.PATCHED,
+        stats=ConversionStats(records_in=7, instructions_out=9),
+    )
+    ConversionCache(output_dir).store("srv_0", key, conversion)
+    entries.append(
+        (
+            ConversionCache(output_dir)._blobs.path(key),
+            lambda: ConversionCache(output_dir).load("srv_0", key),
+            conversion,
         )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(pristine)
-    assert BlobStore(tmp_path, ARTIFACT_KIND).load(key) == BODY
+    )
+    return entries
+
+
+def test_any_single_byte_flip_never_returns_wrong_value(stored, tmp_path):
+    for path, load, expected in _stored_entries(stored, tmp_path):
+        pristine = path.read_bytes()
+        step = max(1, len(pristine) // 64)
+        for offset in range(0, len(pristine), step):
+            damaged = bytearray(pristine)
+            damaged[offset] ^= 0x01
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(bytes(damaged))
+            loaded = load()
+            assert loaded is None or loaded == expected, (
+                f"byte flip at offset {offset} of {path} misdecoded"
+            )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(pristine)
+        assert load() == expected
 
 
 def test_any_truncation_point_never_returns_wrong_value(stored, tmp_path):
-    store, key = stored
-    path = store.path(key)
-    pristine = path.read_bytes()
-    step = max(1, len(pristine) // 32)
-    for cut in range(0, len(pristine), step):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pristine[:cut])
-        loaded = BlobStore(tmp_path, ARTIFACT_KIND).load(key)
-        assert loaded is None, f"truncation at byte {cut} misdecoded"
+    for path, load, expected in _stored_entries(stored, tmp_path):
+        pristine = path.read_bytes()
+        step = max(1, len(pristine) // 32)
+        for cut in range(0, len(pristine), step):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(pristine[:cut])
+            loaded = load()
+            assert loaded is None, f"truncation of {path} at byte {cut} misdecoded"
 
 
 def test_corruption_quarantines_and_frees_the_slot(stored, tmp_path):
@@ -153,6 +206,19 @@ def test_rejecting_decode_quarantines(stored):
     assert store.counters.quarantined == 1
 
 
+def test_stale_decode_is_a_plain_miss_not_quarantine(stored, tmp_path):
+    store, key = stored
+
+    def decode(body):
+        raise StaleEntry("what the entry describes has changed")
+
+    assert store.load(key, decode=decode) is None
+    assert store.counters.misses == 1
+    assert store.counters.quarantined == 0
+    assert store.path(key).exists()
+    assert not (tmp_path / "quarantine").exists()
+
+
 def test_unwritable_root_counts_store_errors(tmp_path):
     """A broken store dir degrades to store_errors, never an exception
     (a plain file where the directory should be blocks mkdir even as
@@ -189,22 +255,24 @@ def test_describe_counters_shapes(tmp_path):
     counters = CacheCounters("x")
     counters.hit()
     counters.miss()
-    base = describe_counters(counters, tmp_path)
-    assert base == f"hits=1 misses=1 stores=0 dir={tmp_path}"
     assert (
-        describe_counters(counters, tmp_path, stores=False, quarantined=False)
-        == f"hits=1 misses=1 dir={tmp_path}"
+        describe_counters(counters, tmp_path)
+        == f"hits=1 misses=1 stores=0 dir={tmp_path}"
     )
     counters.store_error()
+    assert describe_counters(counters, tmp_path) == (
+        f"hits=1 misses=1 stores=0 store_errors=1 dir={tmp_path}"
+    )
     counters.quarantine()
-    assert describe_counters(counters, tmp_path, store_errors=True) == (
+    assert describe_counters(counters, tmp_path) == (
         f"hits=1 misses=1 stores=0 store_errors=1 quarantined=1 "
         f"dir={tmp_path}"
     )
     # store_errors/quarantined segments only appear when non-zero.
     fresh = CacheCounters("y")
-    assert describe_counters(fresh, tmp_path, store_errors=True) == (
-        f"hits=0 misses=0 stores=0 dir={tmp_path}"
+    fresh.quarantine()
+    assert describe_counters(fresh, tmp_path) == (
+        f"hits=0 misses=0 stores=0 quarantined=1 dir={tmp_path}"
     )
 
 
