@@ -24,12 +24,16 @@ The package is organised as one subpackage per subsystem:
 Quickstart::
 
     from repro.synth import make_trace
-    from repro.core import Improvement, convert_trace
+    from repro.core import Converter, Improvement
     from repro.sim import Simulator, SimConfig
 
     records = make_trace("compute_int_0", instructions=20_000)
-    converted = convert_trace(records, improvements=Improvement.ALL)
-    stats = Simulator(SimConfig.main()).run(converted)
+    converter = Converter(Improvement.ALL)
+    converted = list(converter.convert(records))
+    # The improved conversion needs ChampSim's patched branch rules.
+    stats = Simulator(SimConfig.main()).run(
+        converted, converter.required_branch_rules
+    )
     print(stats.ipc)
 """
 

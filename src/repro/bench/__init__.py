@@ -3,7 +3,7 @@
 The package times the four pipeline phases the repository optimises —
 ``convert`` (CVP-1 → ChampSim through the block fast path vs the legacy
 per-record path), ``lint`` (the trace-lint rule engine), ``sim`` (the
-interval model with a warm vs cold decode cache) and ``synth`` (synthetic
+scalar oracle vs the production vector engine, cold and warm) and ``synth`` (synthetic
 trace generation: static-program build vs walk) — with min-of-K wall
 timing, records/sec rates and the process peak RSS, and writes one
 ``BENCH_<phase>.json`` per phase for trajectory tracking.

@@ -9,11 +9,11 @@ workload name to one or more timed *variants*::
 The convert phase writes **uncompressed** ``.champsimtrace`` output so
 the measurement tracks the conversion pipeline rather than zlib (gzip
 compression costs the same on the fast and legacy paths and would
-otherwise dominate both).  The sim phase compares a cold decode (no
-:class:`~repro.sim.decoded.DecodeCache`) against the warm cache a
-long-lived :class:`~repro.sim.simulator.Simulator` keeps across runs.
-The synth phase splits trace generation into its two layers: building
-the static program and walking it.
+otherwise dominate both).  The sim phase times the scalar oracle (cold
+and through a warm :class:`~repro.sim.decoded.DecodeCache`) against the
+production :class:`~repro.sim.simulator.Simulator` on ChampSim-byte
+columns.  The synth phase splits trace generation into its two layers:
+building the static program and walking it.
 """
 
 from __future__ import annotations
@@ -216,18 +216,22 @@ def bench_sim(
     Per source, ``cold``/``warm`` time the scalar reference
     :class:`~repro.sim.engine.Engine`, built directly as the differential
     oracle, without and with a warm
-    :class:`~repro.sim.decoded.DecodeCache`; ``vector_cold``/
+    :class:`~repro.sim.decoded.DecodeCache`.  ``vector_cold``/
     ``vector_warm`` time the production
-    :class:`~repro.sim.simulator.Simulator` (a throwaway one per run, or
-    one long-lived one whose decode cache, columnar memo, component pool
-    and batched component plans are warm).  ``engine_speedup`` is
+    :class:`~repro.sim.simulator.Simulator` on the trace's ChampSim
+    bytes, encoded once outside the timed region: a throwaway simulator
+    per run that builds the columns with
+    :meth:`~repro.sim.decoded.DecodedColumns.from_champsim_bytes`, or one
+    long-lived simulator re-running one columns object (pooled
+    components, plans memoised on the columns).  ``engine_speedup`` is
     vector-warm over scalar-warm throughput — the number the CI
     bench-smoke job gates on.
     """
+    from repro.champsim.trace import encode_block
     from repro.core.convert import Converter
     from repro.cvp.reader import CvpTraceReader
     from repro.sim import SimConfig, Simulator
-    from repro.sim.decoded import DecodeCache, decode_trace
+    from repro.sim.decoded import DecodeCache, DecodedColumns, decode_trace
     from repro.sim.engine import Engine
 
     payload = base_payload("sim", quick, repeats)
@@ -272,18 +276,23 @@ def bench_sim(
                 repeats,
             )
 
-            # Production path, same protocol: a throwaway Simulator per
-            # run for the cold number, one long-lived Simulator for the
-            # warm number.
+            # Production path, same protocol: a throwaway Simulator
+            # building its columns from bytes per run for the cold
+            # number, one long-lived Simulator over one columns object
+            # for the warm number.
+            data = encode_block(instrs)
             vector_cold = _timed_variant(
-                lambda: Simulator(config).run(instrs, rules),
+                lambda: Simulator(config).run(
+                    DecodedColumns.from_champsim_bytes(data, rules)
+                ),
                 len(instrs),
                 repeats,
             )
             vector_sim = Simulator(config)
-            vector_sim.run(instrs, rules)  # populate cache, memo and plans
+            columns = DecodedColumns.from_champsim_bytes(data, rules)
+            vector_sim.run(columns)  # populate the pool and the plans
             vector_warm = _timed_variant(
-                lambda: vector_sim.run(instrs, rules), len(instrs), repeats
+                lambda: vector_sim.run(columns), len(instrs), repeats
             )
             workloads[name] = {
                 "decode_cold": decode_cold,

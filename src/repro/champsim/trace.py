@@ -27,14 +27,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as _np
+
 from repro import faults
 from repro.errors import TraceFormatError
 from repro.obs import state as _obs_state
-
-try:  # numpy is an optional fast path; the stdlib route always works.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the env gate
-    _np = None
 
 #: On-disk size of one record.
 RECORD_SIZE = 64
@@ -47,26 +44,21 @@ MAX_SRC_MEM = 4
 _STRUCT = struct.Struct("<QBB2B4B2Q4Q")
 assert _STRUCT.size == RECORD_SIZE
 
-#: The record layout as a numpy structured dtype (None without numpy).
+#: The record layout as a numpy structured dtype.
 #: ``np.frombuffer(data, CHAMPSIM_DTYPE)`` decodes a whole trace in one
 #: call for columnar analysis; the byte layout matches ``_STRUCT``.
-CHAMPSIM_DTYPE = (
-    _np.dtype(
-        [
-            ("ip", "<u8"),
-            ("is_branch", "u1"),
-            ("branch_taken", "u1"),
-            ("dst_regs", "u1", (MAX_DST_REGS,)),
-            ("src_regs", "u1", (MAX_SRC_REGS,)),
-            ("dst_mem", "<u8", (MAX_DST_MEM,)),
-            ("src_mem", "<u8", (MAX_SRC_MEM,)),
-        ]
-    )
-    if _np is not None
-    else None
+CHAMPSIM_DTYPE = _np.dtype(
+    [
+        ("ip", "<u8"),
+        ("is_branch", "u1"),
+        ("branch_taken", "u1"),
+        ("dst_regs", "u1", (MAX_DST_REGS,)),
+        ("src_regs", "u1", (MAX_SRC_REGS,)),
+        ("dst_mem", "<u8", (MAX_DST_MEM,)),
+        ("src_mem", "<u8", (MAX_SRC_MEM,)),
+    ]
 )
-if CHAMPSIM_DTYPE is not None:
-    assert CHAMPSIM_DTYPE.itemsize == RECORD_SIZE
+assert CHAMPSIM_DTYPE.itemsize == RECORD_SIZE
 
 _U64_MASK = (1 << 64) - 1
 
@@ -281,11 +273,9 @@ def decode_block_array(data: bytes):
     """Decode a chunk of records into a numpy structured array (zero-copy).
 
     Columnar view over the raw bytes for vectorised analysis (branch
-    density, footprint histograms, bench scans).  Requires numpy; use
-    :func:`decode_block` for the object API, which works everywhere.
+    density, footprint histograms, bench scans); :func:`decode_block`
+    is the object API.
     """
-    if _np is None:
-        raise RuntimeError("decode_block_array requires numpy")
     if len(data) % RECORD_SIZE:
         raise ChampSimTraceError(
             f"block of {len(data)} bytes is not a whole number of "
@@ -296,8 +286,6 @@ def decode_block_array(data: bytes):
 
 def encode_block_array(array) -> bytes:
     """Serialise a ``CHAMPSIM_DTYPE`` structured array back to raw bytes."""
-    if _np is None:
-        raise RuntimeError("encode_block_array requires numpy")
     if array.dtype != CHAMPSIM_DTYPE:
         raise ChampSimTraceError(
             f"array dtype {array.dtype} is not CHAMPSIM_DTYPE"
@@ -448,11 +436,11 @@ class ChampSimTraceReader:
         self._records_read += 1
         return decode_instr(data)
 
-    def read_block(self, block_size: int) -> List[ChampSimInstr]:
-        """Read up to ``block_size`` records with one buffered read.
+    def read_bytes(self, block_size: int) -> bytes:
+        """Read up to ``block_size`` whole records as raw bytes.
 
-        Returns an empty list at EOF; raises :class:`ChampSimTraceError`
-        on a truncated final record, naming the byte offset where the
+        Returns ``b""`` at EOF; raises :class:`ChampSimTraceError` on a
+        truncated final record, naming the byte offset where the
         incomplete record starts.  The ``io.champsim.truncate``
         fault-injection site cuts the buffered read mid-record when
         scheduled, so the truncation path is testable on demand.
@@ -472,22 +460,25 @@ class ChampSimTraceReader:
                     cut -= RECORD_SIZE // 2
                 data = data[:cut]
         if not data:
-            return []
-        if len(data) % RECORD_SIZE:
-            whole = len(data) // RECORD_SIZE
-            _emit_truncation(len(data) % RECORD_SIZE)
-            offset = (self._records_read + whole) * RECORD_SIZE
+            return b""
+        whole, trailing = divmod(len(data), RECORD_SIZE)
+        if trailing:
+            _emit_truncation(trailing)
+            complete = self._records_read + whole
             raise ChampSimTraceError(
-                f"truncated final record: got {len(data) % RECORD_SIZE} "
-                f"bytes after {self._records_read + whole} complete "
-                f"records, expected {RECORD_SIZE} (incomplete record "
-                f"starts at byte offset {offset})"
+                f"truncated final record: got {trailing} bytes after "
+                f"{complete} complete records, expected {RECORD_SIZE} "
+                f"(incomplete record starts at byte offset "
+                f"{complete * RECORD_SIZE})"
             )
-        block = decode_block(data)
-        self._records_read += len(block)
+        self._records_read += whole
         if _obs_state.enabled():
             _count_io("read", len(data))
-        return block
+        return data
+
+    def read_block(self, block_size: int) -> List[ChampSimInstr]:
+        """:meth:`read_bytes`, decoded; an empty list at EOF."""
+        return decode_block(self.read_bytes(block_size))
 
     def blocks(
         self, block_size: int = DEFAULT_WRITE_BLOCK
@@ -541,6 +532,14 @@ def write_champsim_trace(
     """Write a whole trace; return the record count."""
     with ChampSimTraceWriter(destination) as writer:
         return writer.write_all(instrs)
+
+
+def read_champsim_bytes(source: Union[str, Path, BinaryIO]) -> bytes:
+    """Read a whole trace as validated raw records (see
+    :meth:`ChampSimTraceReader.read_bytes`)."""
+    with ChampSimTraceReader(source) as reader:
+        blocks = iter(lambda: reader.read_bytes(DEFAULT_WRITE_BLOCK), b"")
+        return b"".join(blocks)
 
 
 def read_champsim_trace(

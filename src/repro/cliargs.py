@@ -51,3 +51,11 @@ def non_negative_float(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value:g}")
     return value
+
+
+def unit_fraction(text: str) -> float:
+    """argparse type: a finite number in [0, 1) (warm-up fractions)."""
+    value = _parse(text, float)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value:g}")
+    return value

@@ -8,10 +8,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Optional, Sequence
 
 from repro import obs
 from repro.champsim.branch_info import BranchRules
+from repro.champsim.trace import ChampSimTraceError
+from repro.cliargs import unit_fraction
 from repro.obs import logutil
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulator
@@ -41,9 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--warmup",
-        type=float,
+        type=unit_fraction,
         default=None,
-        help="override warm-up fraction (0..1)",
+        help="override warm-up fraction, in [0, 1)",
     )
     obs.add_obs_flags(parser)
     logutil.add_logging_flags(parser)
@@ -65,7 +68,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.warmup is not None:
         config = replace(config, warmup_fraction=args.warmup)
     rules = BranchRules.PATCHED if args.rules == "patched" else BranchRules.ORIGINAL
-    stats = Simulator(config).run(args.trace, rules)
+    try:
+        stats = Simulator(config).run(args.trace, rules)
+    except (ChampSimTraceError, OSError, EOFError) as exc:
+        message = getattr(exc, "strerror", None) or exc
+        print(f"repro-sim: {args.trace}: {message}", file=sys.stderr)
+        return 2
     print(stats.summary())
     return 0
 

@@ -3,13 +3,16 @@
 ChampSim traces carry neither branch types nor branch targets: the type
 is deduced from register usage (:mod:`repro.champsim.branch_info`) and
 the target of a taken branch is the IP of the *next* instruction in the
-trace.  :func:`decode_trace` performs both derivations in one pass.
+trace.
 
-Dynamic traces replay the same static instructions millions of times, so
-:class:`DecodeCache` memoizes the finished :class:`DecodedInstr` per
-unique record: warm-up plus measurement loops (and repeated
-:class:`~repro.sim.simulator.Simulator` runs over one trace) deduce each
-hot instruction's branch type once instead of once per dynamic instance.
+The simulator's only input is :class:`DecodedColumns` built by
+:meth:`DecodedColumns.from_champsim_bytes`, which makes both derivations
+straight from the 64-byte records.  The per-record forms —
+:func:`decode_trace` (one :class:`DecodedInstr` per record, optionally
+through the :class:`DecodeCache` memo), :func:`columnarize` and
+``DecodedColumns(rows)`` — are the scalar
+:class:`~repro.sim.engine.Engine` oracle's input and the reference the
+byte path is tested against.
 """
 
 from __future__ import annotations
@@ -18,14 +21,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.champsim.branch_info import BranchRules, BranchType, deduce_branch_type
-from repro.champsim.trace import ChampSimInstr, decode_block, decode_block_array
-from repro.sim.config import SimConfig
+import numpy as _np
 
-try:  # numpy accelerates columnarisation; the fallback is pure python
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
+from repro.champsim.branch_info import BranchRules, BranchType, deduce_branch_type
+from repro.champsim.trace import ChampSimInstr, decode_block_array
+from repro.sim.config import SimConfig
 
 
 @dataclass
@@ -141,7 +141,6 @@ KIND_BRANCH = 4
 
 #: Cacheline granularity of the fetch stage (mirrors the cache model).
 _LINE_BITS = 6
-_LINE_MASK = ~((1 << _LINE_BITS) - 1)
 
 
 class DecodedColumns:
@@ -155,12 +154,12 @@ class DecodedColumns:
     outcome, target, memory operand tuples) are only indexed when the
     event occurs.
 
-    Two constructors: ``DecodedColumns(decoded)`` (alias
-    :func:`columnarize`) pivots already-decoded rows, and
-    :meth:`from_champsim_bytes` builds the columns straight from raw
-    ChampSim records — the production path, which never materialises
-    per-instruction objects.  :attr:`decoded` gives the row view back
-    either way (rebuilt from the columns on first use).
+    Two constructors: :meth:`from_champsim_bytes` builds the columns
+    straight from raw ChampSim records — the simulator's only input,
+    which never materialises per-instruction objects — and
+    ``DecodedColumns(decoded)`` (alias :func:`columnarize`) pivots
+    already-decoded rows for tests.  :attr:`decoded` gives the row view
+    back either way (rebuilt from the columns on first use).
     """
 
     __slots__ = (
@@ -214,12 +213,7 @@ class DecodedColumns:
             for reg in regs:
                 if reg > max_reg:
                     max_reg = reg
-        self._finish(
-            _np.array(self.ips, dtype=_np.uint64)
-            if _np is not None and self.n
-            else None,
-            max_reg,
-        )
+        self._finish(_np.array(self.ips, dtype=_np.uint64), max_reg)
 
     @classmethod
     def from_champsim_bytes(
@@ -240,8 +234,6 @@ class DecodedColumns:
         Raises :class:`~repro.champsim.trace.ChampSimTraceError` when
         ``data`` is not a whole number of records.
         """
-        if _np is None:  # pragma: no cover - the toolchain bakes numpy in
-            return cls(decode_trace(decode_block(data), rules))
         words = decode_block_array(data).view("<u8").reshape(-1, 8)
         n = len(words)
         columns = cls.__new__(cls)
@@ -286,24 +278,17 @@ class DecodedColumns:
             | has_dst * KIND_DST_MEM
             | is_branch * KIND_BRANCH
         ).tolist()
-        columns._finish(ip_array if n else None, max_reg)
+        columns._finish(ip_array, max_reg)
         return columns
 
-    def _finish(self, ip_array: "Optional[_np.ndarray]", max_reg: int) -> None:
+    def _finish(self, ip_array: "_np.ndarray", max_reg: int) -> None:
         """Fetch-line columns, register bound and empty derived caches."""
-        n = self.n
-        if ip_array is not None:
-            line_array = ip_array >> _LINE_BITS
-            breaks = _np.empty(n, dtype=bool)
-            breaks[0] = True
-            _np.not_equal(line_array[1:], line_array[:-1], out=breaks[1:])
-            self.lines = (line_array << _LINE_BITS).tolist()
-            self.new_line = breaks.tolist()
-        else:
-            self.lines = [ip & _LINE_MASK for ip in self.ips]
-            self.new_line = [
-                i == 0 or self.lines[i] != self.lines[i - 1] for i in range(n)
-            ]
+        line_array = ip_array >> _LINE_BITS
+        breaks = _np.empty(self.n, dtype=bool)
+        breaks[:1] = True
+        _np.not_equal(line_array[1:], line_array[:-1], out=breaks[1:])
+        self.lines = (line_array << _LINE_BITS).tolist()
+        self.new_line = breaks.tolist()
         self.max_reg = max_reg
         #: Memoized component plans, keyed by the tuples from
         #: :meth:`plan_keys`.  The columns are immutable once built, so a

@@ -42,15 +42,10 @@ the sweep in ``sim.plan.branch``, ``sim.plan.prefetch`` and
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional
 
-from repro.champsim.branch_info import BranchRules, BranchType
-from repro.sim.decoded import (
-    DecodedColumns,
-    DecodedInstr,
-    columnarize,
-    decode_trace,
-)
+from repro.champsim.branch_info import BranchType
+from repro.sim.decoded import DecodedColumns
 from repro.sim.branch.batch import BranchTallies, resolve_branch_plan
 from repro.sim.engine import Engine
 from repro.sim.config import SimConfig
@@ -73,13 +68,10 @@ _ISSUE_LOAD_HORIZON = 64
 class VectorEngine(Engine):
     """Single-run columnar engine; construct fresh per simulation.
 
-    Drop-in for :class:`~repro.sim.engine.Engine`: same constructor,
-    same :meth:`run` contract (raw or pre-decoded streams, shared
-    decode cache), bit-identical statistics.  :meth:`run` additionally
-    accepts an already-built :class:`~repro.sim.decoded.DecodedColumns`
-    so long-lived callers (:class:`~repro.sim.simulator.Simulator`) can
-    reuse columnarisation across runs the way the decode cache reuses
-    decodes.
+    Same constructor as :class:`~repro.sim.engine.Engine` and
+    bit-identical statistics, but :meth:`run` takes only
+    :class:`~repro.sim.decoded.DecodedColumns`, the form
+    :class:`~repro.sim.simulator.Simulator` builds from ChampSim bytes.
     """
 
     def _build_hierarchy(
@@ -89,20 +81,9 @@ class VectorEngine(Engine):
 
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        decoded: Union[Sequence[DecodedInstr], DecodedColumns],
-        rules: BranchRules = BranchRules.ORIGINAL,
-    ) -> SimStats:
+    def run(self, columns: DecodedColumns) -> SimStats:  # type: ignore[override]
         """Simulate the whole trace; return the (post-warm-up) statistics."""
         from repro import obs
-
-        if isinstance(decoded, DecodedColumns):
-            columns = decoded
-        else:
-            if decoded and not isinstance(decoded[0], DecodedInstr):
-                decoded = decode_trace(decoded, rules, cache=self.decode_cache)
-            columns = columnarize(decoded)
 
         config = self.config
         stats = self.stats

@@ -287,8 +287,9 @@ def test_ipc1_pool_reset_is_bit_identical(name):
     """Pooled re-runs reset every IPC-1 prefetcher to cold state."""
     decoded = _decoded_stream()
     sim = Simulator(SimConfig.ipc1(l1i_prefetcher=name))
-    first = sim.run(decoded)
-    second = sim.run(decoded)  # adopts + resets the pooled components
+    first = sim.run(columnarize(decoded))
+    # Fresh columns, so the run replans on the adopted + reset components.
+    second = sim.run(columnarize(decoded))
     assert_stats_identical(second, first, name)
 
 
@@ -296,18 +297,18 @@ def test_ipc1_pool_reset_is_bit_identical(name):
 def test_direction_predictor_pool_reset_is_bit_identical(name):
     decoded = _decoded_stream()
     sim = Simulator(SimConfig.main(direction_predictor=name))
-    first = sim.run(decoded)
-    second = sim.run(decoded)
+    first = sim.run(columnarize(decoded))
+    second = sim.run(columnarize(decoded))
     assert_stats_identical(second, first, name)
 
 
 def test_simulator_reuses_vector_components_across_runs():
     decoded = _decoded_stream()
     sim = Simulator(SimConfig.main())
-    first = sim.run(decoded)
+    first = sim.run(columnarize(decoded))
     pool = sim._component_pool
     assert pool is not None
-    second = sim.run(decoded)
+    second = sim.run(columnarize(decoded))
     assert sim._component_pool.direction is pool.direction
     assert sim._component_pool.hierarchy is pool.hierarchy
     assert_stats_identical(second, first, "pooled vector re-run")

@@ -172,44 +172,7 @@ def test_cache_rejects_nonpositive_maxsize():
 
 
 # --------------------------------------------------------------------------
-# Simulator / Engine wiring
-
-
-def test_simulator_results_identical_with_and_without_cache():
-    from repro.sim import SimConfig, Simulator
-
-    from repro.sim.vector_engine import VectorEngine
-
-    stream = _mixed_stream() * 5
-    cached_sim = Simulator(SimConfig.main())
-    first = cached_sim.run(stream)
-    # An engine with no decode cache decodes every record afresh.
-    uncached = VectorEngine(SimConfig.main()).run(stream)
-    assert_stats_identical(uncached, first, "uncached vs cached")
-    # Re-running a copy of the stream (no columnar-memo hit) through the
-    # now-warm cache changes nothing.
-    assert_stats_identical(cached_sim.run(list(stream)), first, "warm re-run")
-    assert cached_sim._decode_cache.hits > 0
-
-
-def test_each_simulator_gets_its_own_fresh_cache():
-    from repro.sim import SimConfig, Simulator
-
-    a = Simulator(SimConfig.main())
-    b = Simulator(SimConfig.main())
-    assert isinstance(a._decode_cache, DecodeCache)
-    assert a._decode_cache is not b._decode_cache
-
-
-def test_simulator_rejects_bogus_cache_argument():
-    from repro.sim import SimConfig, Simulator
-
-    # The decode cache is private to the simulator: no argument selects
-    # or shares one.
-    with pytest.raises(TypeError):
-        Simulator(SimConfig.main(), decode_cache="warm")
-    with pytest.raises(TypeError):
-        Simulator(SimConfig.main(), decode_cache=DecodeCache())
+# Engine (oracle) wiring
 
 
 def test_engine_accepts_predecoded_and_raw_streams():

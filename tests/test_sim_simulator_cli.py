@@ -1,14 +1,21 @@
 """Simulator facade and CLI tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.champsim.branch_info import BranchRules
 from repro.champsim.trace import write_champsim_trace
-from repro.core import Improvement, convert_trace
+from repro.core import Converter, Improvement, convert_trace
 from repro.sim import SimConfig, Simulator, decode_trace, simulate
 from repro.sim.cli import main as sim_main
 from repro.sim.engine import Engine
 from repro.synth import make_trace
+
+from tests.diffharness import assert_stats_identical
 
 
 @pytest.fixture(scope="module")
@@ -27,17 +34,39 @@ def test_simulator_accepts_instr_list(converted):
     assert stats.ipc > 0
 
 
-def test_simulator_accepts_decoded_list(converted):
+def test_simulator_rejects_decoded_list(converted):
+    # Decoded rows are the scalar oracle's input form, not the simulator's.
     instrs, _ = converted
     decoded = decode_trace(instrs, BranchRules.PATCHED)
-    stats = Simulator(SimConfig.main()).run(decoded)
-    assert stats.instructions == len(instrs)
+    with pytest.raises(TypeError, match="DecodedInstr"):
+        Simulator(SimConfig.main()).run(decoded)
 
 
 def test_simulator_accepts_path(converted):
     instrs, path = converted
     stats = Simulator(SimConfig.main()).run(path, BranchRules.PATCHED)
     assert stats.instructions == len(instrs)
+    assert_stats_identical(
+        stats,
+        Simulator(SimConfig.main()).run(instrs, BranchRules.PATCHED),
+        "path vs instruction list",
+    )
+
+
+def test_simulator_rereads_a_rewritten_trace_file(tmp_path):
+    # Every run reads its input afresh: rewriting the file between two
+    # runs of one simulator must give the new file's statistics.
+    path = tmp_path / "t.champsimtrace"
+    sim = Simulator(SimConfig.main())
+    for name in ("compute_int_0", "srv_0"):
+        converter = Converter(Improvement.ALL)
+        write_champsim_trace(converter.convert(make_trace(name, 2000)), path)
+        rules = converter.required_branch_rules
+        assert_stats_identical(
+            sim.run(path, rules),
+            Simulator(SimConfig.main()).run(path, rules),
+            name,
+        )
 
 
 def test_simulate_helper_defaults_to_main_config(converted):
@@ -92,6 +121,54 @@ def test_cli_vector_engine_output_matches_scalar(converted, capsys):
     scalar = Engine(SimConfig.main()).run(instrs, BranchRules.PATCHED)
     assert "IPC" in vector_out
     assert vector_out == scalar.summary() + "\n"
+
+
+@pytest.mark.parametrize("value", ["2", "1", "-1", "nan", "inf", "x"])
+def test_cli_rejects_warmup_outside_unit_interval(converted, capsys, value):
+    _, path = converted
+    with pytest.raises(SystemExit) as excinfo:
+        sim_main([str(path), f"--warmup={value}"])
+    assert excinfo.value.code == 2
+    assert "--warmup" in capsys.readouterr().err
+
+
+def test_cli_reports_missing_trace_in_one_line(tmp_path, capsys):
+    path = tmp_path / "missing.champsimtrace.gz"
+    assert sim_main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"repro-sim: {path}: No such file or directory\n"
+
+
+def test_cli_reports_truncated_trace_with_byte_offset(converted, tmp_path, capsys):
+    instrs, _ = converted
+    path = tmp_path / "cut.champsimtrace"
+    write_champsim_trace(instrs[:10], path)
+    path.write_bytes(path.read_bytes()[:-24])
+    assert sim_main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro-sim: {path}: truncated final record")
+    assert "byte offset 576" in err and err.count("\n") == 1
+
+
+def test_cli_reports_injected_truncation(converted):
+    _, path = converted
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        REPRO_FAULTS="io.champsim.truncate:count=1",
+    )
+    env.pop("REPRO_FAULTS_PID", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.sim.cli", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"repro-sim: {path}: truncated final record")
+    assert "byte offset" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_rejects_unknown_engine(converted, capsys):

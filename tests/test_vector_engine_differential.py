@@ -13,9 +13,9 @@ any configuration.  This module pins that contract three ways:
   on cacheline boundaries (the fetch stage's segment breaks), mix
   loads/stores/branches, and revisit hot lines — replayed under a
   rotating subset of the configurations;
-- the engine's alternate input forms (raw records, decoded rows,
-  pre-built columns) and the simulator's columnar memo, which must all
-  produce the same statistics.
+- the engine's input forms (columns pivoted from decoded rows, columns
+  built from raw ChampSim bytes, one columns object re-run with its
+  memoised plans), which must all produce the same statistics.
 
 Failures report per-counter diffs via :mod:`tests.diffharness`.
 """
@@ -27,11 +27,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.champsim.branch_info import BranchRules, BranchType
+from repro.champsim.regs import (
+    REG_FLAGS,
+    REG_INSTRUCTION_POINTER,
+    REG_OTHER_INFO,
+    REG_STACK_POINTER,
+)
+from repro.champsim.trace import ChampSimInstr, encode_block
 from repro.core.convert import Converter
 from repro.core.improvements import Improvement
 from repro.cvp.reader import CvpTraceReader
 from repro.sim import SimConfig, Simulator, columnarize
-from repro.sim.decoded import DecodedInstr, decode_trace
+from repro.sim.decoded import DecodedColumns, DecodedInstr, decode_trace
 from repro.sim.engine import Engine
 from repro.sim.vector_engine import VectorEngine
 
@@ -101,7 +108,7 @@ def golden_decoded():
 
 def _run_both(config, decoded):
     scalar = Engine(config).run(decoded)
-    vector = VectorEngine(config).run(decoded)
+    vector = VectorEngine(config).run(columnarize(decoded))
     return scalar, vector
 
 
@@ -114,27 +121,37 @@ def test_vector_matches_scalar_on_golden(path, config_id, config, golden_decoded
 
 
 # --------------------------------------------------------------------------
-# Input-form equivalence and the columnar memo
+# Input-form equivalence and the plans memoised on a columns object
 
 
-def test_vector_accepts_columns_rows_and_raw(golden_decoded):
-    decoded = golden_decoded[GOLDEN[0]]
+def test_vector_accepts_columns_rows_and_raw():
+    converter = Converter(Improvement.ALL)
+    with CvpTraceReader(GOLDEN[0]) as reader:
+        instrs = list(converter.convert(reader))
+    rules = converter.required_branch_rules
     config = SimConfig.main()
-    reference = Engine(config).run(decoded)
-    from_rows = VectorEngine(config).run(decoded)
-    from_columns = VectorEngine(config).run(columnarize(decoded))
-    assert_stats_identical(from_rows, reference, "rows input")
-    assert_stats_identical(from_columns, reference, "columns input")
+    reference = Engine(config).run(instrs, rules)
+    from_rows = VectorEngine(config).run(
+        columnarize(decode_trace(instrs, rules))
+    )
+    from_raw = VectorEngine(config).run(
+        DecodedColumns.from_champsim_bytes(encode_block(instrs), rules)
+    )
+    assert_stats_identical(from_rows, reference, "columns from rows")
+    assert_stats_identical(from_raw, reference, "columns from bytes")
 
 
 def test_simulator_columns_memo_is_bit_identical(golden_decoded):
+    # One columns object re-run by one simulator: the second run takes
+    # the plans memoised on the columns and the pooled components.
     decoded = golden_decoded[GOLDEN[0]]
+    columns = columnarize(decoded)
     sim = Simulator(SimConfig.main())
-    first = sim.run(decoded)
-    assert sim._columns_memo is not None
-    memo_columns = sim._columns_memo[2]
-    second = sim.run(decoded)  # served from the columnar memo
-    assert sim._columns_memo[2] is memo_columns
+    first = sim.run(columns)
+    plans = dict(columns.plan_cache)
+    assert plans
+    second = sim.run(columns)
+    assert all(columns.plan_cache[key] is plan for key, plan in plans.items())
     assert_stats_identical(second, first, "memoized re-run")
     assert_stats_identical(
         Engine(SimConfig.main()).run(decoded), first, "scalar oracle"
@@ -358,12 +375,50 @@ def test_vector_matches_scalar_on_aliasing_stress(decoded, config_index):
     assert_stats_identical(vector, scalar, (config.name, len(decoded)))
 
 
-@given(decoded=decoded_streams())
+#: Register ids the branch-deduction rules key on, plus plain ones.
+_RULE_REGS = st.sampled_from(
+    [REG_STACK_POINTER, REG_FLAGS, REG_INSTRUCTION_POINTER, REG_OTHER_INFO,
+     1, 2, 30]
+)
+
+
+@st.composite
+def raw_streams(draw):
+    """ChampSim records whose branch flags and register usage reach every
+    deduction rule; taken branches jump, everything else falls through."""
+    n = draw(st.integers(min_value=0, max_value=100))
+    ip = draw(st.integers(min_value=64, max_value=(1 << 40) - 1))
+    stream = []
+    for _ in range(n):
+        is_branch = draw(st.booleans())
+        taken = is_branch and draw(st.booleans())
+        memory = st.lists(
+            st.integers(min_value=1, max_value=(1 << 44) - 1), max_size=2
+        )
+        stream.append(
+            ChampSimInstr(
+                ip=ip,
+                is_branch=is_branch,
+                branch_taken=taken,
+                dst_regs=tuple(draw(st.lists(_RULE_REGS, max_size=2))),
+                src_regs=tuple(draw(st.lists(_RULE_REGS, max_size=4))),
+                dst_mem=() if is_branch else tuple(draw(memory)),
+                src_mem=() if is_branch else tuple(draw(memory)),
+            )
+        )
+        if taken:
+            ip = draw(st.integers(min_value=64, max_value=(1 << 40) - 1))
+        else:
+            ip += 4
+    return stream
+
+
+@given(instrs=raw_streams())
 @settings(max_examples=25, deadline=None)
-def test_vector_matches_scalar_under_patched_rules_raw_input(decoded):
-    # Raw-input form: both engines decode internally (shared cache code),
-    # exercising the vector engine's non-columnar entry point.
+def test_vector_matches_scalar_under_patched_rules_raw_input(instrs):
+    # Raw records: the simulator encodes them to ChampSim bytes and
+    # deduces branch types from those; the oracle decodes per record.
     config = SimConfig.main()
-    scalar = Engine(config).run(decoded, BranchRules.PATCHED)
-    vector = VectorEngine(config).run(decoded, BranchRules.PATCHED)
+    scalar = Engine(config).run(instrs, BranchRules.PATCHED)
+    vector = Simulator(config).run(instrs, BranchRules.PATCHED)
     assert_stats_identical(vector, scalar, "patched rules")
