@@ -40,6 +40,8 @@ MAX_DST_REGS = 2
 MAX_SRC_REGS = 4
 MAX_DST_MEM = 2
 MAX_SRC_MEM = 4
+#: ``ip`` and memory slots are unsigned 64-bit fields.
+_WORD_LIMIT = 1 << 64
 
 _STRUCT = struct.Struct("<QBB2B4B2Q4Q")
 assert _STRUCT.size == RECORD_SIZE
@@ -119,6 +121,14 @@ class ChampSimInstr:
         for reg in self.dst_regs + self.src_regs:
             if not 0 < reg < 256:
                 raise ChampSimTraceError(f"register id {reg} outside 1..255")
+        if not 0 <= self.ip < _WORD_LIMIT:
+            raise ChampSimTraceError(f"ip {self.ip:#x} outside 0..2**64-1")
+        for address in self.dst_mem + self.src_mem:
+            # 0 is the empty-slot sentinel, like register id 0.
+            if not 0 < address < _WORD_LIMIT:
+                raise ChampSimTraceError(
+                    f"memory address {address:#x} outside 1..2**64-1"
+                )
 
     @property
     def is_load(self) -> bool:

@@ -27,6 +27,7 @@ from repro import obs
 from repro.cliargs import non_negative_int, positive_int
 from repro.core.improvements import IMPROVEMENT_NAMES, parse_improvements
 from repro.core.pipeline import ConversionResult, convert_file, convert_suite
+from repro.errors import TraceFormatError
 from repro.obs import logutil
 
 
@@ -196,9 +197,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    result = convert_file(
-        args.trace, args.output, improvements, salvage=args.salvage
-    )
+    try:
+        result = convert_file(
+            args.trace, args.output, improvements, salvage=args.salvage
+        )
+    except (TraceFormatError, OSError, EOFError) as exc:
+        path = getattr(exc, "filename", None) or args.trace
+        message = getattr(exc, "strerror", None) or exc
+        print(f"repro-convert: {path}: {message}", file=sys.stderr)
+        return 2
     if result.salvaged_bytes:
         print(
             f"repro-convert: warning: dropped {result.salvaged_bytes} "

@@ -380,20 +380,28 @@ class Converter:
         info: AddressingInfo,
         registers: Optional[RegisterFile],
     ) -> Tuple[int, ...]:
-        """Memory slot contents for one access (1 or 2 addresses)."""
+        """Memory slot contents for one access (0 to 2 addresses).
+
+        Address 0 is the ChampSim format's empty-slot sentinel, so an
+        access to it cannot be recorded and is dropped: the zero slot the
+        block converter writes for it means the same.
+        """
         address = record.mem_address or 0
         if Improvement.MEM_FOOTPRINT not in self.improvements:
-            return (address,)
-        if is_dc_zva(record):
+            addresses: Tuple[int, ...] = (address,)
+        elif is_dc_zva(record):
             aligned = address & ~(CACHELINE_SIZE - 1)
             if aligned != address:
                 self.stats.dc_zva_aligned += 1
-            return (aligned,)
-        lines = cachelines_touched(record, info, registers)
-        if len(lines) == 2:
-            self.stats.two_line_accesses += 1
-            return (address, lines[1])
-        return (address,)
+            addresses = (aligned,)
+        else:
+            lines = cachelines_touched(record, info, registers)
+            if len(lines) == 2:
+                self.stats.two_line_accesses += 1
+                addresses = (address, lines[1])
+            else:
+                addresses = (address,)
+        return tuple(address for address in addresses if address)
 
     def _convert_nonbranch(
         self, record: CvpRecord, registers: Optional[RegisterFile]
@@ -446,8 +454,10 @@ class Converter:
         pre_index = info.mode is AddressingMode.PRE_INDEX
         if pre_index:
             self.stats.pre_index_splits += 1
-        alu_ip = record.pc if pre_index else record.pc + 2
-        mem_ip = record.pc + 2 if pre_index else record.pc
+        # A 64-bit record field: PC+2 wraps, as the block converter packs it.
+        next_ip = (record.pc + 2) & ((1 << 64) - 1)
+        alu_ip = record.pc if pre_index else next_ip
+        mem_ip = next_ip if pre_index else record.pc
 
         alu_uop = ChampSimInstr(ip=alu_ip, dst_regs=(base,), src_regs=(base,))
         mem_uop = ChampSimInstr(

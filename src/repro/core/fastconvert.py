@@ -293,6 +293,10 @@ class BlockConverter:
                         addr2 = last
                     else:
                         addr2 = 0
+                if not address:
+                    # Address 0 is the empty-slot sentinel: the occupied
+                    # slot comes first, as Converter.convert emits it.
+                    address, addr2 = addr2, 0
 
                 s = sources + (0,) * (MAX_SRC_REGS - len(sources))
                 d = dsts + (0,) * (MAX_DST_REGS - len(dsts))

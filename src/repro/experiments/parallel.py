@@ -592,7 +592,6 @@ class _PoolSupervisor:
 def run_tasks(
     tasks: Sequence[Any],
     jobs: Optional[int] = None,
-    retries: Optional[int] = None,
     task_fn: Callable[[Any], Any] = execute_task,
     policy: Optional[RetryPolicy] = None,
     timeout: Optional[float] = None,
@@ -604,8 +603,8 @@ def run_tasks(
 
     ``jobs=None`` uses every core; ``jobs<=1`` runs inline (no pool, same
     retry semantics).  Retry behaviour comes from ``policy`` (a
-    :class:`~repro.faults.retry.RetryPolicy`); the legacy ``retries=N``
-    shorthand maps to ``RetryPolicy(attempts=1+N)``.  ``timeout`` bounds
+    :class:`~repro.faults.retry.RetryPolicy`; ``None`` =
+    :meth:`~repro.faults.retry.RetryPolicy.default`).  ``timeout`` bounds
     each task's running time in pool mode (hung workers are killed and
     the pool restarted; inline runs cannot be interrupted).
 
@@ -623,13 +622,7 @@ def run_tasks(
     from repro import faults
 
     if policy is None:
-        policy = (
-            RetryPolicy(attempts=1 + max(0, retries))
-            if retries is not None
-            else RetryPolicy.default()
-        )
-    elif retries is not None:
-        raise ValueError("pass either retries or policy, not both")
+        policy = RetryPolicy.default()
     # Resolve the fault plan in the parent before any fork, so workers
     # inherit both the plan and the parent-PID marker.
     faults.enabled()

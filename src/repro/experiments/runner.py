@@ -93,10 +93,11 @@ class ExperimentRunner:
         cache: Optional on-disk :class:`ResultCache`; hits skip the whole
             convert+simulate pipeline across process boundaries.
         jobs: Default worker count for :meth:`run_many`/:meth:`run_batch`
-            (1 = serial; individual calls can override).
+            (1 = serial, ``None`` = all cores; individual calls can
+            override).
         retry_policy: Optional :class:`~repro.faults.retry.RetryPolicy`
-            governing task retries in the parallel fan-out (``None`` =
-            the fleet default: two attempts, no backoff).
+            governing task retries in every batch, serial or pooled
+            (``None`` = the default: two attempts, no backoff).
         task_timeout: Per-task wall-clock bound (seconds) in the
             parallel fan-out; hung workers are killed and their pool
             restarted.  ``None`` disables the bound.
@@ -108,7 +109,7 @@ class ExperimentRunner:
         limit: Optional[int] = None,
         stride: int = 1,
         cache: Optional["ResultCache"] = None,
-        jobs: int = 1,
+        jobs: Optional[int] = 1,
         retry_policy: Optional["RetryPolicy"] = None,
         task_timeout: Optional[float] = None,
     ) -> None:
@@ -339,16 +340,18 @@ class ExperimentRunner:
 
         :meth:`resolve` memoises the memo and store hits up front; only
         the misses run, grouped by trace
-        (:meth:`~repro.experiments.parallel.TraceGroup.partition`).
-        With ``jobs<=1`` the groups run inline through
-        :meth:`run_group`, the body pool workers run, so serial and
-        parallel share one code path per group.  In pool
-        mode one task carries one trace's group, so each trace is
-        generated once per batch (a batch over fewer traces than
-        workers splits its groups so every worker gets work); each
-        group's runs are recorded *as the group arrives* (not after the
-        batch), so a sweep killed mid-flight has stored every finished
-        group.
+        (:meth:`~repro.experiments.parallel.TraceGroup.partition`), and
+        every batch goes through the one
+        :func:`~repro.experiments.parallel.run_tasks` supervisor, so
+        retries and the ``worker.*`` fault sites mean the same at every
+        ``jobs``.  A serial batch (``jobs<=1``, or a single group) runs
+        the groups inline through :meth:`run_group` (the body pool
+        workers run), which records each run itself.  In pool mode one
+        task carries one trace's group, so each trace is generated once
+        per batch (a batch over fewer traces than workers splits its
+        groups so every worker gets work); each group's runs are
+        recorded *as the group arrives* (not after the batch), so a
+        sweep killed mid-flight has stored every finished group.
         """
         jobs = self.jobs if jobs is None else jobs
         keys = [
@@ -363,18 +366,21 @@ class ExperimentRunner:
                 run_tasks,
             )
 
+            workers = default_jobs() if jobs is None else max(1, jobs)
             groups = TraceGroup.partition(
-                pending,
-                self.instructions,
-                min_tasks=default_jobs() if jobs is None else jobs,
+                pending, self.instructions, min_tasks=workers
             )
-            if jobs is not None and jobs <= 1:
-                for group in groups:
-                    self.run_group(group)
+            if workers <= 1 or len(groups) <= 1:
+                run_tasks(
+                    groups,
+                    jobs=1,
+                    task_fn=self.run_group,
+                    policy=self.retry_policy,
+                )
             else:
                 run_tasks(
                     groups,
-                    jobs=jobs,
+                    jobs=workers,
                     policy=self.retry_policy,
                     timeout=self.task_timeout,
                     on_result=self.record_group,

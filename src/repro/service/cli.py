@@ -15,10 +15,10 @@ import sys
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.cliargs import non_negative_int, positive_float, positive_int
+from repro.cliargs import non_negative_int, positive_float
 from repro.faults.retry import RetryPolicy
 from repro.obs import logutil
-from repro.service.fleet import DEFAULT_SHARD_SIZE, Fleet, LocalPoolBackend
+from repro.service.fleet import Fleet
 from repro.service.http import make_server
 from repro.service.store import ArtifactStore
 
@@ -50,13 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=non_negative_int,
         default=1,
-        help="worker processes per shard (0 = all cores)",
-    )
-    parser.add_argument(
-        "--shard-size",
-        type=positive_int,
-        default=DEFAULT_SHARD_SIZE,
-        help="trace groups (one task per trace) per dispatched shard",
+        help="worker processes per sweep (0 = all cores; default: 1)",
     )
     parser.add_argument(
         "--retries",
@@ -80,17 +74,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logutil.configure_from_args(args)
     obs.setup_cli("repro-serve", args)
     store = ArtifactStore(args.store)
-    backend = LocalPoolBackend(
+    fleet = Fleet(
+        store,
         jobs=None if args.jobs == 0 else args.jobs,
         retry_policy=RetryPolicy(attempts=1 + args.retries),
         task_timeout=args.task_timeout,
     )
-    fleet = Fleet(store, backend=backend, shard_size=args.shard_size)
     server = make_server(args.host, args.port, fleet)
     host, port = server.server_address[:2]
     print(
         f"[repro-serve listening on http://{host}:{port} "
-        f"store={store.root} backend={backend.describe()}]",
+        f"store={store.root} jobs={args.jobs or 'all'}]",
         flush=True,
     )
     try:

@@ -1,27 +1,19 @@
-"""Sharded sweep execution: decompose, dedupe, dispatch, render.
+"""Sweep execution for the service: the CLI's own sweep, stored.
 
 The fleet turns one queued sweep (``SweepParams``) into the exact output
-``repro-experiment`` would print, byte for byte, by splitting the work
-into the two halves the serving tier needs:
-
-1. **warm the runner** — decompose the experiment into its per-
-   trace×config run specs (the same cross products the figure/table
-   functions sweep), resolve them against the result store
-   (:meth:`~repro.experiments.runner.ExperimentRunner.resolve`: one
-   load per run, hits memoised), group the misses
-   per trace into :class:`~repro.experiments.parallel.TraceGroup` tasks
-   (one task per trace, so each trace is generated once per sweep and
-   its configs share one conversion), shard the groups into bounded
-   batches, and dispatch the shards through a pluggable
-   :class:`ExecutorBackend` (locally the PR-7 hardened
-   :func:`~repro.experiments.parallel.run_tasks` supervisor — retries,
-   timeouts, pool recovery, graceful degradation), recording each
-   group's runs in the runner and the store as it lands;
-2. **render from the warm runner** — call the *same*
-   :func:`repro.experiments.cli.run_experiment` the CLI calls, with the
-   same runner, so every internal sweep finds its runs in the memo and
-   the rendered text is identical to the direct path by construction
-   (the differential tests pin this).
+``repro-experiment`` would print, byte for byte, by doing what the CLI
+does: build one :class:`~repro.experiments.runner.ExperimentRunner`
+over the store's result cache and call the *same*
+:func:`repro.experiments.cli.run_experiment` with it.  Every figure and
+table issues its sweep as one
+:meth:`~repro.experiments.runner.ExperimentRunner.run_batch`, which
+resolves the runs against the store (one load per run), runs the misses
+per trace group through the hardened
+:func:`~repro.experiments.parallel.run_tasks` supervisor (retries,
+timeouts, pool recovery, graceful degradation) and records each run in
+the store as it lands.  The served text is therefore identical to the
+direct path by construction (the differential tests pin this), and an
+interrupted sweep keeps every run it stored.
 
 Rendered text is then persisted in the artifact store under the sweep's
 content fingerprint, so a repeat query skips even the rendering — the
@@ -33,34 +25,21 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.core.improvements import Improvement
-from repro.experiments.cache import CACHE_SCHEMA, ResultCache
+from repro.experiments.cache import CACHE_SCHEMA
 from repro.experiments.cli import run_experiment
-from repro.experiments.figures import FIGURE1_CONFIGS
-from repro.experiments.parallel import TraceGroup, default_jobs, run_tasks
-from repro.experiments.runner import ExperimentRunner, RunKey, RunResult, RunSpec
-from repro.experiments.tables import FIXED_TRACE_IMPROVEMENTS
+# Unused here: perfbench/tracing.py wraps run_tasks by name in this module.
+from repro.experiments.parallel import run_tasks  # noqa: F401
+from repro.experiments.runner import ExperimentRunner
 from repro.faults.retry import RetryPolicy
 from repro.service.store import ArtifactStore, artifact_key
-from repro.sim.config import SimConfig
-from repro.sim.prefetch.ipc1 import IPC1_PREFETCHERS
 
 #: The experiments the service accepts (the paper's figures and tables;
 #: ablations stay CLI-only for now).
 SERVICE_EXPERIMENTS: Tuple[str, ...] = (
     "fig1", "fig2", "fig3", "fig4", "fig5", "tab1", "tab2", "tab3",
 )
-
-#: Default trace groups per dispatched shard — small enough that a lost
-#: shard loses little work (every completed group checkpoints its runs
-#: to the store as it lands anyway), large enough to amortise pool
-#: startup.
-DEFAULT_SHARD_SIZE = 64
-
-#: Progress callback: ``(done_runs, total_runs)`` after each shard.
-ProgressFn = Callable[[int, int], None]
 
 
 def _positive_int(value: Any) -> bool:
@@ -133,126 +112,6 @@ class SweepParams:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def runner(self, cache: Optional[ResultCache] = None) -> ExperimentRunner:
-        """A serial runner over ``cache`` with these sampling params."""
-        return ExperimentRunner(
-            instructions=self.instructions,
-            limit=self.limit,
-            stride=self.stride,
-            cache=cache,
-            jobs=1,
-        )
-
-
-def sweep_specs(experiment: str, runner: ExperimentRunner) -> List[RunSpec]:
-    """The per-trace×config runs ``experiment`` will request.
-
-    Mirrors the sweeps inside :mod:`repro.experiments.figures` and
-    :mod:`~repro.experiments.tables` — the fleet warms exactly these
-    keys so the later render is all cache hits.  ``tab1`` is
-    conversion-only (no simulations) and decomposes to nothing.
-    """
-    public = runner.public_trace_names()
-    ipc1 = runner.ipc1_trace_names()
-    figure1_imps = [Improvement.NONE] + [imp for _, imp in FIGURE1_CONFIGS]
-    if experiment in ("fig1", "fig2"):
-        return [(name, imp, None) for imp in figure1_imps for name in public]
-    if experiment == "fig3":
-        imps = [Improvement.NONE, Improvement.BRANCH_REGS, Improvement.FLAG_REG]
-        return [(name, imp, None) for imp in imps for name in public]
-    if experiment == "fig4":
-        imps = [Improvement.NONE, Improvement.BASE_UPDATE]
-        return [(name, imp, None) for imp in imps for name in public]
-    if experiment == "fig5":
-        imps = [Improvement.NONE, Improvement.CALL_STACK]
-        return [(name, imp, None) for imp in imps for name in public]
-    if experiment == "tab1":
-        return []
-    if experiment == "tab2":
-        imps = [Improvement.ALL, Improvement.NONE]
-        return [(name, imp, None) for imp in imps for name in ipc1]
-    if experiment == "tab3":
-        configs = [SimConfig.ipc1()] + [
-            SimConfig.ipc1(l1i_prefetcher=p) for p in IPC1_PREFETCHERS
-        ]
-        return [
-            (name, imp, config)
-            for imp in (Improvement.NONE, FIXED_TRACE_IMPROVEMENTS)
-            for config in configs
-            for name in ipc1
-        ]
-    raise ValueError(f"unknown experiment {experiment!r}")
-
-
-def shard_tasks(
-    tasks: List[TraceGroup], shard_size: int
-) -> List[List[TraceGroup]]:
-    """Split ``tasks`` into order-preserving shards of ``shard_size``."""
-    if shard_size <= 0:
-        raise ValueError(f"shard_size must be positive, got {shard_size}")
-    return [
-        tasks[start:start + shard_size]
-        for start in range(0, len(tasks), shard_size)
-    ]
-
-
-class ExecutorBackend:
-    """Where shards run.  The local backend is a process pool; the
-    interface is sized so a multi-machine dispatcher (same ``run``
-    contract, remote workers) slots in without touching the fleet."""
-
-    def run(
-        self,
-        tasks: List[TraceGroup],
-        on_result: Callable[[int, TraceGroup, List[RunResult]], None],
-    ) -> List[List[RunResult]]:
-        """Execute ``tasks``; per-group result lists in task order.
-
-        ``on_result(index, task, results)`` fires as each group lands
-        (the fleet checkpoints its runs to the store immediately, so a
-        shard lost mid-flight keeps every group that finished).
-        """
-        raise NotImplementedError
-
-    def workers(self) -> int:
-        """Tasks the backend runs at once; a sweep over fewer traces
-        splits its trace groups to fill them."""
-        return 1
-
-
-class LocalPoolBackend(ExecutorBackend):
-    """Shards on this machine via the hardened PR-7 pool supervisor."""
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        task_timeout: Optional[float] = None,
-    ) -> None:
-        self.jobs = jobs
-        self.retry_policy = retry_policy
-        self.task_timeout = task_timeout
-
-    def run(
-        self,
-        tasks: List[TraceGroup],
-        on_result: Callable[[int, TraceGroup, List[RunResult]], None],
-    ) -> List[List[RunResult]]:
-        return run_tasks(
-            tasks,
-            jobs=self.jobs,
-            policy=self.retry_policy,
-            timeout=self.task_timeout,
-            on_result=on_result,
-        )
-
-    def workers(self) -> int:
-        return default_jobs() if self.jobs is None else max(1, self.jobs)
-
-    def describe(self) -> str:
-        jobs = self.jobs if self.jobs is not None else "all"
-        return f"local-pool jobs={jobs}"
-
 
 @dataclass
 class FleetOutcome:
@@ -266,10 +125,6 @@ class FleetOutcome:
     simulations: int
     #: Distinct runs resolved from the store without simulating.
     cache_hits: int
-    #: Run specs dispatched to the backend.
-    dispatched: int
-    #: Shards the dispatch was split into.
-    shards: int
     #: True when the rendered artifact itself was already stored.
     warm_artifact: bool
 
@@ -281,8 +136,6 @@ class FleetOutcome:
             "artifact_key": self.artifact_key,
             "simulations": self.simulations,
             "cache_hits": self.cache_hits,
-            "dispatched": self.dispatched,
-            "shards": self.shards,
             "warm_artifact": self.warm_artifact,
         }
 
@@ -292,29 +145,30 @@ class Fleet:
 
     Args:
         store: The artifact store shared with the one-shot CLIs.
-        backend: Shard executor (defaults to a serial-friendly local
-            pool backend).
-        shard_size: Trace groups per dispatched shard.
+        jobs: Worker processes per sweep (1 = serial, ``None`` = all
+            cores), as ``repro-experiment --jobs``.
+        retry_policy: Task retries for every sweep (``None`` = the
+            default: two attempts, no backoff).
+        task_timeout: Per-task wall-clock bound (seconds) in pool
+            sweeps; ``None`` disables it.
 
     A sweep interrupted mid-flight keeps every run it stored; executing
-    it again resolves those from the store and dispatches only the rest.
+    it again resolves those from the store and simulates only the rest.
     """
 
     def __init__(
         self,
         store: ArtifactStore,
-        backend: Optional[ExecutorBackend] = None,
-        shard_size: int = DEFAULT_SHARD_SIZE,
+        jobs: Optional[int] = 1,
+        retry_policy: Optional[RetryPolicy] = None,
+        task_timeout: Optional[float] = None,
     ) -> None:
         self.store = store
-        self.backend = backend if backend is not None else LocalPoolBackend(jobs=1)
-        self.shard_size = shard_size
+        self.jobs = jobs
+        self.retry_policy = retry_policy
+        self.task_timeout = task_timeout
 
-    def execute(
-        self,
-        params: SweepParams,
-        progress: Optional[ProgressFn] = None,
-    ) -> FleetOutcome:
+    def execute(self, params: SweepParams) -> FleetOutcome:
         """Run one sweep to a rendered artifact (the job body).
 
         Raises what the supervisor raises —
@@ -334,29 +188,26 @@ class Fleet:
                 artifact_key=key,
                 simulations=0,
                 cache_hits=0,
-                dispatched=0,
-                shards=0,
                 warm_artifact=True,
             )
 
         cache = self.store.result_cache()
-        runner = params.runner(cache=cache)
+        runner = ExperimentRunner(
+            instructions=params.instructions,
+            limit=params.limit,
+            stride=params.stride,
+            cache=cache,
+            jobs=self.jobs,
+            retry_policy=self.retry_policy,
+            task_timeout=self.task_timeout,
+        )
         with obs.span(
             "service.sweep",
             experiment=params.experiment,
             instructions=params.instructions,
         ) as sweep_span:
-            pending = runner.resolve(sweep_specs(params.experiment, runner))
-            cache_hits = cache.hits
-            shards = self._dispatch(params, pending, runner, progress)
-            # Render with the exact function the CLI uses, over the
-            # runner that now holds every run: byte-identical output by
-            # construction.
             text = run_experiment(params.experiment, runner)
-            sweep_span.set(
-                dispatched=len(pending), cache_hits=cache_hits,
-                render_simulations=runner.simulations - len(pending),
-            )
+            sweep_span.set(simulations=runner.simulations, cache_hits=cache.hits)
         artifacts.store(
             key,
             {
@@ -370,31 +221,6 @@ class Fleet:
             text=text,
             artifact_key=key,
             simulations=runner.simulations,
-            cache_hits=cache_hits,
-            dispatched=len(pending),
-            shards=shards,
+            cache_hits=cache.hits,
             warm_artifact=False,
         )
-
-    def _dispatch(
-        self,
-        params: SweepParams,
-        pending: List[RunKey],
-        runner: ExperimentRunner,
-        progress: Optional[ProgressFn],
-    ) -> int:
-        """Run the misses per trace group, shard by shard, recording each
-        group's runs as the group lands; the number of shards."""
-        if not pending:
-            return 0
-        groups = TraceGroup.partition(
-            pending, params.instructions, min_tasks=self.backend.workers()
-        )
-        shards = shard_tasks(groups, self.shard_size)
-        done = 0
-        for shard in shards:
-            self.backend.run(shard, on_result=runner.record_group)
-            done += sum(len(group.runs) for group in shard)
-            if progress is not None:
-                progress(done, len(pending))
-        return len(shards)

@@ -17,11 +17,12 @@ Routes::
 
 Figure/table GETs take the sweep parameters as query string
 (``?instructions=12000&stride=3&limit=2``) and execute
-synchronously — a cold request simulates (through the fleet, sharded),
-a warm one serves the stored artifact with zero simulations.  The
-response carries ``X-Repro-Simulations`` (how many simulations the
-request performed) and ``X-Repro-Artifact`` (the artifact key) so
-clients and the CI smoke test can assert warmth without parsing bodies.
+synchronously — a cold request runs the sweep (through the fleet, as
+``repro-experiment`` would), a warm one serves the stored artifact
+with zero simulations.  The response carries ``X-Repro-Simulations``
+(how many simulations the request performed) and ``X-Repro-Artifact``
+(the artifact key) so clients and the CI smoke test can assert warmth
+without parsing bodies.
 """
 
 from __future__ import annotations

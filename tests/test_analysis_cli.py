@@ -94,6 +94,15 @@ def test_lint_missing_file_fails(tmp_path, capsys):
     assert code == 2
 
 
+def test_lint_truncated_gzip_is_one_line_exit_2(tmp_path, capsys):
+    truncated = tmp_path / "t.cvp.gz"
+    truncated.write_bytes(Path(GOLDEN_FILES[0]).read_bytes()[:30])
+    assert run_lint([str(truncated)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro-lint: {truncated}: Compressed file ended")
+    assert err.count("\n") == 1
+
+
 def test_lint_no_traces_fails(tmp_path, capsys):
     assert lint_cli.main([]) == 2
 

@@ -70,6 +70,24 @@ def test_register_zero_rejected():
         ChampSimInstr(ip=1, src_regs=(0,))
 
 
+def test_ip_outside_64_bits_rejected():
+    ChampSimInstr(ip=0)
+    ChampSimInstr(ip=(1 << 64) - 1)
+    for ip in (1 << 64, 1 << 70, -1):
+        with pytest.raises(ChampSimTraceError):
+            ChampSimInstr(ip=ip)
+
+
+def test_memory_address_zero_or_outside_64_bits_rejected():
+    # 0 is the empty-slot sentinel: a record cannot carry it as an address.
+    ChampSimInstr(ip=1, src_mem=(1,), dst_mem=((1 << 64) - 1,))
+    for address in (0, 1 << 64, -1):
+        with pytest.raises(ChampSimTraceError):
+            ChampSimInstr(ip=1, src_mem=(address,))
+        with pytest.raises(ChampSimTraceError):
+            ChampSimInstr(ip=1, dst_mem=(0x40, address))
+
+
 def test_load_store_classification():
     assert ChampSimInstr(ip=1, src_mem=(0x40,)).is_load
     assert ChampSimInstr(ip=1, dst_mem=(0x40,)).is_store

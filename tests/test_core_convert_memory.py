@@ -1,6 +1,7 @@
 """Converter tests for memory handling (paper Section 3.1)."""
 
 from repro.champsim.regs import REG_FORGED_X0, champsim_reg
+from repro.champsim.trace import encode_instr
 from repro.core.convert import Converter, convert_trace
 from repro.core.improvements import Improvement
 
@@ -188,6 +189,32 @@ def test_mem_footprint_aligned_dc_zva_not_counted():
     instr = converter.convert_record(record)[0]
     assert instr.dst_mem == (0x2000,)
     assert converter.stats.dc_zva_aligned == 0
+
+
+def test_access_to_address_zero_is_not_emitted():
+    # Address 0 is ChampSim's empty-slot sentinel, so the access cannot be
+    # carried; a second touched line still is.  The block converter's
+    # bytes agree with the per-record output.
+    plain = load(address=0)
+    crossing = load(address=0, size=64, dsts=(1, 2), srcs=(3,))
+    for improvements, record, expected in (
+        (Improvement.NONE, plain, ()),
+        (Improvement.MEM_FOOTPRINT, plain, ()),
+        (Improvement.MEM_FOOTPRINT, crossing, (0x40,)),
+    ):
+        instr = Converter(improvements).convert_record(record)[0]
+        assert instr.src_mem == expected
+        block = b"".join(Converter(improvements).convert_to_bytes([record]))
+        assert block == encode_instr(instr)
+
+
+def test_base_update_micro_op_ip_wraps_like_the_block_converter():
+    # PC+2 past 2**64 cannot be carried by a record; both converters wrap.
+    record = post_index_ldr(pc=(1 << 64) - 2)
+    instrs = Converter(Improvement.BASE_UPDATE).convert_record(record)
+    assert [instr.ip for instr in instrs] == [(1 << 64) - 2, 0]
+    block = b"".join(Converter(Improvement.BASE_UPDATE).convert_to_bytes([record]))
+    assert block == b"".join(encode_instr(instr) for instr in instrs)
 
 
 # ------------------------------------------------------------- bookkeeping

@@ -51,6 +51,16 @@ def test_cli_convert(cvp_file, tmp_path, capsys):
     assert "records in" in captured.out
 
 
+def test_cli_truncated_gzip_is_one_line_exit_2(cvp_file, tmp_path, capsys):
+    truncated = tmp_path / "t.cvp.gz"
+    truncated.write_bytes(cvp_file.read_bytes()[:30])
+    rc = convert_main(["-t", str(truncated), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro-convert: {truncated}: Compressed file ended")
+    assert err.count("\n") == 1
+
+
 def test_cli_rejects_unknown_improvement(cvp_file, tmp_path):
     rc = convert_main(
         ["-t", str(cvp_file), "-i", "imp_nope", "-o", str(tmp_path / "x")]

@@ -89,7 +89,7 @@ def test_interrupted_serial_batch_resumes_from_the_store(tmp_path, expected):
         return execute(*key)
 
     interrupted._execute = dies_on_fourth_run
-    with pytest.raises(RuntimeError, match="killed"):
+    with pytest.raises(TaskFailure, match="killed"):
         interrupted.run_batch(SPECS, jobs=1)
     assert interrupted.cache.stores == 3
 

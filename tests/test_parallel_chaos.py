@@ -19,6 +19,11 @@ quarantine) is the guaranteed outcome.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import faults
@@ -227,3 +232,48 @@ def test_chaos_run_emits_fault_and_task_events(tmp_path):
     }
     assert "fault.injected" in kinds
     assert "task.retry" in kinds
+
+
+# ----------------------------------------------------------------------
+# the serial CLI goes through the same supervisor
+# ----------------------------------------------------------------------
+
+
+def _serial_fig1(plan, *flags):
+    """``repro-experiment fig1 --jobs 1`` under ``REPRO_FAULTS=plan``."""
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")
+    )
+    env.pop("REPRO_FAULTS", None)
+    env.pop("REPRO_FAULTS_PID", None)
+    if plan is not None:
+        env["REPRO_FAULTS"] = plan
+    return subprocess.run(
+        [sys.executable, "-m", "repro.experiments.cli", "fig1", "--stride",
+         "27", "--instructions", "500", "--no-cache", "--jobs", "1", *flags],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def _without_timing(stdout):
+    return [line for line in stdout.splitlines() if " took " not in line]
+
+
+def test_serial_cli_honours_retries():
+    """At ``--jobs 1`` a worker exception is quarantined without retries
+    and absorbed by one retry, exactly as in a pool sweep."""
+    fault_free = _serial_fig1(None)
+    assert fault_free.returncode == 0, fault_free.stderr
+
+    failed = _serial_fig1("worker.exc:count=1", "--retries", "0")
+    assert failed.returncode == 1, failed.stdout
+    assert "quarantined task" in failed.stderr
+    assert "injected transient worker exception" in failed.stderr
+
+    recovered = _serial_fig1("worker.exc:count=1", "--retries", "1")
+    assert recovered.returncode == 0, recovered.stderr
+    assert "[simulations=" in recovered.stdout
+    assert _without_timing(recovered.stdout) == _without_timing(fault_free.stdout)

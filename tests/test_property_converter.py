@@ -98,14 +98,19 @@ def test_memory_direction_preserved(record, improvements):
         for instr in converter.convert_record(record)
         if instr.src_mem or instr.dst_mem
     ]
-    if record.is_load:
+    if record.is_memory and not record.mem_address:
+        # Address 0 is ChampSim's empty-slot sentinel: the access itself
+        # cannot be carried, so at most a second touched line remains.
+        assert len(memory_uops) <= 1
+    elif record.is_memory:
         assert len(memory_uops) == 1
-        assert memory_uops[0].src_mem and not memory_uops[0].dst_mem
-    elif record.is_store:
-        assert len(memory_uops) == 1
-        assert memory_uops[0].dst_mem and not memory_uops[0].src_mem
     else:
         assert not memory_uops
+    for uop in memory_uops:
+        if record.is_load:
+            assert uop.src_mem and not uop.dst_mem
+        else:
+            assert uop.dst_mem and not uop.src_mem
 
 
 @given(record=cvp_records())

@@ -9,15 +9,10 @@ fleet counters, not by timing).
 
 import pytest
 
+from repro.experiments import parallel
 from repro.experiments.cli import run_experiment
 from repro.experiments.runner import ExperimentRunner
-from repro.service.fleet import (
-    Fleet,
-    LocalPoolBackend,
-    SweepParams,
-    shard_tasks,
-    sweep_specs,
-)
+from repro.service.fleet import Fleet, SweepParams
 from repro.service.store import ArtifactStore
 
 #: Tiny sampling: every experiment in milliseconds, still real sweeps.
@@ -45,9 +40,17 @@ def _direct(experiment):
     return run_experiment(experiment, runner), runner.simulations
 
 
-@pytest.mark.parametrize("experiment", GOLDEN)
-def test_service_is_byte_identical_to_direct_path(experiment, tmp_path):
-    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+@pytest.mark.parametrize(
+    "experiment, jobs",
+    # The serial cases keep their plain experiment ids.
+    [
+        pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs{jobs}")
+        for jobs in (1, 2)
+        for name in GOLDEN
+    ],
+)
+def test_service_is_byte_identical_to_direct_path(experiment, jobs, tmp_path):
+    fleet = Fleet(ArtifactStore(tmp_path), jobs=jobs)
     served = fleet.execute(_params(experiment))
     direct_text, direct_simulations = _direct(experiment)
     assert served.text == direct_text
@@ -65,7 +68,7 @@ def test_result_cache_warmth_survives_artifact_invalidation(tmp_path):
     """With the rendered artifact gone, the render still simulates
     nothing — every run resolves from the result cache."""
     store = ArtifactStore(tmp_path)
-    fleet = Fleet(store, backend=LocalPoolBackend(jobs=1))
+    fleet = Fleet(store)
     params = _params("fig3")
     first = fleet.execute(params)
     assert first.simulations > 0
@@ -93,66 +96,37 @@ def test_served_sweep_reads_each_run_once(tmp_path, monkeypatch):
         return load(self, key, *args, **kwargs)
 
     monkeypatch.setattr(BlobStore, "load", counting_load)
-    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    fleet = Fleet(ArtifactStore(tmp_path))
     cold = fleet.execute(_params("fig1"))
-    assert (cold.simulations, cold.cache_hits) == (cold.dispatched, 0)
-    assert len(loads) == len(set(loads)) == cold.dispatched > 0
+    assert cold.cache_hits == 0
+    assert len(loads) == len(set(loads)) == cold.simulations > 0
 
     loads.clear()
     rerender = fleet.execute(_params("fig2"))  # same runs, new artifact
-    assert (rerender.simulations, rerender.dispatched) == (0, 0)
-    assert len(loads) == len(set(loads)) == rerender.cache_hits == cold.dispatched
+    assert rerender.simulations == 0
+    assert len(loads) == len(set(loads)) == rerender.cache_hits == cold.simulations
 
 
 def test_store_warmth_survives_fleet_restart(tmp_path):
     """A new fleet over the same root (a service restart) is warm."""
-    first = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    first = Fleet(ArtifactStore(tmp_path))
     cold = first.execute(_params("fig4"))
     assert cold.simulations > 0
-    second = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    second = Fleet(ArtifactStore(tmp_path))
     warm = second.execute(_params("fig4"))
     assert warm.simulations == 0
     assert warm.text == cold.text
 
 
-def test_sweep_specs_cover_every_render_need(tmp_path):
-    """Rendering after a fleet warm-up never simulates: the decomposed
-    spec list covers every run the figure/table functions request."""
-    for experiment in GOLDEN:
-        fleet = Fleet(
-            ArtifactStore(tmp_path / experiment),
-            backend=LocalPoolBackend(jobs=1),
-        )
-        outcome = fleet.execute(_params(experiment))
-        # dispatched tasks account for every simulation; the render
-        # itself found everything in the store.
-        assert outcome.simulations == outcome.dispatched
-
-
-def test_shard_tasks_partitions_in_order():
-    tasks = list(range(10))
-    shards = shard_tasks(tasks, 4)
-    assert shards == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-    assert shard_tasks([], 4) == []
-    with pytest.raises(ValueError):
-        shard_tasks(tasks, 0)
-
-
-def test_sharded_dispatch_matches_unsharded(tmp_path):
-    """Shard size must not perturb results (same store contents)."""
-    coarse = Fleet(
-        ArtifactStore(tmp_path / "coarse"),
-        backend=LocalPoolBackend(jobs=1),
-        shard_size=1000,
-    ).execute(_params("fig3"))
-    fine = Fleet(
-        ArtifactStore(tmp_path / "fine"),
-        backend=LocalPoolBackend(jobs=1),
-        shard_size=1,  # one trace group per shard
-    ).execute(_params("fig3"))
-    assert fine.text == coarse.text
-    assert fine.dispatched == coarse.dispatched
-    assert fine.shards > coarse.shards
+def test_serial_fleet_keeps_no_worker_runner(tmp_path, monkeypatch):
+    """A serial sweep runs its groups on the sweep's own runner: the
+    server process never builds (and never keeps) a pool-worker runner
+    with its generated traces."""
+    monkeypatch.setattr(parallel, "_WORKER_RUNNERS", {})
+    fleet = Fleet(ArtifactStore(tmp_path), jobs=1)
+    outcomes = [fleet.execute(_params(name)) for name in ("fig1", "fig4", "tab2")]
+    assert outcomes[0].simulations > 0 and outcomes[2].simulations > 0
+    assert parallel._WORKER_RUNNERS == {}
 
 
 def test_sweep_params_fingerprint_distinguishes_inputs():
@@ -165,12 +139,3 @@ def test_sweep_params_fingerprint_distinguishes_inputs():
         SweepParams("fig1", INSTRUCTIONS, STRIDE, None),
     ):
         assert other.key() != base.key()
-
-
-def test_sweep_specs_tab1_is_conversion_only():
-    runner = ExperimentRunner(
-        instructions=INSTRUCTIONS, stride=STRIDE, limit=LIMIT, jobs=1
-    )
-    assert sweep_specs("tab1", runner) == []
-    with pytest.raises(ValueError):
-        sweep_specs("fig9", runner)

@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError as ClientError
-from repro.service.fleet import Fleet, LocalPoolBackend
+from repro.service.fleet import Fleet
 from repro.service.http import (
     MAX_BODY_BYTES,
     ExperimentService,
@@ -32,7 +32,7 @@ TINY = {"experiment": "fig3", "instructions": 800, "stride": 27}
 def service(tmp_path):
     """A service whose worker thread is NOT running — submissions stay
     queued, so dedup and state assertions cannot race."""
-    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    fleet = Fleet(ArtifactStore(tmp_path))
     svc = ExperimentService(fleet, start_worker=False)
     yield svc
     svc.queue.close()
@@ -162,7 +162,6 @@ def test_body_length_accepts_plain_lengths():
 @pytest.mark.parametrize(
     "flag, value",
     [
-        ("--shard-size", "0"),
         ("--jobs", "-2"),
         ("--retries", "-4"),
         ("--task-timeout", "-1"),
@@ -281,7 +280,7 @@ def test_queue_close_unblocks_take():
 
 
 def test_server_round_trip(tmp_path):
-    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    fleet = Fleet(ArtifactStore(tmp_path))
     server = make_server("127.0.0.1", 0, fleet)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -346,7 +345,7 @@ def _raw_post(port, length_header, body=b""):
     ids=["missing", "negative", "non-integer", "huge", "just-over"],
 )
 def test_raw_socket_bad_content_length_is_answered_unread(tmp_path, length, status):
-    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    fleet = Fleet(ArtifactStore(tmp_path))
     server = make_server("127.0.0.1", 0, fleet, start_worker=False)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -365,7 +364,7 @@ def test_raw_socket_bad_content_length_is_answered_unread(tmp_path, length, stat
 
 
 def test_raw_socket_valid_length_still_submits(tmp_path):
-    fleet = Fleet(ArtifactStore(tmp_path), backend=LocalPoolBackend(jobs=1))
+    fleet = Fleet(ArtifactStore(tmp_path))
     server = make_server("127.0.0.1", 0, fleet, start_worker=False)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
