@@ -102,6 +102,8 @@ class ConversionStats:
     base_updates_split: int = 0
     #: ... of which pre-indexing (ALU first).
     pre_index_splits: int = 0
+    #: ... of which loads (Figure 4's x-axis is these over ``records_in``).
+    load_base_update_splits: int = 0
     #: Accesses that received a second cacheline address (MEM_FOOTPRINT).
     two_line_accesses: int = 0
     #: DC ZVA stores whose address was aligned (MEM_FOOTPRINT).
@@ -454,6 +456,8 @@ class Converter:
         pre_index = info.mode is AddressingMode.PRE_INDEX
         if pre_index:
             self.stats.pre_index_splits += 1
+        if record.is_load:
+            self.stats.load_base_update_splits += 1
         # A 64-bit record field: PC+2 wraps, as the block converter packs it.
         next_ip = (record.pc + 2) & ((1 << 64) - 1)
         alu_ip = record.pc if pre_index else next_ip

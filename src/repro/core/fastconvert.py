@@ -204,6 +204,7 @@ class BlockConverter:
         branch_counts: Dict[object, int] = {}
         base_updates_split = 0
         pre_index_splits = 0
+        load_base_update_splits = 0
         two_line_accesses = 0
         dc_zva_aligned = 0
 
@@ -309,6 +310,8 @@ class BlockConverter:
 
                 if split:
                     base_updates_split += 1
+                    if cls_value == _LOAD:
+                        load_base_update_splits += 1
                     base = champsim_reg(info.base_reg)
                     if info.mode is AddressingMode.PRE_INDEX:
                         pre_index_splits += 1
@@ -380,6 +383,7 @@ class BlockConverter:
             )
         stats.base_updates_split += base_updates_split
         stats.pre_index_splits += pre_index_splits
+        stats.load_base_update_splits += load_base_update_splits
         stats.two_line_accesses += two_line_accesses
         stats.dc_zva_aligned += dc_zva_aligned
 

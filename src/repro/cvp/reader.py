@@ -11,10 +11,10 @@ before* the record executed.
 from __future__ import annotations
 
 import gzip
+import itertools
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, List, Optional, Union
 
-from repro.cvp.encoding import decode_record
 from repro.cvp.isa import NUM_REGISTERS
 from repro.cvp.record import CvpRecord
 
@@ -58,7 +58,7 @@ class CvpTraceReader:
     file-like object, or an in-memory iterable of already-decoded records
     (useful to run the converter without touching disk).
 
-    With ``salvage=True``, block iteration over a stream tolerates a
+    With ``salvage=True``, iteration over a stream tolerates a
     truncated final record: the complete leading records are yielded, a
     warning is logged, and :attr:`salvage_info` records the byte offset
     and trailing-byte count of the dropped fragment (empty when the
@@ -93,26 +93,23 @@ class CvpTraceReader:
 
     @property
     def records_read(self) -> int:
-        """Number of records yielded so far."""
+        """Number of records iteration has yielded so far."""
         return self._count
 
     def __iter__(self) -> Iterator[CvpRecord]:
         return self
 
     def __next__(self) -> CvpRecord:
-        if self._records is not None:
-            record = next(self._records)
-        else:
-            assert self._stream is not None
-            maybe = decode_record(self._stream)
-            if maybe is None:
-                raise StopIteration
-            record = maybe
+        if self._records is None:
+            # A stream is read through the block decoder, as every
+            # production read is (with its byte-offset truncation error).
+            self._records = itertools.chain.from_iterable(self.blocks())
+        record = next(self._records)
         self._count += 1
         return record
 
     def blocks(self, block_size: Optional[int] = None) -> Iterator[List[CvpRecord]]:
-        """Yield records in lists of up to ``block_size`` (the fast path).
+        """Records in lists of up to ``block_size`` (the fast path).
 
         Streams large buffered reads through
         :mod:`repro.cvp.blockio` instead of decoding record-at-a-time;
@@ -125,29 +122,18 @@ class CvpTraceReader:
 
         if block_size is None:
             block_size = DEFAULT_BLOCK_SIZE
+        if block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {block_size}")
         if self._records is not None:
-            if block_size < 1:
-                raise ValueError(f"block_size must be >= 1, got {block_size}")
-            block: List[CvpRecord] = []
-            for record in self._records:
-                block.append(record)
-                if len(block) >= block_size:
-                    self._count += len(block)
-                    yield block
-                    block = []
-            if block:
-                self._count += len(block)
-                yield block
-            return
+            records = self._records
+            return iter(lambda: list(itertools.islice(records, block_size)), [])
         assert self._stream is not None
-        for block in iter_record_blocks(
+        return iter_record_blocks(
             self._stream,
             block_size,
             salvage=self.salvage,
             salvage_info=self.salvage_info,
-        ):
-            self._count += len(block)
-            yield block
+        )
 
     def commit(self, record: CvpRecord) -> None:
         """Fold ``record``'s output values into :attr:`registers`."""

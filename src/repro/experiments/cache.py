@@ -72,7 +72,8 @@ __all__ = [
 #: become unreadable (treated as misses) rather than misdecoded.
 #: 2: entries carry a ``digest`` field (SHA-256 of the canonical result
 #: payload) verified on load.
-CACHE_SCHEMA = 2
+#: 3: ``ConversionStats`` carries ``load_base_update_splits``.
+CACHE_SCHEMA = 3
 
 #: SimStats/ConversionStats dict fields keyed by BranchType.
 _BRANCH_KEYED_FIELDS = frozenset(

@@ -127,21 +127,26 @@ def figure4(runner: ExperimentRunner) -> List[Figure4Row]:
     """Figure 4: base-update speedup vs base-update-load fraction.
 
     Sorted by increasing fraction of loads performing base update
-    (relative to all instructions), the paper's x-axis.  Speedup is
-    ``IPC_base-update / IPC_orig``.
+    (relative to all instructions), the paper's x-axis: the loads the
+    ``BASE_UPDATE`` conversion split, over the records it read, both
+    stored with the run.  Speedup is ``IPC_base-update / IPC_orig``.
     """
     names = runner.public_trace_names()
     runner.sweep(names, [Improvement.NONE, Improvement.BASE_UPDATE])
     rows: List[Figure4Row] = []
     for name in names:
-        ch = runner.characterization(name)
         base = runner.run(name, Improvement.NONE).stats
-        upd = runner.run(name, Improvement.BASE_UPDATE).stats
+        upd = runner.run(name, Improvement.BASE_UPDATE)
+        conversion = upd.conversion
         rows.append(
             Figure4Row(
                 trace=name,
-                base_update_load_fraction=ch.base_update_load_fraction,
-                speedup=upd.ipc / base.ipc if base.ipc else 1.0,
+                base_update_load_fraction=(
+                    conversion.load_base_update_splits / conversion.records_in
+                    if conversion.records_in
+                    else 0.0
+                ),
+                speedup=upd.stats.ipc / base.ipc if base.ipc else 1.0,
             )
         )
     rows.sort(key=lambda r: r.base_update_load_fraction)

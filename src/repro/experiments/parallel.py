@@ -226,24 +226,16 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-#: Per-process runner pool, keyed by instruction budget (workers are
-#: reused across tasks; the runner memoises trace generation).
-_WORKER_RUNNERS: Dict[int, Any] = {}
-
-
 def execute_task(task: TraceGroup) -> List[Any]:
     """Run one trace group in the current process (the worker entry point).
 
-    Returns the group's ``RunResult`` list, in ``runs`` order.  Uses a
-    process-local :class:`ExperimentRunner` per instruction budget.
+    Returns the group's ``RunResult`` list, in ``runs`` order, from a
+    fresh :class:`ExperimentRunner`: a group carries every run of its
+    trace in the batch, so nothing is worth keeping between tasks.
     """
     from repro.experiments.runner import ExperimentRunner
 
-    runner = _WORKER_RUNNERS.get(task.instructions)
-    if runner is None:
-        runner = ExperimentRunner(instructions=task.instructions)
-        _WORKER_RUNNERS[task.instructions] = runner
-    return runner.run_group(task)
+    return ExperimentRunner(instructions=task.instructions).run_group(task)
 
 
 def _guarded(

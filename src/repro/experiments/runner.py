@@ -14,6 +14,9 @@ turns them into engine columns without per-instruction objects, and
 them.  A single-slot conversion memo lets every config simulated over
 one (trace, improvements) conversion share its columns — and with them
 the columns' component-plan cache — so batches run grouped by trace.
+The trace is a single slot too, and both are released after each trace
+group, so a runner holds one trace at a time; renders read only stored
+runs (Figure 4 and Table 1 read their ``ConversionStats``).
 The per-record :meth:`~repro.core.convert.Converter.convert` and the
 scalar engine survive only as test oracles.
 
@@ -38,7 +41,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.champsim.branch_info import BranchRules
 from repro.core.convert import ConversionStats, Converter
 from repro.core.improvements import Improvement
-from repro.cvp.analysis import TraceCharacterization, characterize
 from repro.cvp.record import CvpRecord
 from repro.sim.config import SimConfig
 from repro.sim.decoded import DecodedColumns
@@ -124,8 +126,9 @@ class ExperimentRunner:
         #: (cache/memo hits do not count) — the warm-sweep assertions key
         #: off this staying at zero.
         self.simulations = 0
-        self._traces: Dict[str, List[CvpRecord]] = {}
-        self._characterizations: Dict[str, TraceCharacterization] = {}
+        #: Single-slot trace memo, released after each group: every
+        #: experiment batches before it reads, so no trace is needed twice.
+        self._trace: Optional[Tuple[str, List[CvpRecord]]] = None
         #: Memo keyed by the *full* config identity (the frozen SimConfig
         #: itself), not just (config.name, l1i_prefetcher): two configs
         #: sharing a name but differing in any field must not alias.
@@ -159,16 +162,18 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
 
     def trace(self, name: str) -> List[CvpRecord]:
-        """The CVP-1 records for ``name`` (generated once)."""
-        if name not in self._traces:
-            from repro import obs
+        """The CVP-1 records for ``name`` (generated once per group)."""
+        memo = self._trace
+        if memo is not None and memo[0] == name:
+            return memo[1]
+        self._trace = None
+        from repro import obs
 
-            generator_name = IPC1_TO_CVP1.get(name, name)
-            with obs.span(
-                "synth.generate", trace=name, instructions=self.instructions
-            ):
-                self._traces[name] = make_trace(generator_name, self.instructions)
-        return self._traces[name]
+        generator_name = IPC1_TO_CVP1.get(name, name)
+        with obs.span("synth.generate", trace=name, instructions=self.instructions):
+            records = make_trace(generator_name, self.instructions)
+        self._trace = (name, records)
+        return records
 
     def conversion(self, name: str, improvements: Improvement) -> Conversion:
         """Columns, branch rules and stats of converting ``name``.
@@ -197,12 +202,6 @@ class ExperimentRunner:
         conversion = (columns, rules, converter.stats)
         self._conversion = ((name, improvements), conversion)
         return conversion
-
-    def characterization(self, name: str) -> TraceCharacterization:
-        """Structural characterisation of the CVP-1 trace."""
-        if name not in self._characterizations:
-            self._characterizations[name] = characterize(self.trace(name))
-        return self._characterizations[name]
 
     def _normalize_config(self, config: Optional[SimConfig]) -> SimConfig:
         """Default to ``SimConfig.main()``."""
@@ -285,9 +284,10 @@ class ExperimentRunner:
 
     def run_group(self, group: "TraceGroup") -> List[RunResult]:
         """Run and record one trace group's unmemoised runs in order,
-        then release the conversion memo: no later group converts the
-        same trace, so its columns are dead weight.  The store is not
-        probed again: groups hold runs :meth:`resolve` already missed."""
+        then release the trace and conversion memos: no later group
+        converts the same trace, so its records and columns are dead
+        weight.  The store is not probed again: groups hold runs
+        :meth:`resolve` already missed."""
         keys = group.keys()
         try:
             for key in keys:
@@ -295,6 +295,7 @@ class ExperimentRunner:
                     self.record(key, self._execute(*key))
             return [self._runs[key] for key in keys]
         finally:
+            self._trace = None
             self._conversion = None
 
     def run_many(

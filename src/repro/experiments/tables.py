@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.convert import Converter
 from repro.core.improvements import Improvement
 from repro.experiments.runner import ExperimentRunner, geomean
 from repro.sim.config import SimConfig
@@ -67,23 +66,22 @@ _TABLE1_META = (
 def table1(runner: ExperimentRunner) -> List[Table1Row]:
     """Table 1: improvement summary with measured converter activity.
 
-    The activity counts come from converting the sampled public suite
-    with ``All_imps`` and reading the converter's statistics.
+    The activity counts sum the converter statistics stored with the
+    sampled public suite's ``All_imps`` runs (main config: Figure 1's
+    runs, so a store Figure 1 warmed answers without simulating).
     """
-    converter = Converter(Improvement.ALL)
-    for name in runner.public_trace_names():
-        for _ in converter.convert_to_bytes(runner.trace(name)):
-            pass
-    stats = converter.stats
+    results = runner.sweep(runner.public_trace_names(), [Improvement.ALL])
+
+    def total(*fields: str) -> int:
+        return sum(getattr(r.conversion, f) for r in results for f in fields)
+
     activity = {
-        "mem-regs": stats.dst_regs_truncated
-        + stats.forged_x0_dsts
-        + stats.dsts_dropped,
-        "base-update": stats.base_updates_split,
-        "mem-footprint": stats.two_line_accesses + stats.dc_zva_aligned,
-        "call-stack": stats.misclassified_calls_fixed,
-        "branch-regs": stats.cond_branch_sources_kept + stats.x56_sources_replaced,
-        "flag-reg": stats.flag_dsts_added,
+        "mem-regs": total("dst_regs_truncated", "forged_x0_dsts", "dsts_dropped"),
+        "base-update": total("base_updates_split"),
+        "mem-footprint": total("two_line_accesses", "dc_zva_aligned"),
+        "call-stack": total("misclassified_calls_fixed"),
+        "branch-regs": total("cond_branch_sources_kept", "x56_sources_replaced"),
+        "flag-reg": total("flag_dsts_added"),
     }
     return [
         Table1Row(

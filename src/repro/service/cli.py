@@ -11,6 +11,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -82,12 +83,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     server = make_server(args.host, args.port, fleet)
     host, port = server.server_address[:2]
-    print(
-        f"[repro-serve listening on http://{host}:{port} "
-        f"store={store.root} jobs={args.jobs or 'all'}]",
-        flush=True,
-    )
+    # A background start inherits SIGINT ignored: SIGINT and SIGTERM both
+    # raise, to stop through ``finally`` (``server.shutdown()`` here would
+    # wait forever on ``serve_forever``, which runs on this thread).
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     try:
+        print(
+            f"[repro-serve listening on http://{host}:{port} "
+            f"store={store.root} jobs={args.jobs or 'all'}]",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         print("[repro-serve shutting down]", file=sys.stderr)

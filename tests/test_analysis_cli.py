@@ -1,5 +1,6 @@
 """CLI tests: repro-lint, repro-convert --lint, and failure exit codes."""
 
+import gzip
 import json
 from pathlib import Path
 
@@ -92,6 +93,23 @@ def test_lint_unknown_improvement_fails(tmp_path, capsys):
 def test_lint_missing_file_fails(tmp_path, capsys):
     code = run_lint([str(tmp_path / "nope.cvp.gz")], tmp_path)
     assert code == 2
+
+
+def test_lint_truncated_plain_trace_names_byte_offset(tmp_path, capsys):
+    """repro-lint reports a cut plain trace as repro-convert -t does."""
+    with gzip.open(GOLDEN_DIR / "srv_3.cvp.gz", "rb") as stream:
+        cut = stream.read()[:1000]
+    truncated = tmp_path / "t.cvp"
+    truncated.write_bytes(cut)
+    message = (
+        f"{truncated}: truncated record: partial PC (incomplete record "
+        "starts at byte offset 995; 5 trailing bytes)\n"
+    )
+    assert run_lint([str(truncated)], tmp_path) == 2
+    assert capsys.readouterr().err == f"repro-lint: {message}"
+    out = tmp_path / "out.champsim.gz"
+    assert convert_cli.main(["-t", str(truncated), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"repro-convert: {message}"
 
 
 def test_lint_truncated_gzip_is_one_line_exit_2(tmp_path, capsys):

@@ -11,7 +11,7 @@ from repro.cvp.blockio import (
     encode_block,
     iter_record_blocks,
 )
-from repro.cvp.encoding import TraceFormatError, encode_record
+from repro.cvp.encoding import TraceFormatError, decode_record, encode_record
 from repro.cvp.reader import CvpTraceReader
 from repro.cvp.writer import CvpTraceWriter
 
@@ -26,8 +26,14 @@ def _golden_bytes(path):
 
 
 def _records_per_record(path):
-    with CvpTraceReader(path) as reader:
-        return list(reader)
+    """The per-record oracle: ``decode_record`` until EOF."""
+    stream = io.BytesIO(_golden_bytes(path))
+    records = []
+    while True:
+        record = decode_record(stream)
+        if record is None:
+            return records
+        records.append(record)
 
 
 @pytest.mark.parametrize("path", GOLDEN)
@@ -48,6 +54,19 @@ def test_blocks_equal_per_record_decode(path, block_size):
 
 def test_golden_set_includes_cacheline_crossing_fixture():
     assert any(path.endswith("srv_24.cvp.gz") for path in GOLDEN)
+
+
+@pytest.mark.parametrize("path", GOLDEN)
+def test_reader_iteration_equals_per_record_decode(path):
+    """Plain iteration (the block decoder underneath) == the oracle."""
+    with CvpTraceReader(path) as reader:
+        assert list(reader) == _records_per_record(path)
+
+
+def test_reader_iteration_reports_truncation_offset():
+    data = _golden_bytes(GOLDEN[0])
+    with pytest.raises(TraceFormatError, match=r"byte offset \d+; \d+ trailing"):
+        list(CvpTraceReader(io.BytesIO(data[:-3])))
 
 
 def test_reader_blocks_api_matches_iteration():

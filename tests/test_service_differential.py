@@ -9,7 +9,6 @@ fleet counters, not by timing).
 
 import pytest
 
-from repro.experiments import parallel
 from repro.experiments.cli import run_experiment
 from repro.experiments.runner import ExperimentRunner
 from repro.service.fleet import Fleet, SweepParams
@@ -116,17 +115,6 @@ def test_store_warmth_survives_fleet_restart(tmp_path):
     warm = second.execute(_params("fig4"))
     assert warm.simulations == 0
     assert warm.text == cold.text
-
-
-def test_serial_fleet_keeps_no_worker_runner(tmp_path, monkeypatch):
-    """A serial sweep runs its groups on the sweep's own runner: the
-    server process never builds (and never keeps) a pool-worker runner
-    with its generated traces."""
-    monkeypatch.setattr(parallel, "_WORKER_RUNNERS", {})
-    fleet = Fleet(ArtifactStore(tmp_path), jobs=1)
-    outcomes = [fleet.execute(_params(name)) for name in ("fig1", "fig4", "tab2")]
-    assert outcomes[0].simulations > 0 and outcomes[2].simulations > 0
-    assert parallel._WORKER_RUNNERS == {}
 
 
 def test_sweep_params_fingerprint_distinguishes_inputs():

@@ -6,8 +6,13 @@ ephemeral port and drives it through :class:`ServiceClient`.
 """
 
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -390,3 +395,30 @@ def test_raw_socket_valid_length_still_submits(tmp_path):
         server.service.stop()
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize(
+    "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+)
+def test_serve_stops_cleanly_on_signal(tmp_path, signum):
+    """Started in the background (SIGINT inherited as ignored), the
+    server still stops on SIGINT and SIGTERM through its shutdown path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.service.cli", "--port", "0",
+         "--store", str(tmp_path / "store")],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        assert proc.stdout.readline().startswith("[repro-serve listening on ")
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err
+    assert "[repro-serve shutting down]" in err
