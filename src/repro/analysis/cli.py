@@ -24,7 +24,7 @@ from repro.core.improvements import (
     Improvement,
     parse_improvements,
 )
-from repro.errors import TraceFormatError
+from repro.errors import INPUT_ERRORS, input_error_line
 from repro.obs import logutil
 
 #: ``--no-improvement`` spellings: the paper's Table 1 singletons.
@@ -208,9 +208,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for path in args.traces:
         try:
             report = lint_file_cached(linter, path, cache)
-        except (TraceFormatError, OSError, EOFError) as exc:
-            message = getattr(exc, "strerror", None) or exc
-            print(f"repro-lint: {path}: {message}", file=sys.stderr)
+        except INPUT_ERRORS as exc:
+            print(input_error_line("repro-lint", path, exc), file=sys.stderr)
             return 2
         if baseline is not None:
             report = suppress_report(report, baseline)

@@ -17,7 +17,7 @@ original ones (Section 3.2.2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.rules import ConversionRule, register
@@ -410,8 +410,3 @@ class UncondBranchDeductionRule(ConversionRule):
                 f"{expected.value} branch deduced as {deduced.value} under "
                 f"the {ctx.branch_rules.value} ChampSim rules",
             )
-
-
-def conversion_rule_ids() -> List[str]:
-    """The IDs of every conversion-family rule (for docs and tests)."""
-    return ["TL101", "TL102", "TL103", "TL104", "TL105", "TL106", "TL201", "TL202"]

@@ -222,8 +222,8 @@ def bench_sim(
     bytes, encoded once outside the timed region: a throwaway simulator
     per run that builds the columns with
     :meth:`~repro.sim.decoded.DecodedColumns.from_champsim_bytes`, or one
-    long-lived simulator re-running one columns object (pooled
-    components, plans memoised on the columns).  ``engine_speedup`` is
+    long-lived simulator re-running one columns object (fresh
+    components each run, plans memoised on the columns).  ``engine_speedup`` is
     vector-warm over scalar-warm throughput — the number the CI
     bench-smoke job gates on.
     """
@@ -269,17 +269,17 @@ def bench_sim(
                 repeats,
             )
             warm = _timed_variant(
-                lambda: Engine(config, decode_cache=decode_cache).run(
-                    instrs, rules
+                lambda: Engine(config).run(
+                    decode_trace(instrs, rules, cache=decode_cache), rules
                 ),
                 len(instrs),
                 repeats,
             )
 
-            # Production path, same protocol: a throwaway Simulator
-            # building its columns from bytes per run for the cold
-            # number, one long-lived Simulator over one columns object
-            # for the warm number.
+            # Production path, same protocol: columns built from bytes
+            # per run for the cold number, one columns object (with its
+            # memoised plans) re-run for the warm number.  Every run
+            # builds a fresh engine.
             data = encode_block(instrs)
             vector_cold = _timed_variant(
                 lambda: Simulator(config).run(
@@ -290,7 +290,7 @@ def bench_sim(
             )
             vector_sim = Simulator(config)
             columns = DecodedColumns.from_champsim_bytes(data, rules)
-            vector_sim.run(columns)  # populate the pool and the plans
+            vector_sim.run(columns)  # populate the plans
             vector_warm = _timed_variant(
                 lambda: vector_sim.run(columns), len(instrs), repeats
             )

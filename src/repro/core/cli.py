@@ -27,7 +27,7 @@ from repro import obs
 from repro.cliargs import non_negative_int, positive_int
 from repro.core.improvements import IMPROVEMENT_NAMES, parse_improvements
 from repro.core.pipeline import ConversionResult, convert_file, convert_suite
-from repro.errors import TraceFormatError
+from repro.errors import INPUT_ERRORS, input_error_line
 from repro.obs import logutil
 
 
@@ -201,10 +201,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         result = convert_file(
             args.trace, args.output, improvements, salvage=args.salvage
         )
-    except (TraceFormatError, OSError, EOFError) as exc:
-        path = getattr(exc, "filename", None) or args.trace
-        message = getattr(exc, "strerror", None) or exc
-        print(f"repro-convert: {path}: {message}", file=sys.stderr)
+    except INPUT_ERRORS as exc:
+        print(input_error_line("repro-convert", args.trace, exc), file=sys.stderr)
         return 2
     if result.salvaged_bytes:
         print(

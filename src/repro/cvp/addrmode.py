@@ -114,11 +114,6 @@ def clear_addrmode_memo() -> None:
     _static_base_info.cache_clear()
 
 
-def _candidate_base(record: CvpRecord) -> Optional[int]:
-    """First source register that is also a destination register."""
-    return _static_base_info(record.src_regs, record.dst_regs)[0]
-
-
 def infer_addressing(
     record: CvpRecord, registers: Optional[RegisterFile] = None
 ) -> AddressingInfo:

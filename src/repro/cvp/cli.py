@@ -12,11 +12,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Optional, Sequence
 
 from repro.cvp.analysis import characterize
 from repro.cvp.isa import InstClass
 from repro.cvp.reader import CvpTraceReader
+from repro.errors import INPUT_ERRORS, input_error_line
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,14 +67,17 @@ def render(ch) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.limit is not None:
-        from repro.cvp.reader import read_trace
+    try:
+        if args.limit is not None:
+            from repro.cvp.reader import read_trace
 
-        records = read_trace(args.trace, limit=args.limit)
-        ch = characterize(records)
-    else:
-        with CvpTraceReader(args.trace) as reader:
-            ch = characterize(reader)
+            ch = characterize(read_trace(args.trace, limit=args.limit))
+        else:
+            with CvpTraceReader(args.trace) as reader:
+                ch = characterize(reader)
+    except INPUT_ERRORS as exc:
+        print(input_error_line("repro-stats", args.trace, exc), file=sys.stderr)
+        return 2
     print(render(ch))
     return 0
 

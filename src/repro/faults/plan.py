@@ -120,10 +120,6 @@ class FaultPlan:
                 raise FaultPlanError(f"duplicate fault site {spec.site!r}")
             seen.add(spec.site)
 
-    @property
-    def by_site(self) -> Dict[str, FaultSpec]:
-        return {spec.site: spec for spec in self.specs}
-
     def spec_for(self, site: str) -> Optional[FaultSpec]:
         for spec in self.specs:
             if spec.site == site:

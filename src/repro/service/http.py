@@ -47,6 +47,28 @@ MAX_BODY_BYTES = 16 * 1024
 _FIGURES = tuple(n for n in SERVICE_EXPERIMENTS if n.startswith("fig"))
 _TABLES = tuple(n for n in SERVICE_EXPERIMENTS if n.startswith("tab"))
 
+#: Fixed routes, and the routes whose last segment is a parameter
+#: (collection -> parameter name).
+_FIXED_ROUTES = ("/metrics", "/v1/status", "/v1/sweeps")
+_PARAM_ROUTES = {"jobs": "id", "artifacts": "key", "figures": "name", "tables": "name"}
+
+
+def match_route(path: str) -> Tuple[str, str]:
+    """``(route template, parameter)`` for a request path.
+
+    The template names the parameter (``/v1/jobs/{id}``) rather than
+    carrying its value, so the request counter keeps one series per
+    route however many job ids or artifact keys are requested; a path
+    that matches no route is ``unmatched``.
+    """
+    parts = [p for p in urlsplit(path).path.split("/") if p]
+    route = "/" + "/".join(parts)
+    if route in _FIXED_ROUTES:
+        return route, ""
+    if len(parts) == 3 and parts[0] == "v1" and parts[1] in _PARAM_ROUTES:
+        return f"/v1/{parts[1]}/{{{_PARAM_ROUTES[parts[1]]}}}", parts[2]
+    return "unmatched", ""
+
 
 def _request_counter() -> Any:
     """The HTTP request counter family (mirrored unconditionally, like
@@ -274,7 +296,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(body)
-        route = urlsplit(self.path).path
+        route, _ = match_route(self.path)
         _request_counter().labels(
             method=self.command, route=route, code=str(status)
         ).inc()
@@ -329,9 +351,8 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
 
     def _route(self, method: str) -> bool:
-        split = urlsplit(self.path)
-        parts = [p for p in split.path.split("/") if p]
-        if method == "POST" and parts == ["v1", "sweeps"]:
+        route, param = match_route(self.path)
+        if method == "POST" and route == "/v1/sweeps":
             try:
                 length = body_length(self.headers)
             except ServiceError:
@@ -345,7 +366,7 @@ class _Handler(BaseHTTPRequestHandler):
             return True
         if method != "GET":
             return False
-        if parts == ["metrics"]:
+        if route == "/metrics":
             text = self.service.handle_metrics()
             self._send(
                 200,
@@ -353,18 +374,19 @@ class _Handler(BaseHTTPRequestHandler):
                 "text/plain; version=0.0.4; charset=utf-8",
             )
             return True
-        if parts == ["v1", "status"]:
+        if route == "/v1/status":
             self._send_json(self.service.handle_status())
             return True
-        if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            self._send_json(self.service.handle_job(parts[2]))
+        if route == "/v1/jobs/{id}":
+            self._send_json(self.service.handle_job(param))
             return True
-        if len(parts) == 3 and parts[:2] == ["v1", "artifacts"]:
-            self._send_json(self.service.handle_artifact(parts[2]))
+        if route == "/v1/artifacts/{key}":
+            self._send_json(self.service.handle_artifact(param))
             return True
-        if len(parts) == 3 and parts[1] in ("figures", "tables") and parts[0] == "v1":
+        if route in ("/v1/figures/{name}", "/v1/tables/{name}"):
+            family = route.split("/")[2]  # "figures" or "tables"
             outcome = self.service.handle_render(
-                parts[1], parts[2], _parse_query(split.query)
+                family, param, _parse_query(urlsplit(self.path).query)
             )
             self._send(
                 200,

@@ -316,8 +316,9 @@ def artifact_key(kind: str, fingerprint: Dict[str, Any]) -> str:
 class ArtifactStore:
     """Every artifact kind under one root: the service's storage façade.
 
-    One instance owns the result runs, lint reports, and rendered
-    figure/table artifacts of a store directory.  The per-kind views
+    One instance owns the result runs and the rendered figure/table
+    artifacts of a store directory (the service never lints, so it
+    opens no lint-report view).  The per-kind views
     are the *same classes* the one-shot CLIs use, over the same root —
     so a sweep simulated by ``repro-experiment`` is a warm hit for
     ``repro-serve`` and vice versa.
@@ -332,12 +333,6 @@ class ArtifactStore:
         from repro.experiments.cache import ResultCache
 
         return ResultCache(self.root)
-
-    def lint_cache(self) -> Any:
-        """A :class:`~repro.analysis.cache.LintCache` on this root."""
-        from repro.analysis.cache import LintCache
-
-        return LintCache(self.root)
 
     def artifacts(self) -> BlobStore:
         """The rendered figure/table blob store (one shared instance)."""

@@ -18,9 +18,8 @@ class DirectionPredictor(abc.ABC):
     ``docs/vector_engine.md``) is that it must be bit-identical to the
     serial ``predict``/``update`` pair per branch — same table state,
     same history, same RNG draws — so the scalar and vector engines stay
-    interchangeable.  :meth:`reset` restores construction-time state so
-    a pooled predictor can be reused across runs without reallocating
-    its tables.
+    interchangeable.  A predictor serves one run: each engine builds its
+    own, so construction-time state is the only starting state.
     """
 
     @abc.abstractmethod
@@ -47,10 +46,3 @@ class DirectionPredictor(abc.ABC):
             preds[i] = predict(ip)
             update(ip, takens[i])
         return preds
-
-    def reset(self) -> None:
-        """Restore construction-time state (stateless default: no-op).
-
-        Stateful predictors must override so the component pool can
-        reuse them across runs bit-identically.
-        """

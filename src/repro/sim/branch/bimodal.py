@@ -47,9 +47,6 @@ class Bimodal(DirectionPredictor):
                 table[idx] = counter - 1
         return preds
 
-    def reset(self) -> None:
-        self._table[:] = [2] * len(self._table)
-
 
 class AlwaysTaken(DirectionPredictor):
     """Predicts taken unconditionally (testing baseline)."""

@@ -86,7 +86,3 @@ class BTB:
                         way_set.popitem(last=False)
                     way_set[ip] = (targets[i], branch_types[i])
         return entries
-
-    def reset(self) -> None:
-        """Drop all entries (for component pooling)."""
-        self._sets.clear()

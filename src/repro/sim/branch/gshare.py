@@ -60,7 +60,3 @@ class GShare(DirectionPredictor):
                 history = (history << 1) & history_mask
         self._history = history
         return preds
-
-    def reset(self) -> None:
-        self._table[:] = [2] * len(self._table)
-        self._history = 0

@@ -8,7 +8,7 @@ misses — the structure of Seznec's 64KB ITTAGE, reduced in size.
 Like :class:`~repro.sim.branch.tage.Tage`, storage is array-backed: each
 table is four parallel flat ``int`` lists (tag, target, confidence,
 valid).  Every read is valid-gated and allocation writes all fields, so
-:meth:`ITTAGE.reset` only clears the valid columns.
+an invalid row's other columns are never read.
 
 Unlike TAGE's outcome history, the path history folds a multi-bit slice
 of each target (``target >> 2``) into the register, so it is not a
@@ -53,14 +53,6 @@ class ITTAGE:
         self._path = 0
         #: Base table: last-target per PC.
         self._base: Dict[int, int] = {}
-
-    def reset(self) -> None:
-        """Restore construction-time state (for component pooling)."""
-        zeros = [0] * (self._table_mask + 1)
-        for valid in self._valid:
-            valid[:] = zeros
-        self._path = 0
-        self._base.clear()
 
     def _fold(self, length: int, bits: int) -> int:
         hist = self._path & ((1 << length) - 1)

@@ -64,7 +64,3 @@ class ReturnAddressStack:
 
     def clear(self) -> None:
         self._stack.clear()
-
-    def reset(self) -> None:
-        """Restore construction-time state (component-pool reuse)."""
-        self._stack.clear()

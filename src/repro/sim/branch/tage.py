@@ -13,7 +13,7 @@ Storage is array-backed: each tagged component is four parallel flat
 ``int`` lists (tag, signed counter, useful, valid) mirroring the
 structure-of-arrays layout of :mod:`repro.sim.decoded`.  Presence is the
 ``valid`` flag; every read is valid-gated and allocation writes all four
-fields, so :meth:`Tage.reset` only has to clear the valid columns.
+fields, so an invalid row's other columns are never read.
 
 :meth:`Tage.predict_update_batch` is the batched predict-then-reconcile
 path (see ``docs/vector_engine.md``): it processes a whole branch
@@ -66,20 +66,9 @@ class Tage(DirectionPredictor):
         self._base = [2] * (1 << 13)  # bimodal fallback, 2-bit counters
         self._base_mask = (1 << 13) - 1
         self._history = 0
-        self._seed = seed
         self._rng = random.Random(seed)
         # Cached lookup for the predict→update pair of the same branch.
         self._last: Optional[Tuple[int, int, int, bool, bool]] = None
-
-    def reset(self) -> None:
-        """Restore construction-time state (for component pooling)."""
-        zeros = [0] * (self._table_mask + 1)
-        for valid in self._valid:
-            valid[:] = zeros
-        self._base[:] = [2] * len(self._base)
-        self._history = 0
-        self._rng = random.Random(self._seed)
-        self._last = None
 
     # ------------------------------------------------------------------
     # hashing

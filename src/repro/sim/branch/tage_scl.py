@@ -91,10 +91,6 @@ class LoopPredictor:
             entry.confidence = 0
         entry.current = 0
 
-    def reset(self) -> None:
-        """Restore construction-time state (for component pooling)."""
-        self._table.clear()
-
 
 class StatisticalCorrector:
     """Perceptron-flavoured vote on whether to trust TAGE.
@@ -139,12 +135,6 @@ class StatisticalCorrector:
             else:
                 table[idx] = max(-32, table[idx] - 1)
         self._history = ((self._history << 1) | int(taken)) & 0xFFFF
-
-    def reset(self) -> None:
-        """Restore construction-time state (for component pooling)."""
-        for table in self._tables:
-            table[:] = [0] * len(table)
-        self._history = 0
 
 
 class TageSCL(DirectionPredictor):
@@ -196,9 +186,3 @@ class TageSCL(DirectionPredictor):
             loop_update(ip, taken)
             corrector_update(ip, tage_pred, taken)
         return preds
-
-    def reset(self) -> None:
-        """Restore construction-time state (for component pooling)."""
-        self.tage.reset()
-        self.loop.reset()
-        self.corrector.reset()

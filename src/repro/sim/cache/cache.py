@@ -47,16 +47,6 @@ class Cache:
         #: line address -> cycle at which its data is usable
         self._ready: Dict[int, int] = {}
 
-    def reset(self) -> None:
-        """Drop all lines and recency state (component-pool reuse).
-
-        After reset the cache behaves bit-identically to a freshly
-        constructed one with the same geometry and policy.
-        """
-        self._sets.clear()
-        self._ready.clear()
-        self._policy.reset()
-
     @staticmethod
     def line_of(addr: int) -> int:
         """Aligned line address of ``addr``."""

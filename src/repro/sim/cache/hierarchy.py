@@ -49,19 +49,6 @@ class CacheHierarchy:
         self.l1d_prefetcher = None
         self.l2_prefetcher = None
 
-    def reset(self, stats: SimStats) -> None:
-        """Drop all cached lines and rebind to a fresh ``stats``.
-
-        Used by the component pool to reuse the hierarchy across runs;
-        after reset, behaviour is bit-identical to a newly constructed
-        hierarchy bound to ``stats``.
-        """
-        self.l1i.reset()
-        self.l1d.reset()
-        self.l2.reset()
-        self.llc.reset()
-        self.stats = stats
-
     # ------------------------------------------------------------------
     # demand path
     # ------------------------------------------------------------------

@@ -28,21 +28,11 @@ class ReplacementPolicy(abc.ABC):
     def victim(self, set_state: Dict[int, int]) -> int:
         """Pick the line address to evict from a full set."""
 
-    def reset(self) -> None:
-        """Restore construction-time state (stateless default: no-op).
-
-        Needed by the component pool: a reused cache must behave
-        bit-identically to a freshly constructed one.
-        """
-
 
 class LRU(ReplacementPolicy):
     """Least-recently-used via a monotonic timestamp per line."""
 
     def __init__(self) -> None:
-        self._clock = 0
-
-    def reset(self) -> None:
         self._clock = 0
 
     def _tick(self) -> int:
@@ -83,11 +73,7 @@ class RandomReplacement(ReplacementPolicy):
     """Uniform random victim (deterministic seed)."""
 
     def __init__(self, seed: int = 1234) -> None:
-        self._seed = seed
         self._rng = random.Random(seed)
-
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
 
     def on_hit(self, set_state: Dict[int, int], line: int) -> None:
         set_state.setdefault(line, 0)

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.champsim.branch_info import BranchRules
-from repro.champsim.trace import ChampSimTraceError
 from repro.cliargs import unit_fraction
+from repro.errors import INPUT_ERRORS, input_error_line
 from repro.obs import logutil
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulator
@@ -70,9 +70,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rules = BranchRules.PATCHED if args.rules == "patched" else BranchRules.ORIGINAL
     try:
         stats = Simulator(config).run(args.trace, rules)
-    except (ChampSimTraceError, OSError, EOFError) as exc:
-        message = getattr(exc, "strerror", None) or exc
-        print(f"repro-sim: {args.trace}: {message}", file=sys.stderr)
+    except INPUT_ERRORS as exc:
+        print(input_error_line("repro-sim", args.trace, exc), file=sys.stderr)
         return 2
     print(stats.summary())
     return 0

@@ -20,7 +20,7 @@ it expresses every first-order effect the paper measures (see DESIGN.md
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.champsim.branch_info import BranchRules, BranchType
 from repro.sim.branch import (
@@ -32,7 +32,7 @@ from repro.sim.branch import (
 from repro.sim.cache.cache import LINE_SIZE
 from repro.sim.cache.hierarchy import CacheHierarchy
 from repro.sim.config import SimConfig
-from repro.sim.decoded import DecodeCache, DecodedInstr, decode_trace
+from repro.sim.decoded import DecodedInstr, decode_trace
 from repro.sim.prefetch import make_data_prefetcher, make_instruction_prefetcher
 from repro.sim.stats import SimStats
 
@@ -42,104 +42,20 @@ _CALL_TYPES = (BranchType.DIRECT_CALL, BranchType.INDIRECT_CALL)
 _INDIRECT_TYPES = (BranchType.INDIRECT, BranchType.INDIRECT_CALL)
 
 
-class ComponentPool:
-    """Constructed components captured from a finished engine for reuse.
-
-    Component construction (TAGE's flat tables, the cache level dicts,
-    the prefetcher tables) costs real time per run, and the simulator
-    drives many runs of the same configuration over one trace.  A pool
-    captures the finished engine's component objects; the next engine
-    built for the *same* engine type and configuration adopts them,
-    resetting each to construction-time state against its fresh
-    :class:`~repro.sim.stats.SimStats` — every component's ``reset``
-    contract makes the adopted run bit-identical to a cold one.
-    """
-
-    __slots__ = (
-        "engine_type",
-        "config",
-        "hierarchy",
-        "l1i_prefetcher",
-        "direction",
-        "btb",
-        "ras",
-        "ittage",
-    )
-
-    def __init__(
-        self,
-        engine_type: type,
-        config: SimConfig,
-        hierarchy: Any,
-        l1i_prefetcher: Any,
-        direction: Any,
-        btb: Any,
-        ras: Any,
-        ittage: Any,
-    ) -> None:
-        self.engine_type = engine_type
-        self.config = config
-        self.hierarchy = hierarchy
-        self.l1i_prefetcher = l1i_prefetcher
-        self.direction = direction
-        self.btb = btb
-        self.ras = ras
-        self.ittage = ittage
-
-
 class Engine:
-    """Single-run engine; construct fresh per simulation.
+    """Single-run engine, built from its :class:`SimConfig` alone.
 
-    This per-instruction engine is the differential oracle the
-    production :class:`~repro.sim.vector_engine.VectorEngine` is pinned
+    Every component (hierarchy, prefetchers, predictors, BTB, RAS) is
+    constructed here, so each run starts cold and no state crosses from
+    one run to the next.  This per-instruction engine is the
+    differential oracle the production
+    :class:`~repro.sim.vector_engine.VectorEngine` is pinned
     bit-identical to; tests and ``repro-bench sim`` build it directly.
-
-    ``decode_cache`` lets :meth:`run` accept raw
-    :class:`~repro.champsim.trace.ChampSimInstr` sequences and decode
-    them through a shared pre-decode memo, so warm-up+measure loops
-    over one trace stop re-decoding the same hot instructions.
-
-    ``component_pool`` (supplied by the long-lived
-    :class:`~repro.sim.simulator.Simulator` to its vector engines)
-    recycles the previous run's component objects when the engine type
-    and configuration match, skipping reconstruction; see
-    :class:`ComponentPool`.
     """
 
-    def __init__(
-        self,
-        config: SimConfig,
-        decode_cache: "Optional[DecodeCache]" = None,
-        component_pool: "Optional[ComponentPool]" = None,
-    ) -> None:
+    def __init__(self, config: SimConfig) -> None:
         self.config = config
-        self.decode_cache = decode_cache
         self.stats = SimStats()
-        pool = component_pool
-        if (
-            pool is not None
-            and pool.engine_type is type(self)
-            and pool.config == config
-        ):
-            hierarchy = self.hierarchy = pool.hierarchy
-            hierarchy.reset(self.stats)
-            if hierarchy.l1d_prefetcher is not None:
-                hierarchy.l1d_prefetcher.reset()
-            if hierarchy.l2_prefetcher is not None:
-                hierarchy.l2_prefetcher.reset()
-            self.l1i_prefetcher = pool.l1i_prefetcher
-            if self.l1i_prefetcher is not None:
-                self.l1i_prefetcher.reset()
-            self.direction = pool.direction
-            self.direction.reset()
-            self.btb = pool.btb
-            self.btb.reset()
-            self.ras = pool.ras
-            self.ras.reset()
-            self.ittage = pool.ittage
-            if self.ittage is not None:
-                self.ittage.reset()
-            return
         self.hierarchy = self._build_hierarchy(config, self.stats)
         self.hierarchy.l1d_prefetcher = make_data_prefetcher(
             config.l1d_prefetcher, "l1d"
@@ -150,19 +66,6 @@ class Engine:
         self.btb = BTB(config.btb_entries, config.btb_ways)
         self.ras = ReturnAddressStack(config.ras_size)
         self.ittage = ITTAGE() if config.indirect_predictor == "ittage" else None
-
-    def export_pool(self) -> ComponentPool:
-        """Capture this engine's components for adoption by the next run."""
-        return ComponentPool(
-            type(self),
-            self.config,
-            self.hierarchy,
-            self.l1i_prefetcher,
-            self.direction,
-            self.btb,
-            self.ras,
-            self.ittage,
-        )
 
     def _build_hierarchy(
         self, config: SimConfig, stats: SimStats
@@ -182,11 +85,10 @@ class Engine:
 
         ``decoded`` may also be a sequence of raw
         :class:`~repro.champsim.trace.ChampSimInstr` records; they are
-        decoded here under ``rules``, through :attr:`decode_cache` when
-        one is attached.
+        decoded here under ``rules``.
         """
         if decoded and not isinstance(decoded[0], DecodedInstr):
-            decoded = decode_trace(decoded, rules, cache=self.decode_cache)
+            decoded = decode_trace(decoded, rules)
         config = self.config
         stats = self.stats
         hierarchy = self.hierarchy

@@ -126,7 +126,9 @@ class FlatHierarchy:
     :meth:`flush_stats`.  :attr:`counting` replaces the per-call
     ``stats.enabled`` check: the engine flips it at the warm-up boundary
     after flushing, so the folded totals equal what the reference
-    hierarchy would have counted call by call.
+    hierarchy would have counted call by call.  Like every component,
+    it is built for one run and bound to that run's ``stats``; nothing
+    in it outlives the engine that built it.
     """
 
     def __init__(self, config: SimConfig, stats: SimStats) -> None:
@@ -380,29 +382,6 @@ class FlatHierarchy:
             ready = now + self._lookup_latency(line)
             _fill(l1i, line, ready)
             _fill(l2, line, ready)
-
-    # ------------------------------------------------------------------
-    # component-pool support
-    # ------------------------------------------------------------------
-
-    def reset(self, stats: SimStats) -> None:
-        """Restore construction-time cache state against a fresh ``stats``.
-
-        Used by the component pool to reuse a hierarchy across runs:
-        after reset, behaviour is bit-identical to a newly constructed
-        :class:`FlatHierarchy` bound to ``stats``.
-        """
-        for level in (self.l1i, self.l1d, self.l2, self.llc):
-            level.sets.clear()
-            level.ready.clear()
-            level.clock = 0
-        self.stats = stats
-        self.counting = stats.enabled
-        self.acc_l1i = self.miss_l1i = 0
-        self.acc_l1d = self.miss_l1d = 0
-        self.acc_l2 = self.miss_l2 = 0
-        self.acc_llc = self.miss_llc = 0
-        self.pf_l1i = self.pf_l1d = self.pf_l2 = 0
 
     # ------------------------------------------------------------------
     # statistics

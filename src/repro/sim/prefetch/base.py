@@ -45,13 +45,6 @@ class DataPrefetcher(abc.ABC):
     ) -> None:
         """Called on every demand access at the level this prefetcher guards."""
 
-    def reset(self) -> None:
-        """Restore construction-time state (stateless default: no-op).
-
-        Stateful prefetchers must override so the component pool can
-        reuse them across runs bit-identically.
-        """
-
 
 class InstructionPrefetcher(abc.ABC):
     """Observes the fetch stream, issues L1I prefetches.
@@ -84,6 +77,3 @@ class InstructionPrefetcher(abc.ABC):
         branch_target: Optional[int] = None,
     ) -> None:
         """Called once per demand-fetched cacheline."""
-
-    def reset(self) -> None:
-        """Restore construction-time state (stateless default: no-op)."""

@@ -28,9 +28,6 @@ class IpStridePrefetcher(DataPrefetcher):
         self._degree = degree
         self._fill_l1 = fill_l1
 
-    def reset(self) -> None:
-        self._table.clear()
-
     def on_access(self, ip: int, addr: int, hit: bool, hierarchy: PrefetchSink, now: int) -> None:
         entry = self._table.get(ip)
         if entry is None:

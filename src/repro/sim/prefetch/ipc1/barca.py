@@ -35,9 +35,6 @@ class Barca(InstructionPrefetcher):
         self._table_size = table_size
         self._search = search_neighbours
 
-    def reset(self) -> None:
-        self._regions.clear()
-
     def _touch(self, line_addr: int) -> None:
         region = line_addr - (line_addr % REGION_BYTES)
         bit = (line_addr - region) // LINE_SIZE

@@ -42,12 +42,6 @@ class DJolt(InstructionPrefetcher):
         #: the distant tables.
         self._sequential_degree = 3
 
-    def reset(self) -> None:
-        for table in self._tables:
-            table.clear()
-        self._signature = 0
-        self._pending.clear()
-
     def _record(self, table_idx: int, signature: int, line: int) -> None:
         table = self._tables[table_idx]
         entry = table.get(signature)

@@ -40,10 +40,6 @@ class EPI(InstructionPrefetcher):
         #: recent (line, cycle) fetches, newest right
         self._history: Deque[Tuple[int, int]] = deque(maxlen=history_len)
 
-    def reset(self) -> None:
-        self._table.clear()
-        self._history.clear()
-
     def _pick_trigger(self, now: int) -> Optional[int]:
         """Oldest recent line at least ``latency_target`` cycles back."""
         chosen = None

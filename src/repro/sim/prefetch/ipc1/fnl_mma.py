@@ -37,12 +37,6 @@ class FNLMMA(InstructionPrefetcher):
         self._last_line: Optional[int] = None
         self._last_miss: Optional[int] = None
 
-    def reset(self) -> None:
-        self._footprint.clear()
-        self._miss_map.clear()
-        self._last_line = None
-        self._last_miss = None
-
     def _bump_footprint(self, line: int, delta: int) -> None:
         entry = self._footprint.get(line)
         if entry is None:

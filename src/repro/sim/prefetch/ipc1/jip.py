@@ -36,12 +36,6 @@ class JIP(InstructionPrefetcher):
         self._run_lines = 0
         self._last_line: Optional[int] = None
 
-    def reset(self) -> None:
-        self._jumpers.clear()
-        self._training_ip = None
-        self._run_lines = 0
-        self._last_line = None
-
     def _install(self, ip: int, target_line: int) -> None:
         entry = self._jumpers.get(ip)
         if entry is None:

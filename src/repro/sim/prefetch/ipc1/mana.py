@@ -34,11 +34,6 @@ class MANA(InstructionPrefetcher):
         self._current_trigger: Optional[int] = None
         self._prev_trigger: Optional[int] = None
 
-    def reset(self) -> None:
-        self._table.clear()
-        self._current_trigger = None
-        self._prev_trigger = None
-
     def _entry(self, trigger: int) -> list:
         entry = self._table.get(trigger)
         if entry is None:

@@ -36,10 +36,6 @@ class PIPS(InstructionPrefetcher):
         self._depth = scout_depth
         self._last_line: Optional[int] = None
 
-    def reset(self) -> None:
-        self._graph.clear()
-        self._last_line = None
-
     def _learn(self, src: int, dst: int) -> None:
         entry = self._graph.get(src)
         if entry is None:

@@ -26,10 +26,6 @@ class TAP(InstructionPrefetcher):
         self._index: OrderedDict = OrderedDict()
         self._replay_depth = replay_depth
 
-    def reset(self) -> None:
-        self._stream.clear()
-        self._index.clear()
-
     def on_fetch(
         self,
         line_addr: int,

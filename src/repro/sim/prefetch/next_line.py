@@ -9,8 +9,7 @@ from repro.sim.prefetch.base import DataPrefetcher, PrefetchSink
 class NextLinePrefetcher(DataPrefetcher):
     """Prefetch the following ``degree`` lines on every observed access.
 
-    Stateless, therefore trivially stream-pure (inherits the no-op
-    ``reset``).
+    Stateless, therefore trivially stream-pure.
     """
 
     stream_pure = True

@@ -21,13 +21,12 @@ reports for the trace.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from repro.champsim.branch_info import BranchRules
 from repro.champsim.trace import ChampSimInstr, encode_block, read_champsim_bytes
 from repro.sim.config import SimConfig
 from repro.sim.decoded import DecodedColumns, DecodedInstr
-from repro.sim.engine import ComponentPool
 from repro.sim.stats import SimStats
 
 # Unused here: perfbench/tracing.py wraps these two by name in this module.
@@ -52,13 +51,14 @@ def _champsim_bytes(trace: Union[str, Path, Sequence[ChampSimInstr]]) -> bytes:
 class Simulator:
     """Run the interval model over ChampSim traces.
 
-    The simulator is long-lived while each
-    :class:`~repro.sim.vector_engine.VectorEngine` is per-run.  Every run
+    The simulator holds only its :class:`SimConfig`; each run builds a
+    fresh :class:`~repro.sim.vector_engine.VectorEngine`, so every run
+    starts from cold components and runs are independent.  Every run
     reads its input afresh, so rewriting a trace file between runs is
-    always seen; the component models are carried across runs (reset to
-    cold state), and a :class:`~repro.sim.decoded.DecodedColumns` input
-    keeps the component plans resolved on it, so re-running one columns
-    object skips both columnarisation and planning.  The scalar
+    always seen.  The one thing reused is on the input: a
+    :class:`~repro.sim.decoded.DecodedColumns` keeps the component
+    plans resolved on it, so re-running one columns object skips both
+    columnarisation and planning.  The scalar
     :class:`~repro.sim.engine.Engine` is not reachable from here: it
     survives as the differential oracle the vector engine is pinned
     bit-identical to (``tests/test_vector_engine_differential.py``).
@@ -66,9 +66,6 @@ class Simulator:
 
     def __init__(self, config: SimConfig) -> None:
         self.config = config
-        #: Components captured from the last finished engine; the next
-        #: run adopts (and resets) them instead of reconstructing.
-        self._component_pool: Optional[ComponentPool] = None
 
     def run(
         self,
@@ -91,12 +88,7 @@ class Simulator:
                 )
                 span.set(instructions=columns.n)
         with obs.span("sim.engine", instructions=len(columns)):
-            engine = VectorEngine(
-                self.config, component_pool=self._component_pool
-            )
-            stats = engine.run(columns)
-        self._component_pool = engine.export_pool()
-        return stats
+            return VectorEngine(self.config).run(columns)
 
 
 def simulate(

@@ -66,9 +66,10 @@ _ISSUE_LOAD_HORIZON = 64
 
 
 class VectorEngine(Engine):
-    """Single-run columnar engine; construct fresh per simulation.
+    """Single-run columnar engine, built from its :class:`SimConfig` alone.
 
-    Same constructor as :class:`~repro.sim.engine.Engine` and
+    Same constructor as :class:`~repro.sim.engine.Engine` (every
+    component built cold, nothing carried from another run) and
     bit-identical statistics, but :meth:`run` takes only
     :class:`~repro.sim.decoded.DecodedColumns`, the form
     :class:`~repro.sim.simulator.Simulator` builds from ChampSim bytes.

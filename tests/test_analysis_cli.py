@@ -12,6 +12,8 @@ from repro.core.improvements import Improvement
 from repro.experiments import cli as experiment_cli
 from repro.experiments.parallel import TaskFailure
 
+from tests.test_cvp_cli import _damaged
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(str(p) for p in GOLDEN_DIR.glob("*.cvp.gz"))
 
@@ -119,6 +121,21 @@ def test_lint_truncated_gzip_is_one_line_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"repro-lint: {truncated}: Compressed file ended")
     assert err.count("\n") == 1
+
+
+def test_damaged_gzip_is_one_line_exit_2_for_lint_and_convert(tmp_path, capsys):
+    """A gzip stream damaged mid-way raises ``zlib.error``, which is not an
+    ``OSError``; both CLIs still report it in one line."""
+    damaged = tmp_path / "d.cvp.gz"
+    raw = gzip.decompress(Path(GOLDEN_FILES[0]).read_bytes())
+    damaged.write_bytes(_damaged(gzip.compress(raw)))
+    assert run_lint([str(damaged)], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro-lint: {damaged}: ") and err.count("\n") == 1
+    out = tmp_path / "out.champsim.gz"
+    assert convert_cli.main(["-t", str(damaged), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro-convert: {damaged}: ") and err.count("\n") == 1
 
 
 def test_lint_no_traces_fails(tmp_path, capsys):

@@ -6,7 +6,7 @@ sequence it replaces — same return values, same table/stack/LRU state
 afterwards.  This module pins each twin directly (the differential
 engine tests only see the composition), plus the machinery the batch
 path rides on: stream-purity declarations, the per-columns plan cache,
-the component pool, and observability on the planned path.
+run independence, and observability on the planned path.
 """
 
 import random
@@ -255,63 +255,34 @@ def test_data_plan_matches_live_replay():
 
 
 # --------------------------------------------------------------------------
-# Component pool
-
-
-def test_scalar_engine_pool_adoption_is_bit_identical():
-    decoded = _decoded_stream()
-    config = SimConfig.main()
-    first = Engine(config)
-    reference = first.run(decoded)
-    pool = first.export_pool()
-    second = Engine(config, component_pool=pool)
-    assert second.direction is pool.direction
-    assert second.btb is pool.btb
-    assert second.hierarchy is pool.hierarchy
-    assert_stats_identical(second.run(decoded), reference, "pooled scalar")
-
-
-def test_pool_rejected_on_config_or_type_mismatch():
-    config = SimConfig.main()
-    pool = Engine(config).export_pool()
-    other = Engine(SimConfig.main(direction_predictor="gshare"), component_pool=pool)
-    assert other.direction is not pool.direction
-    vector = VectorEngine(config, component_pool=pool)
-    assert vector.direction is not pool.direction  # scalar pool, vector engine
+# Run independence
 
 
 @pytest.mark.parametrize(
     "name", ["EPI", "D-JOLT", "Barça", "FNL+MMA", "JIP", "MANA", "PIPS", "TAP"]
 )
 def test_ipc1_pool_reset_is_bit_identical(name):
-    """Pooled re-runs reset every IPC-1 prefetcher to cold state."""
+    """Consecutive runs of one Simulator are bit-identical for every
+    IPC-1 prefetcher: no prefetcher state survives from one run to the
+    next."""
     decoded = _decoded_stream()
     sim = Simulator(SimConfig.ipc1(l1i_prefetcher=name))
     first = sim.run(columnarize(decoded))
-    # Fresh columns, so the run replans on the adopted + reset components.
+    # Fresh columns, so the second run replans rather than reusing the
+    # first run's memoised plans.
     second = sim.run(columnarize(decoded))
     assert_stats_identical(second, first, name)
 
 
 @pytest.mark.parametrize("name", DIRECTION_PREDICTORS)
 def test_direction_predictor_pool_reset_is_bit_identical(name):
+    """Consecutive runs of one Simulator are bit-identical for every
+    direction predictor: no predictor state survives between runs."""
     decoded = _decoded_stream()
     sim = Simulator(SimConfig.main(direction_predictor=name))
     first = sim.run(columnarize(decoded))
     second = sim.run(columnarize(decoded))
     assert_stats_identical(second, first, name)
-
-
-def test_simulator_reuses_vector_components_across_runs():
-    decoded = _decoded_stream()
-    sim = Simulator(SimConfig.main())
-    first = sim.run(columnarize(decoded))
-    pool = sim._component_pool
-    assert pool is not None
-    second = sim.run(columnarize(decoded))
-    assert sim._component_pool.direction is pool.direction
-    assert sim._component_pool.hierarchy is pool.hierarchy
-    assert_stats_identical(second, first, "pooled vector re-run")
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,10 @@ tests call directly; one end-to-end test binds a real server on an
 ephemeral port and drives it through :class:`ServiceClient`.
 """
 
+import http.client
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -25,6 +27,7 @@ from repro.service.http import (
     _parse_query,
     body_length,
     make_server,
+    match_route,
 )
 from repro.service.queue import JobQueue
 from repro.service.store import ArtifactStore
@@ -311,6 +314,75 @@ def test_server_round_trip(tmp_path):
         with pytest.raises(ClientError) as err:
             client.job("job-999")
         assert err.value.status == 404
+    finally:
+        server.service.stop()
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize(
+    "path, expected",
+    [
+        ("/metrics", ("/metrics", "")),
+        ("/v1/status", ("/v1/status", "")),
+        ("/v1/sweeps", ("/v1/sweeps", "")),
+        ("/v1/jobs/job-7", ("/v1/jobs/{id}", "job-7")),
+        ("/v1/artifacts/abc123", ("/v1/artifacts/{key}", "abc123")),
+        ("/v1/figures/fig1?stride=27", ("/v1/figures/{name}", "fig1")),
+        ("/v1/tables/tab3", ("/v1/tables/{name}", "tab3")),
+        ("/v1/jobs", ("unmatched", "")),
+        ("/v1/jobs/a/b", ("unmatched", "")),
+        ("/nope/3", ("unmatched", "")),
+        ("/", ("unmatched", "")),
+    ],
+)
+def test_match_route_names_parameters(path, expected):
+    assert match_route(path) == expected
+
+
+def test_request_counter_series_stay_bounded(tmp_path):
+    """Distinct job ids, artifact keys and unknown paths share one
+    request-counter series per (method, route, code)."""
+    fleet = Fleet(ArtifactStore(tmp_path))
+    server = make_server("127.0.0.1", 0, fleet, start_worker=False)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    port = server.server_address[1]
+    client = ServiceClient(f"http://127.0.0.1:{port}")
+
+    def burst(start, count):
+        for i in range(start, start + count):
+            for path in (f"/nope/{i}", f"/v1/jobs/job-{i}", f"/v1/artifacts/k{i}"):
+                conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+                try:
+                    conn.request("GET", path)
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 404
+                finally:
+                    conn.close()
+
+    def series():
+        return {
+            line.rsplit(" ", 1)[0]
+            for line in client.metrics().splitlines()
+            if line.startswith("repro_http_requests_total")
+        }
+
+    try:
+        burst(0, 20)
+        client.metrics()  # its own series exists from here on
+        before = series()
+        burst(20, 200)
+        after = series()
+        assert after == before
+        routes = set(re.findall(r'route="([^"]*)"', "\n".join(after)))
+        assert routes <= {
+            "/metrics", "/v1/status", "/v1/sweeps", "/v1/jobs/{id}",
+            "/v1/artifacts/{key}", "/v1/figures/{name}", "/v1/tables/{name}",
+            "unmatched",
+        }
+        assert {"unmatched", "/v1/jobs/{id}", "/v1/artifacts/{key}"} <= routes
     finally:
         server.service.stop()
         server.shutdown()

@@ -284,7 +284,6 @@ def test_describe_counters_shapes(tmp_path):
 def test_artifact_store_views_share_one_root(tmp_path):
     store = ArtifactStore(tmp_path)
     assert store.result_cache().root == tmp_path
-    assert store.lint_cache().root == tmp_path
     assert store.artifacts().root == tmp_path
     assert store.artifacts() is store.artifacts()  # memoised
 

@@ -1,5 +1,7 @@
 """Simulator facade and CLI tests."""
 
+import gzip
+import lzma
 import os
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from repro.sim.engine import Engine
 from repro.synth import make_trace
 
 from tests.diffharness import assert_stats_identical
+from tests.test_cvp_cli import _damaged
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,30 @@ def test_cli_reports_truncated_trace_with_byte_offset(converted, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"repro-sim: {path}: truncated final record")
     assert "byte offset 576" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, encode, message",
+    [
+        ("t.champsimtrace.xz", lambda raw: b"plain bytes, no xz magic", "Input format"),
+        ("t.champsimtrace.xz", lambda raw: lzma.compress(raw)[:40], "Compressed file ended"),
+        ("t.champsimtrace.xz", lambda raw: _damaged(lzma.compress(raw)), ""),
+        ("t.champsimtrace.gz", lambda raw: b"plain bytes, no gzip magic", "Not a gzipped file"),
+        ("t.champsimtrace.gz", lambda raw: _damaged(gzip.compress(raw)), ""),
+    ],
+    ids=["not-xz", "cut-xz", "damaged-xz", "not-gzip", "damaged-gzip"],
+)
+def test_cli_reports_corrupt_compressed_trace_in_one_line(
+    converted, tmp_path, capsys, name, encode, message
+):
+    _, source = converted
+    path = tmp_path / name
+    path.write_bytes(encode(gzip.decompress(source.read_bytes())))
+    assert sim_main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro-sim: {path}: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_reports_injected_truncation(converted):

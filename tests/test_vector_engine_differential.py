@@ -143,7 +143,7 @@ def test_vector_accepts_columns_rows_and_raw():
 
 def test_simulator_columns_memo_is_bit_identical(golden_decoded):
     # One columns object re-run by one simulator: the second run takes
-    # the plans memoised on the columns and the pooled components.
+    # the plans memoised on the columns and builds fresh components.
     decoded = golden_decoded[GOLDEN[0]]
     columns = columnarize(decoded)
     sim = Simulator(SimConfig.main())
