@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import obs
 from repro.core.improvements import (
@@ -25,6 +25,7 @@ from repro.core.improvements import (
     parse_improvements,
 )
 from repro.errors import INPUT_ERRORS, input_error_line
+from repro.findings import add_report_flags
 from repro.obs import logutil
 
 #: ``--no-improvement`` spellings: the paper's Table 1 singletons.
@@ -88,63 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
             "(auto = what the improvement set requires)"
         ),
     )
-    parser.add_argument(
-        "--select",
-        action="append",
-        default=[],
-        metavar="RULES",
-        help="comma-separated rule IDs/prefixes to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        default=[],
-        metavar="RULES",
-        help="comma-separated rule IDs/prefixes to skip",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format",
-    )
-    parser.add_argument(
-        "--baseline",
-        help="baseline JSON file; suppress the findings recorded in it",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="record every surviving finding into PATH and exit 0",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=(
-            "lint-result cache directory (default: $REPRO_CACHE_DIR or "
-            "~/.cache/repro)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-lint every trace even when cached results match",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
+    add_report_flags(parser, label="lint", subject="trace")
     obs.add_obs_flags(parser)
     logutil.add_logging_flags(parser)
     return parser
-
-
-def _split_patterns(values: Sequence[str]) -> List[str]:
-    out: List[str] = []
-    for value in values:
-        out.extend(part.strip() for part in value.split(",") if part.strip())
-    return out
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -152,11 +100,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logutil.configure_from_args(args)
     obs.setup_cli("repro-lint", args)
 
-    from repro.analysis.reporters import (
-        render_json,
-        render_rule_catalog,
-        render_text,
-    )
+    from repro.analysis.reporters import LINT_RENDERER, render_rule_catalog
 
     if args.list_rules:
         print(render_rule_catalog())
@@ -173,19 +117,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
 
-    from repro.analysis.baseline import (
-        load_baseline,
-        suppress_report,
-        write_baseline,
+    from repro.analysis.cache import (
+        LINT_KIND,
+        lint_key,
+        report_from_dict,
+        report_to_dict,
     )
-    from repro.analysis.cache import LintCache, lint_file_cached
-    from repro.analysis.engine import LintSummary, TraceLinter
-    from repro.analysis.rules import resolve_rules
+    from repro.analysis.engine import TraceLinter
+    from repro.analysis.rules import LINT_RULES
+    from repro.findings import (
+        ReportCache,
+        emit_reports,
+        load_baseline,
+        load_or_compute,
+        split_patterns,
+        suppress_report,
+    )
+    from repro.service.store import file_digest
 
     try:
-        rules = resolve_rules(
-            select=_split_patterns(args.select) or None,
-            ignore=_split_patterns(args.ignore) or None,
+        rules = LINT_RULES.resolve(
+            split_patterns(args.select), split_patterns(args.ignore)
         )
     except ValueError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
@@ -194,39 +146,42 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     linter = TraceLinter(
         improvements, rules=rules, branch_rules=args.branch_rules
     )
-    cache = None if args.no_cache else LintCache(args.cache_dir)
+    cache = (
+        None
+        if args.no_cache
+        else ReportCache(
+            args.cache_dir, LINT_KIND, report_to_dict, report_from_dict
+        )
+    )
 
     baseline = None
     if args.baseline:
         try:
             baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"repro-lint: cannot read baseline: {exc}", file=sys.stderr)
             return 2
 
     reports = []
     for path in args.traces:
         try:
-            report = lint_file_cached(linter, path, cache)
+            report = load_or_compute(
+                cache,
+                lambda: lint_key(
+                    file_digest(path),
+                    linter.improvements,
+                    linter.branch_rules,
+                    linter.rule_ids,
+                ),
+                lambda: linter.lint_file(path),
+            )
         except INPUT_ERRORS as exc:
             print(input_error_line("repro-lint", path, exc), file=sys.stderr)
             return 2
         if baseline is not None:
             report = suppress_report(report, baseline)
         reports.append(report)
-
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, reports)
-        print(f"[baseline {args.write_baseline}: {count} finding(s) recorded]")
-        return 0
-
-    if args.format == "json":
-        print(render_json(reports))
-    else:
-        print(render_text(reports))
-        if cache is not None:
-            print(f"[lint cache {cache.describe()}]")
-    return LintSummary(reports=reports).exit_code()
+    return emit_reports(args, reports, LINT_RENDERER, cache)
 
 
 if __name__ == "__main__":  # pragma: no cover

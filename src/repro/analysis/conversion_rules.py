@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.rules import ConversionRule, register
 from repro.champsim.branch_info import BranchType, deduce_branch_type
 from repro.champsim.regs import REG_FLAGS, REG_FORGED_X0, champsim_reg
@@ -27,6 +27,7 @@ from repro.champsim.trace import ChampSimInstr, MAX_DST_REGS
 from repro.cvp.addrmode import cachelines_touched, is_dc_zva
 from repro.cvp.isa import CACHELINE_SIZE, LINK_REGISTER, InstClass
 from repro.cvp.record import CvpRecord
+from repro.findings import Severity
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.analysis.engine import RuleContext

@@ -2,7 +2,7 @@
 
 A :class:`Diagnostic` pins one finding to a (trace, record index, PC)
 location, the way a source linter pins findings to (file, line, column).
-The :class:`Severity` ordering drives the CLI exit code and the
+Its :class:`~repro.findings.Severity` drives the CLI exit code and the
 CI gate (golden traces must lint with zero errors); the
 :meth:`Diagnostic.fingerprint` is the identity used by baseline files to
 suppress known findings across runs (it deliberately excludes the record
@@ -12,29 +12,11 @@ instruction budget as long as the PC and message are stable).
 
 from __future__ import annotations
 
-import enum
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict
 
-
-class Severity(enum.IntEnum):
-    """Finding severities, ordered so ``max()`` picks the worst."""
-
-    INFO = 10
-    WARNING = 20
-    ERROR = 30
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
-
-    @classmethod
-    def from_label(cls, label: str) -> "Severity":
-        try:
-            return cls[label.upper()]
-        except KeyError:
-            raise ValueError(f"unknown severity {label!r}") from None
+from repro.findings import Severity
 
 
 @dataclass(frozen=True)

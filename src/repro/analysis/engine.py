@@ -16,23 +16,19 @@ enabled must be clean (the CI gate over the golden fixtures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.rules import (
-    ConversionRule,
-    InputRule,
-    Rule,
-    resolve_rules,
-)
+from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.rules import LINT_RULES, ConversionRule, InputRule, Rule
 from repro.champsim.branch_info import BranchRules
 from repro.core.convert import Converter
 from repro.core.improvements import Improvement, improvement_name
 from repro.cvp.addrmode import AddressingInfo, infer_addressing
 from repro.cvp.reader import CvpTraceReader, RegisterFile
 from repro.cvp.record import CvpRecord
+from repro.findings import Report
 
 
 @dataclass
@@ -62,8 +58,10 @@ class RuleContext:
 
 
 @dataclass
-class LintReport:
+class LintReport(Report):
     """Outcome of linting one trace."""
+
+    items_field = "diagnostics"
 
     trace: str
     improvements: Improvement
@@ -72,75 +70,18 @@ class LintReport:
     diagnostics: List[Diagnostic]
     #: IDs of the rules that ran (selection-dependent; part of the cache key).
     rule_ids: Tuple[str, ...]
-    #: True when the report was replayed from the lint cache.
-    from_cache: bool = False
-    #: Diagnostics suppressed by a baseline file (counted, not listed).
-    suppressed: int = 0
 
-    def count(self, severity: Severity) -> int:
-        return sum(1 for d in self.diagnostics if d.severity is severity)
-
-    @property
-    def errors(self) -> int:
-        return self.count(Severity.ERROR)
-
-    @property
-    def warnings(self) -> int:
-        return self.count(Severity.WARNING)
-
-    @property
-    def max_severity(self) -> Optional[Severity]:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
-    def fired_rule_ids(self) -> Tuple[str, ...]:
-        return tuple(sorted({d.rule_id for d in self.diagnostics}))
+    def ordered_items(self) -> List[Diagnostic]:
+        return sorted(self.diagnostics, key=lambda d: (d.index, d.rule_id))
 
     def describe(self) -> str:
         """One-line summary for CLI output."""
         cached = " (cached)" if self.from_cache else ""
-        suppressed = (
-            f" suppressed={self.suppressed}" if self.suppressed else ""
-        )
         return (
-            f"{self.trace}: {self.records} records, "
-            f"errors={self.errors} warnings={self.warnings} "
-            f"infos={self.count(Severity.INFO)}{suppressed} "
+            f"{self.trace}: {self.records} records, {self.counts()} "
             f"[{improvement_name(self.improvements)}, "
             f"{self.branch_rules.value} rules]{cached}"
         )
-
-
-@dataclass
-class LintSummary:
-    """Aggregate of several per-trace reports (the CLI's exit status)."""
-
-    reports: List[LintReport] = field(default_factory=list)
-
-    @property
-    def errors(self) -> int:
-        return sum(report.errors for report in self.reports)
-
-    @property
-    def warnings(self) -> int:
-        return sum(report.warnings for report in self.reports)
-
-    @property
-    def max_severity(self) -> Optional[Severity]:
-        severities = [
-            report.max_severity
-            for report in self.reports
-            if report.max_severity is not None
-        ]
-        return max(severities) if severities else None
-
-    def exit_code(self) -> int:
-        """0 clean/info, 1 warnings, 2 errors."""
-        worst = self.max_severity
-        if worst is None or worst is Severity.INFO:
-            return 0
-        return 2 if worst is Severity.ERROR else 1
 
 
 def resolve_branch_rules(
@@ -178,7 +119,7 @@ class TraceLinter:
     ):
         self.improvements = improvements
         self.branch_rules = resolve_branch_rules(branch_rules, improvements)
-        all_rules = list(rules) if rules is not None else resolve_rules()
+        all_rules = list(rules) if rules is not None else LINT_RULES.resolve()
         self.input_rules: List[InputRule] = [
             rule for rule in all_rules if isinstance(rule, InputRule)
         ]
@@ -287,8 +228,6 @@ def lint_trace_name(
 
 def rule_catalog() -> List[Dict[str, str]]:
     """The full rule catalog (ID, severity, title, paper section)."""
-    from repro.analysis.rules import all_rule_classes
-
     return [
         {
             "rule_id": cls.rule_id,
@@ -297,5 +236,5 @@ def rule_catalog() -> List[Dict[str, str]]:
             "paper_section": cls.paper_section,
             "family": "input" if cls.rule_id.startswith("TL0") else "conversion",
         }
-        for cls in all_rule_classes()
+        for cls in LINT_RULES.classes()
     ]

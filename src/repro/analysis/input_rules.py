@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.rules import InputRule, register
 from repro.cvp.addrmode import is_dc_zva
 from repro.cvp.isa import (
@@ -21,6 +21,7 @@ from repro.cvp.isa import (
     InstClass,
 )
 from repro.cvp.record import CvpRecord
+from repro.findings import Severity
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.analysis.engine import RuleContext

@@ -2,55 +2,11 @@
 
 from __future__ import annotations
 
-import json
-from typing import List, Sequence
-
 from repro.analysis.cache import report_to_dict
-from repro.analysis.diagnostics import Severity
-from repro.analysis.engine import LintReport, LintSummary
+from repro.findings import Renderer
 
-
-def render_text(reports: Sequence[LintReport]) -> str:
-    """GCC-style one-diagnostic-per-line text report with a summary."""
-    lines: List[str] = []
-    for report in reports:
-        for diagnostic in sorted(
-            report.diagnostics, key=lambda d: (d.index, d.rule_id)
-        ):
-            lines.append(diagnostic.render())
-        lines.append(report.describe())
-    summary = LintSummary(reports=list(reports))
-    infos = sum(r.count(Severity.INFO) for r in reports)
-    lines.append(
-        f"[lint {len(reports)} trace(s): errors={summary.errors} "
-        f"warnings={summary.warnings} infos={infos}]"
-    )
-    return "\n".join(lines)
-
-
-def render_json(reports: Sequence[LintReport]) -> str:
-    """Machine-readable report (stable schema for CI consumption)."""
-    summary = LintSummary(reports=list(reports))
-    payload = {
-        "version": 1,
-        "reports": [
-            {
-                **report_to_dict(report),
-                "from_cache": report.from_cache,
-                "suppressed": report.suppressed,
-                "errors": report.errors,
-                "warnings": report.warnings,
-            }
-            for report in reports
-        ],
-        "summary": {
-            "traces": len(list(reports)),
-            "errors": summary.errors,
-            "warnings": summary.warnings,
-            "exit_code": summary.exit_code(),
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+#: ``[lint N trace(s): ...]`` text and ``"traces": N`` JSON reports.
+LINT_RENDERER = Renderer(label="lint", unit="trace", to_dict=report_to_dict)
 
 
 def render_rule_catalog() -> str:

@@ -1,22 +1,24 @@
-"""Rule base classes, the rule registry, and ``--select/--ignore`` logic.
+"""Rule base classes and the trace-lint rule registry.
 
 Every trace-lint rule is a small class with a stable ID (``TL0xx`` for
 input rules over raw CVP-1 records, ``TL1xx`` for conversion rules over
 (CVP-1, ChampSim) record pairs, ``TL2xx`` for ChampSim branch-type
-deduction rules), a default :class:`~repro.analysis.diagnostics.Severity`,
-and the paper section that motivates it.  Rules self-register on import
-via the :func:`register` decorator; :func:`resolve_rules` implements the
-ruff-style prefix selection used by the CLI (``--select TL1`` keeps every
+deduction rules), a default :class:`~repro.findings.Severity`, and the
+paper section that motivates it.  Rules self-register on import via the
+:func:`register` decorator into :data:`LINT_RULES`, whose
+:meth:`~repro.findings.RuleRegistry.resolve` implements the ruff-style
+prefix selection used by the CLI (``--select TL1`` keeps every
 conversion rule).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.diagnostics import Diagnostic
 from repro.cvp.record import CvpRecord
+from repro.findings import RuleRegistry, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.analysis.engine import RuleContext
@@ -82,61 +84,10 @@ class ConversionRule(Rule):
         """Yield diagnostics for one (record, converted instrs) pair."""
 
 
-_REGISTRY: Dict[str, Type[Rule]] = {}
-
-
-def register(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator: add a rule class to the global registry."""
-    if not cls.rule_id:
-        raise ValueError(f"{cls.__name__} has no rule_id")
-    existing = _REGISTRY.get(cls.rule_id)
-    if existing is not None and existing is not cls:
-        raise ValueError(
-            f"duplicate rule id {cls.rule_id!r}: "
-            f"{existing.__name__} and {cls.__name__}"
-        )
-    _REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def _ensure_rules_loaded() -> None:
+def _load_rules() -> None:
     """Import the rule modules so their ``@register`` decorators run."""
     from repro.analysis import conversion_rules, input_rules  # noqa: F401
 
 
-def all_rule_classes() -> List[Type[Rule]]:
-    """Every registered rule class, ordered by rule ID."""
-    _ensure_rules_loaded()
-    return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def _matches(rule_id: str, patterns: Sequence[str]) -> bool:
-    """Ruff-style prefix match: ``TL1`` selects ``TL101``, ``TL102``..."""
-    return any(rule_id.startswith(pattern) for pattern in patterns)
-
-
-def resolve_rules(
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> List[Rule]:
-    """Instantiate the selected rules (all by default, minus ``ignore``).
-
-    ``select`` and ``ignore`` hold exact rule IDs or prefixes.  Unknown
-    patterns (matching no registered rule) raise ``ValueError`` so typos
-    fail loudly instead of silently linting nothing.
-    """
-    classes = all_rule_classes()
-    known_ids = [cls.rule_id for cls in classes]
-    for pattern in list(select or []) + list(ignore or []):
-        if not any(rule_id.startswith(pattern) for rule_id in known_ids):
-            raise ValueError(
-                f"unknown rule or prefix {pattern!r}; known: "
-                + ", ".join(known_ids)
-            )
-    chosen = [
-        cls
-        for cls in classes
-        if (not select or _matches(cls.rule_id, select))
-        and not (ignore and _matches(cls.rule_id, ignore))
-    ]
-    return [cls() for cls in chosen]
+LINT_RULES: RuleRegistry[Rule] = RuleRegistry(_load_rules)
+register = LINT_RULES.register

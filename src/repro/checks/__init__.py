@@ -21,23 +21,27 @@ pipeline's correctness invariants over the *code itself*:
   same :class:`~repro.sim.config.SimConfig` knobs, statically, before
   the differential tests ever run.
 
-The architecture mirrors :mod:`repro.analysis`: small rule classes with
-stable IDs registered by decorator, ruff-style ``--select/--ignore``
-prefix selection, severity-driven exit codes, baseline suppression with
-per-finding justifications, and a content-addressed report cache.
+Only the source-specific parts live here: the rules, the
+:class:`Finding` type, :class:`CheckRunner` and the cache key.  The
+machinery shared with :mod:`repro.analysis` — the rule registry with
+ruff-style ``--select/--ignore`` prefix selection, severity-driven exit
+codes, baseline suppression with per-finding justifications, text/JSON
+rendering and the content-addressed report cache
+(:class:`~repro.findings.ReportCache` over the ``checks`` blob kind) —
+is the findings core, :mod:`repro.findings`.
 """
 
 from repro.checks.engine import (  # noqa: F401
     CheckReport,
     CheckRunner,
-    CheckSummary,
     check_catalog,
 )
-from repro.checks.findings import Finding, Severity  # noqa: F401
+from repro.checks.findings import Finding  # noqa: F401
 from repro.checks.project import CheckProject, SourceModule  # noqa: F401
 from repro.checks.rules import (  # noqa: F401
+    CHECK_RULES,
     CheckRule,
     ModuleCheckRule,
     ProjectCheckRule,
-    resolve_check_rules,
 )
+from repro.findings import Severity  # noqa: F401

@@ -15,7 +15,7 @@ The exit code reflects the worst surviving finding: 0 (clean or info),
 When ``checks-baseline.json`` exists in the current directory it is
 applied automatically (like a linter config file); ``--no-baseline``
 disables that, ``--baseline PATH`` points elsewhere.  Baseline entries
-must carry a justification — see :mod:`repro.checks.baseline`.
+must carry a justification — see :func:`repro.findings.load_baseline`.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import obs
+from repro.findings import add_report_flags
 from repro.obs import logutil
 
 #: Applied automatically when present in the working directory.
@@ -43,71 +44,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths", nargs="*", help="source files or directories to check"
     )
-    parser.add_argument(
-        "--select",
-        action="append",
-        default=[],
-        metavar="RULES",
-        help="comma-separated rule IDs/prefixes to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        default=[],
-        metavar="RULES",
-        help="comma-separated rule IDs/prefixes to skip",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format",
-    )
-    parser.add_argument(
-        "--baseline",
-        help=(
-            "baseline JSON file; suppress the findings recorded in it "
-            f"(default: ./{DEFAULT_BASELINE} when present)"
-        ),
+    add_report_flags(
+        parser,
+        label="check",
+        subject="file",
+        baseline_default=f" (default: ./{DEFAULT_BASELINE} when present)",
     )
     parser.add_argument(
         "--no-baseline",
         action="store_true",
         help="do not apply any baseline, not even the default one",
     )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="record every surviving finding into PATH and exit 0",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help=(
-            "check-result cache directory (default: $REPRO_CACHE_DIR or "
-            "~/.cache/repro)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-check every file even when cached results match",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
-    )
     obs.add_obs_flags(parser)
     logutil.add_logging_flags(parser)
     return parser
-
-
-def _split_patterns(values: Sequence[str]) -> List[str]:
-    out: List[str] = []
-    for value in values:
-        out.extend(part.strip() for part in value.split(",") if part.strip())
-    return out
 
 
 def _resolve_baseline_path(args: argparse.Namespace) -> Optional[Path]:
@@ -124,11 +74,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logutil.configure_from_args(args)
     obs.setup_cli("repro-check", args)
 
-    from repro.checks.reporters import (
-        render_check_catalog,
-        render_json,
-        render_text,
-    )
+    from repro.checks.reporters import CHECK_RENDERER, render_check_catalog
 
     if args.list_rules:
         print(render_check_catalog())
@@ -137,33 +83,47 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("repro-check: no paths given", file=sys.stderr)
         return 2
 
-    from repro.checks.baseline import (
-        load_check_baseline,
-        suppress_check_report,
-        write_check_baseline,
+    from repro.checks.cache import (
+        CHECK_KIND,
+        check_key,
+        report_from_dict,
+        report_to_dict,
+        source_digests,
     )
-    from repro.checks.cache import CheckCache, check_paths_cached
-    from repro.checks.engine import CheckRunner, CheckSummary
-    from repro.checks.rules import resolve_check_rules
+    from repro.checks.engine import CheckRunner
+    from repro.checks.rules import CHECK_RULES
+    from repro.findings import (
+        ReportCache,
+        emit_reports,
+        load_baseline,
+        load_or_compute,
+        split_patterns,
+        suppress_report,
+    )
 
     try:
-        rules = resolve_check_rules(
-            select=_split_patterns(args.select) or None,
-            ignore=_split_patterns(args.ignore) or None,
+        rules = CHECK_RULES.resolve(
+            split_patterns(args.select), split_patterns(args.ignore)
         )
     except ValueError as exc:
         print(f"repro-check: {exc}", file=sys.stderr)
         return 2
 
     runner = CheckRunner(rules=rules)
-    cache = None if args.no_cache else CheckCache(args.cache_dir)
+    cache = (
+        None
+        if args.no_cache
+        else ReportCache(
+            args.cache_dir, CHECK_KIND, report_to_dict, report_from_dict
+        )
+    )
 
     baseline = None
     baseline_path = _resolve_baseline_path(args)
     if baseline_path is not None:
         try:
-            baseline = load_check_baseline(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
+            baseline = load_baseline(baseline_path)
+        except (OSError, ValueError) as exc:
             print(
                 f"repro-check: cannot read baseline: {exc}", file=sys.stderr
             )
@@ -176,28 +136,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     try:
-        report = check_paths_cached(runner, args.paths, cache)
+        report = load_or_compute(
+            cache,
+            lambda: check_key(source_digests(args.paths), runner.rule_ids),
+            lambda: runner.check_paths(args.paths),
+        )
     except OSError as exc:
         print(f"repro-check: {exc}", file=sys.stderr)
         return 2
     if baseline is not None:
-        report = suppress_check_report(report, baseline)
-    reports = [report]
-
-    if args.write_baseline:
-        count = write_check_baseline(args.write_baseline, reports)
-        print(
-            f"[baseline {args.write_baseline}: {count} finding(s) recorded]"
-        )
-        return 0
-
-    if args.format == "json":
-        print(render_json(reports))
-    else:
-        print(render_text(reports))
-        if cache is not None:
-            print(f"[check cache {cache.describe()}]")
-    return CheckSummary(reports=reports).exit_code()
+        report = suppress_report(report, baseline)
+    return emit_reports(args, [report], CHECK_RENDERER, cache)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,9 @@
 """The source-check engine: run the rule set over a parsed project.
 
 :class:`CheckRunner` mirrors :class:`repro.analysis.engine.TraceLinter`
-one layer up the stack — same registry/severity/exit-code design, but
-the input is the repo's own Python source instead of a trace stream.
+one layer up the stack — both sit on the findings core
+(:mod:`repro.findings`), but the input here is the repo's own Python
+source instead of a trace stream.
 Module rules run once per file; project rules run once per
 :class:`~repro.checks.project.CheckProject` so they can correlate
 definitions across files (the RC2xx/RC4xx cross-checks).
@@ -14,99 +15,40 @@ fail the gate, not weaken it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.checks.findings import Finding, Severity
+from repro.checks.findings import Finding
 from repro.checks.project import CheckProject, SourceModule, parse_module
 from repro.checks.rules import (
+    CHECK_RULES,
     CheckRule,
     ModuleCheckRule,
     ProjectCheckRule,
-    resolve_check_rules,
 )
+from repro.findings import Report, Severity
 
 #: Pseudo-rule ID for files the checker cannot parse.
 PARSE_ERROR_RULE_ID = "RC001"
 
 
 @dataclass
-class CheckReport:
+class CheckReport(Report):
     """Outcome of checking one source tree."""
+
+    items_field = "findings"
 
     root: str
     files: int
     findings: List[Finding]
     #: IDs of the rules that ran (selection-dependent; part of the cache key).
     rule_ids: Tuple[str, ...]
-    #: True when the report was replayed from the check cache.
-    from_cache: bool = False
-    #: Findings suppressed by a baseline file (counted, not listed).
-    suppressed: int = 0
-
-    def count(self, severity: Severity) -> int:
-        return sum(1 for f in self.findings if f.severity is severity)
-
-    @property
-    def errors(self) -> int:
-        return self.count(Severity.ERROR)
-
-    @property
-    def warnings(self) -> int:
-        return self.count(Severity.WARNING)
-
-    @property
-    def max_severity(self) -> Optional[Severity]:
-        if not self.findings:
-            return None
-        return max(f.severity for f in self.findings)
-
-    def fired_rule_ids(self) -> Tuple[str, ...]:
-        return tuple(sorted({f.rule_id for f in self.findings}))
 
     def describe(self) -> str:
         """One-line summary for CLI output."""
         cached = " (cached)" if self.from_cache else ""
-        suppressed = (
-            f" suppressed={self.suppressed}" if self.suppressed else ""
-        )
-        return (
-            f"{self.root}: {self.files} file(s), "
-            f"errors={self.errors} warnings={self.warnings} "
-            f"infos={self.count(Severity.INFO)}{suppressed}{cached}"
-        )
-
-
-@dataclass
-class CheckSummary:
-    """Aggregate of several reports (the CLI's exit status)."""
-
-    reports: List[CheckReport] = field(default_factory=list)
-
-    @property
-    def errors(self) -> int:
-        return sum(report.errors for report in self.reports)
-
-    @property
-    def warnings(self) -> int:
-        return sum(report.warnings for report in self.reports)
-
-    @property
-    def max_severity(self) -> Optional[Severity]:
-        severities = [
-            report.max_severity
-            for report in self.reports
-            if report.max_severity is not None
-        ]
-        return max(severities) if severities else None
-
-    def exit_code(self) -> int:
-        """0 clean/info, 1 warnings, 2 errors."""
-        worst = self.max_severity
-        if worst is None or worst is Severity.INFO:
-            return 0
-        return 2 if worst is Severity.ERROR else 1
+        return f"{self.root}: {self.files} file(s), {self.counts()}{cached}"
 
 
 class CheckRunner:
@@ -114,12 +56,12 @@ class CheckRunner:
 
     Args:
         rules: Rule instances to run; default is every registered rule
-            (see :func:`repro.checks.rules.resolve_check_rules`).
+            (see :data:`repro.checks.rules.CHECK_RULES`).
     """
 
     def __init__(self, rules: Optional[Sequence[CheckRule]] = None):
         all_rules = (
-            list(rules) if rules is not None else resolve_check_rules()
+            list(rules) if rules is not None else CHECK_RULES.resolve()
         )
         self.module_rules: List[ModuleCheckRule] = [
             rule for rule in all_rules if isinstance(rule, ModuleCheckRule)
@@ -204,8 +146,6 @@ class CheckRunner:
 
 def check_catalog() -> List[Dict[str, str]]:
     """The full rule catalog (ID, severity, title, rationale, family)."""
-    from repro.checks.rules import all_check_rule_classes
-
     families = {
         "RC1": "determinism",
         "RC2": "cache-keys",
@@ -220,5 +160,5 @@ def check_catalog() -> List[Dict[str, str]]:
             "rationale": cls.rationale,
             "family": families.get(cls.rule_id[:3], "other"),
         }
-        for cls in all_check_rule_classes()
+        for cls in CHECK_RULES.classes()
     ]

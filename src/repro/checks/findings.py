@@ -3,8 +3,7 @@
 A :class:`Finding` pins one violation to a (file, line) location, the
 way :class:`~repro.analysis.diagnostics.Diagnostic` pins trace findings
 to (trace, record index, PC).  The shared
-:class:`~repro.analysis.diagnostics.Severity` ordering drives the CLI
-exit code; :meth:`Finding.fingerprint` is the identity baselines use to
+:class:`~repro.findings.Severity` ordering drives the CLI exit code; :meth:`Finding.fingerprint` is the identity baselines use to
 suppress acknowledged findings — it deliberately excludes the *line*
 number, so baselined findings survive unrelated edits above them as
 long as the file and message are stable.
@@ -16,9 +15,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from repro.analysis.diagnostics import Severity
-
-__all__ = ["Finding", "Severity"]
+from repro.findings import Severity
 
 
 @dataclass(frozen=True)

@@ -2,53 +2,11 @@
 
 from __future__ import annotations
 
-import json
-from typing import List, Sequence
-
 from repro.checks.cache import report_to_dict
-from repro.checks.engine import CheckReport, CheckSummary
-from repro.checks.findings import Severity
+from repro.findings import Renderer
 
-
-def render_text(reports: Sequence[CheckReport]) -> str:
-    """GCC-style one-finding-per-line text report with a summary."""
-    lines: List[str] = []
-    for report in reports:
-        for finding in report.findings:
-            lines.append(finding.render())
-        lines.append(report.describe())
-    summary = CheckSummary(reports=list(reports))
-    infos = sum(r.count(Severity.INFO) for r in reports)
-    lines.append(
-        f"[check {len(reports)} root(s): errors={summary.errors} "
-        f"warnings={summary.warnings} infos={infos}]"
-    )
-    return "\n".join(lines)
-
-
-def render_json(reports: Sequence[CheckReport]) -> str:
-    """Machine-readable report (stable schema for CI consumption)."""
-    summary = CheckSummary(reports=list(reports))
-    payload = {
-        "version": 1,
-        "reports": [
-            {
-                **report_to_dict(report),
-                "from_cache": report.from_cache,
-                "suppressed": report.suppressed,
-                "errors": report.errors,
-                "warnings": report.warnings,
-            }
-            for report in reports
-        ],
-        "summary": {
-            "roots": len(list(reports)),
-            "errors": summary.errors,
-            "warnings": summary.warnings,
-            "exit_code": summary.exit_code(),
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+#: ``[check N root(s): ...]`` text and ``"roots": N`` JSON reports.
+CHECK_RENDERER = Renderer(label="check", unit="root", to_dict=report_to_dict)
 
 
 def render_check_catalog() -> str:

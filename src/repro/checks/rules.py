@@ -1,12 +1,13 @@
-"""Rule base classes, the registry, and ``--select/--ignore`` logic.
+"""Rule base classes and the source-check rule registry.
 
 Every source-check rule is a small class with a stable ID (``RC1xx``
 determinism, ``RC2xx`` cache-key completeness, ``RC3xx`` worker/pickle
 safety, ``RC4xx`` engine parity, ``RC5xx`` failure handling), a default
-severity, and a one-line rationale.  Rules self-register on import via :func:`register`;
-:func:`resolve_check_rules` implements the same ruff-style prefix
-selection as :func:`repro.analysis.rules.resolve_rules` (``--select
-RC4`` keeps every parity rule).
+severity, and a one-line rationale.  Rules self-register on import via
+:func:`register` into :data:`CHECK_RULES`, a
+:class:`~repro.findings.RuleRegistry` like ``repro-lint``'s, whose
+prefix selection backs ``--select/--ignore`` (``--select RC4`` keeps
+every parity rule).
 
 Two rule shapes exist:
 
@@ -23,10 +24,11 @@ from __future__ import annotations
 
 import abc
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Type
+from typing import Iterator, Optional
 
-from repro.checks.findings import Finding, Severity
+from repro.checks.findings import Finding
 from repro.checks.project import CheckProject, SourceModule
+from repro.findings import RuleRegistry, Severity
 
 
 class CheckRule(abc.ABC):
@@ -76,24 +78,7 @@ class ProjectCheckRule(CheckRule):
         """Yield findings for the project."""
 
 
-_REGISTRY: Dict[str, Type[CheckRule]] = {}
-
-
-def register(cls: Type[CheckRule]) -> Type[CheckRule]:
-    """Class decorator: add a rule class to the global registry."""
-    if not cls.rule_id:
-        raise ValueError(f"{cls.__name__} has no rule_id")
-    existing = _REGISTRY.get(cls.rule_id)
-    if existing is not None and existing is not cls:
-        raise ValueError(
-            f"duplicate rule id {cls.rule_id!r}: "
-            f"{existing.__name__} and {cls.__name__}"
-        )
-    _REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def _ensure_rules_loaded() -> None:
+def _load_rules() -> None:
     """Import the rule modules so their ``@register`` decorators run."""
     from repro.checks import (  # noqa: F401
         cachekeys,
@@ -104,39 +89,5 @@ def _ensure_rules_loaded() -> None:
     )
 
 
-def all_check_rule_classes() -> List[Type[CheckRule]]:
-    """Every registered rule class, ordered by rule ID."""
-    _ensure_rules_loaded()
-    return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def _matches(rule_id: str, patterns: Sequence[str]) -> bool:
-    """Ruff-style prefix match: ``RC1`` selects ``RC101``, ``RC102``..."""
-    return any(rule_id.startswith(pattern) for pattern in patterns)
-
-
-def resolve_check_rules(
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> List[CheckRule]:
-    """Instantiate the selected rules (all by default, minus ``ignore``).
-
-    ``select`` and ``ignore`` hold exact rule IDs or prefixes.  Unknown
-    patterns raise ``ValueError`` so typos fail loudly instead of
-    silently checking nothing.
-    """
-    classes = all_check_rule_classes()
-    known_ids = [cls.rule_id for cls in classes]
-    for pattern in list(select or []) + list(ignore or []):
-        if not any(rule_id.startswith(pattern) for rule_id in known_ids):
-            raise ValueError(
-                f"unknown rule or prefix {pattern!r}; known: "
-                + ", ".join(known_ids)
-            )
-    chosen = [
-        cls
-        for cls in classes
-        if (not select or _matches(cls.rule_id, select))
-        and not (ignore and _matches(cls.rule_id, ignore))
-    ]
-    return [cls() for cls in chosen]
+CHECK_RULES: RuleRegistry[CheckRule] = RuleRegistry(_load_rules)
+register = CHECK_RULES.register

@@ -24,9 +24,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set
 
-from repro.checks.findings import Finding, Severity
+from repro.checks.findings import Finding
 from repro.checks.project import CheckProject, SourceModule, dotted_name
 from repro.checks.rules import ModuleCheckRule, register
+from repro.findings import Severity
 
 #: Names whose presence marks a module as pool-driving for RC302.
 _POOL_MARKERS = ("ProcessPoolExecutor", "multiprocessing")

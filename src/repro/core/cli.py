@@ -121,14 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _lint_results(results: Sequence[ConversionResult]) -> int:
     """Lint each conversion's source trace; 0 unless any lint error."""
-    from repro.analysis.engine import LintSummary
-    from repro.analysis.reporters import render_text
+    from repro.analysis.reporters import LINT_RENDERER
     from repro.core.pipeline import lint_result
+    from repro.findings import exit_code
 
     reports = [lint_result(result) for result in results]
-    print(render_text(reports))
-    exit_code = LintSummary(reports=reports).exit_code()
-    return exit_code if exit_code >= 2 else 0
+    print(LINT_RENDERER.render_text(reports))
+    code = exit_code(reports)
+    return code if code >= 2 else 0
 
 
 def _main_suite(args: argparse.Namespace, improvements) -> int:

@@ -22,7 +22,6 @@ from repro.core.improvements import Improvement
 from repro.cvp.reader import CvpTraceReader
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.analysis.cache import LintCache
     from repro.analysis.engine import LintReport
     from repro.experiments.cache import ConversionCache
 
@@ -97,10 +96,7 @@ def convert_file(
     )
 
 
-def lint_result(
-    result: ConversionResult,
-    cache: Optional["LintCache"] = None,
-) -> "LintReport":
+def lint_result(result: ConversionResult) -> "LintReport":
     """Lint a finished conversion's *source* trace under its improvements.
 
     Replays the source through :class:`~repro.analysis.engine.TraceLinter`
@@ -108,13 +104,12 @@ def lint_result(
     rules), so the report states whether the file just produced preserves
     the paper's invariants.  Backs the ``repro-convert --lint`` flag.
     """
-    from repro.analysis.cache import lint_file_cached
     from repro.analysis.engine import TraceLinter
 
     linter = TraceLinter(
         result.improvements, branch_rules=result.branch_rules
     )
-    return lint_file_cached(linter, result.source, cache)
+    return linter.lint_file(result.source)
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,12 @@ def iter_record_blocks(
                     offset = bytes_read - len(tail)
                     _emit_truncation("cvp", len(tail))
                     if not salvage:
+                        # The complete records before the damage are
+                        # still good: a reader that stops early (a
+                        # ``limit``) must get them, not the error.
+                        if pending:
+                            blocks_out += 1
+                            yield pending
                         _raise_truncated(tail, offset)
                     _log_salvage("cvp", offset, len(tail))
                     if salvage_info is not None:

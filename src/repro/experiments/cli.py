@@ -21,16 +21,14 @@ from repro.cliargs import (
     positive_int,
 )
 from repro.experiments import ablation, figures, report, tables
-from repro.experiments.parallel import PoolRecoveryError, TaskFailure
+from repro.experiments.parallel import TaskFailure
 from repro.experiments.runner import ExperimentRunner
 from repro.faults.retry import RetryPolicy
 from repro.obs import logutil
 
 #: Exit codes: 0 success, 1 task failure (some runs kept failing and
-#: were quarantined), 2 usage error (argparse), 3 infrastructure
-#: failure (the worker pool could not be kept alive).
+#: were quarantined), 2 usage error (argparse).
 EXIT_TASK_FAILURE = 1
-EXIT_INFRA_FAILURE = 3
 
 _EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "tab1", "tab2", "tab3")
 _ABLATIONS = ("ablation-frontend", "ablation-overlap", "ablation-prf")
@@ -236,12 +234,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except TaskFailure as exc:
             _print_quarantine_report(name, exc)
             return EXIT_TASK_FAILURE
-        except PoolRecoveryError as exc:
-            print(
-                f"repro-experiment: {name}: infrastructure failure: {exc}",
-                file=sys.stderr,
-            )
-            return EXIT_INFRA_FAILURE
         print(f"[{name} took {time.time() - start:.1f}s]")
     print()
     print(f"[simulations={runner.simulations}]")

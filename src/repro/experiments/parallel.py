@@ -20,8 +20,7 @@ one place:
   each get a crash strike, so a poison task that keeps killing workers
   exhausts its attempts and is quarantined instead of sinking the sweep;
 - after ``max_pool_restarts`` pool losses the batch degrades gracefully
-  to serial in-process execution for the remaining tasks (or raises
-  :class:`PoolRecoveryError` when degradation is disabled);
+  to serial in-process execution for the remaining tasks;
 - experiment sweeps dispatch one :class:`TraceGroup` per trace: every
   run of that trace in the batch travels in one task (a batch over
   fewer traces than workers splits them), so the trace is generated
@@ -151,16 +150,6 @@ class TaskFailure(RuntimeError):
     def summary(self) -> str:
         """The one-line headline (no tracebacks)."""
         return str(self).splitlines()[0]
-
-
-class PoolRecoveryError(RuntimeError):
-    """Infrastructure failure: the worker pool could not be recovered.
-
-    Raised (instead of degrading to serial execution) only when
-    ``run_tasks`` was called with ``allow_degrade=False``.  Distinct
-    from :class:`TaskFailure` so callers can exit with an
-    infrastructure-failure status rather than a task-failure one.
-    """
 
 
 def _task_label(task: Any) -> str:
@@ -386,27 +375,18 @@ class _PoolSupervisor:
         jobs: int,
         timeout: Optional[float],
         max_pool_restarts: int,
-        allow_degrade: bool,
     ) -> None:
         self.state = state
         self.task_fn = task_fn
         self.jobs = jobs
         self.timeout = timeout
         self.max_pool_restarts = max_pool_restarts
-        self.allow_degrade = allow_degrade
         self.todo: Deque[int] = collections.deque(range(len(state.tasks)))
         self.restarts = 0
 
     def run(self) -> None:
         while self.todo:
             if self.restarts > self.max_pool_restarts:
-                if not self.allow_degrade:
-                    raise PoolRecoveryError(
-                        f"worker pool broke {self.restarts} times "
-                        f"(budget {self.max_pool_restarts}); "
-                        f"{len(self.todo)} task(s) unfinished and serial "
-                        "degradation is disabled"
-                    )
                 _emit_pool_event(
                     "pool.degraded",
                     remaining=len(self.todo),
@@ -589,7 +569,6 @@ def run_tasks(
     timeout: Optional[float] = None,
     on_result: Optional[Callable[[int, Any, Any], None]] = None,
     max_pool_restarts: int = DEFAULT_MAX_POOL_RESTARTS,
-    allow_degrade: bool = True,
 ) -> List[Any]:
     """Execute ``tasks`` across ``jobs`` processes; results in task order.
 
@@ -608,8 +587,7 @@ def run_tasks(
     going without them, then raises :class:`TaskFailure` carrying every
     quarantined task and its worker traceback.  Pool-level losses
     (broken pool, hung-worker kill) beyond ``max_pool_restarts`` degrade
-    the remainder of the batch to serial execution, or raise
-    :class:`PoolRecoveryError` when ``allow_degrade=False``.
+    the remainder of the batch to serial execution.
     """
     from repro import faults
 
@@ -630,7 +608,6 @@ def run_tasks(
             jobs,
             timeout,
             max_pool_restarts,
-            allow_degrade,
         ).run()
 
     if state.failures:

@@ -3,9 +3,9 @@
 :class:`CacheCounters` is the one cache-statistics implementation used by
 every repro cache (the views over :class:`~repro.service.store.BlobStore`:
 :class:`~repro.experiments.cache.ResultCache`,
-:class:`~repro.experiments.cache.ConversionCache`,
-:class:`~repro.analysis.cache.LintCache`,
-:class:`~repro.checks.cache.CheckCache`).  Each instance keeps plain
+:class:`~repro.experiments.cache.ConversionCache`, and the
+:class:`~repro.findings.ReportCache` of ``repro-lint`` and
+``repro-check``).  Each instance keeps plain
 integer attributes (``hits``/``misses``/...) because existing callers and
 tests read them directly and the ``describe()`` strings they feed are CLI
 output contracts — and every increment is mirrored into the global

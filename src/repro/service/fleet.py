@@ -172,9 +172,8 @@ class Fleet:
         """Run one sweep to a rendered artifact (the job body).
 
         Raises what the supervisor raises —
-        :class:`~repro.experiments.parallel.TaskFailure` /
-        :class:`~repro.experiments.parallel.PoolRecoveryError` — and the
-        queue worker maps those to a failed job.
+        :class:`~repro.experiments.parallel.TaskFailure` — and the
+        queue worker maps it to a failed job.
         """
         from repro import obs
 

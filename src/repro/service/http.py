@@ -268,6 +268,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; without TCP_NODELAY
+    # every request after the first on a keep-alive connection waits
+    # out Nagle plus the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> ExperimentService:

@@ -2,8 +2,8 @@
 
 One blob API for everything the pipeline persists: experiment runs
 (:class:`~repro.experiments.cache.ResultCache`), lint and check reports
-(:class:`~repro.analysis.cache.LintCache`,
-:class:`~repro.checks.cache.CheckCache`), suite conversions
+(:class:`~repro.findings.ReportCache` over the ``lint`` and ``checks``
+kinds), suite conversions
 (:class:`~repro.experiments.cache.ConversionCache`) and rendered
 figure/table artifacts.  The contract lives here once and the caches are
 thin views over it:

@@ -179,6 +179,32 @@ def test_lint_baseline_workflow(tmp_path, capsys):
     )
     assert code == 0
     assert "suppressed=" in capsys.readouterr().out
+    entries = json.loads(baseline.read_text())["findings"].values()
+    assert entries
+    assert all(entry["justification"] == "TODO: justify" for entry in entries)
+
+
+def test_lint_rejects_parent_format_baseline(tmp_path, capsys):
+    """A baseline of fingerprint -> rendering strings (no justifications)
+    is refused in one line, not with a traceback."""
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "findings": {
+                    "0123456789abcdef": "srv_3:7: pc=0x40: TL104 error: msg"
+                },
+            }
+        )
+    )
+    code = run_lint(["--baseline", str(baseline), GOLDEN_FILES[0]], tmp_path)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro-lint: cannot read baseline: ")
+    assert "0123456789abcdef has no justification" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_parse_disabled_accepts_artifact_spelling():

@@ -5,15 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import (
-    load_baseline,
-    suppress_report,
-    write_baseline,
+from repro.analysis.cache import (
+    LINT_KIND,
+    lint_key,
+    report_from_dict,
+    report_to_dict,
 )
-from repro.analysis.cache import LintCache, lint_file_cached, lint_key
-from repro.analysis.diagnostics import Severity
 from repro.analysis.engine import (
-    LintSummary,
     TraceLinter,
     lint_trace_name,
     resolve_branch_rules,
@@ -21,6 +19,16 @@ from repro.analysis.engine import (
 )
 from repro.champsim.branch_info import BranchRules
 from repro.core.improvements import Improvement
+from repro.findings import (
+    ReportCache,
+    Severity,
+    exit_code,
+    load_baseline,
+    load_or_compute,
+    suppress_report,
+    write_baseline,
+)
+from repro.service.store import file_digest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_TRACES = sorted(
@@ -37,6 +45,24 @@ IMPROVEMENT_TO_RULE = [
     (Improvement.BRANCH_REGS, "TL105"),
     (Improvement.FLAG_REG, "TL106"),
 ]
+
+
+def lint_cache(root):
+    return ReportCache(root, LINT_KIND, report_to_dict, report_from_dict)
+
+
+def lint_file_cached(linter, path, cache):
+    """``repro-lint``'s cached read of one trace."""
+    return load_or_compute(
+        cache,
+        lambda: lint_key(
+            file_digest(path),
+            linter.improvements,
+            linter.branch_rules,
+            linter.rule_ids,
+        ),
+        lambda: linter.lint_file(path),
+    )
 
 
 def lint_golden(improvements):
@@ -66,8 +92,7 @@ def test_disabling_an_improvement_fires_its_rule(improvement, rule_id):
     for report in reports:
         fired.update(report.fired_rule_ids())
     assert rule_id in fired
-    summary = LintSummary(reports=reports)
-    assert summary.exit_code() == 2
+    assert exit_code(reports) == 2
 
 
 def test_no_improvements_fires_every_conversion_rule_family():
@@ -101,13 +126,13 @@ def test_resolve_branch_rules_auto_tracks_branch_regs():
 
 def test_exit_code_reflects_max_severity():
     clean = lint_golden(Improvement.ALL)
-    assert LintSummary(reports=clean).exit_code() == 0
+    assert exit_code(clean) == 0
     broken = lint_golden(Improvement.NONE)
-    assert LintSummary(reports=broken).exit_code() == 2
+    assert exit_code(broken) == 2
 
 
 def test_lint_cache_round_trip(tmp_path):
-    cache = LintCache(tmp_path / "cache")
+    cache = lint_cache(tmp_path / "cache")
     linter = TraceLinter(Improvement.NONE)
     path = GOLDEN_DIR / f"{GOLDEN_TRACES[0]}.cvp.gz"
 
@@ -142,7 +167,7 @@ def test_lint_cache_key_covers_configuration():
 
 
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
-    cache = LintCache(tmp_path)
+    cache = lint_cache(tmp_path)
     linter = TraceLinter(Improvement.ALL)
     path = GOLDEN_DIR / f"{GOLDEN_TRACES[0]}.cvp.gz"
     report = lint_file_cached(linter, path, cache)
@@ -156,7 +181,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 def test_baseline_suppresses_known_findings(tmp_path):
     no_flag = Improvement.ALL & ~Improvement.FLAG_REG
     reports = lint_golden(no_flag)
-    assert LintSummary(reports=reports).exit_code() == 2
+    assert exit_code(reports) == 2
 
     baseline_path = tmp_path / "baseline.json"
     count = write_baseline(baseline_path, reports)
@@ -164,12 +189,12 @@ def test_baseline_suppresses_known_findings(tmp_path):
 
     baseline = load_baseline(baseline_path)
     suppressed = [suppress_report(report, baseline) for report in reports]
-    assert LintSummary(reports=suppressed).exit_code() == 0
+    assert exit_code(suppressed) == 0
     assert sum(report.suppressed for report in suppressed) > 0
     # A *new* finding (different configuration) still surfaces.
     fresh = lint_golden(Improvement.NONE)
     still = [suppress_report(report, baseline) for report in fresh]
-    assert LintSummary(reports=still).exit_code() == 2
+    assert exit_code(still) == 2
 
 
 def test_baseline_schema_mismatch_raises(tmp_path):

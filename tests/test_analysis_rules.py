@@ -1,10 +1,11 @@
 """Per-rule unit tests: hand-built records violating each invariant."""
 
-from repro.analysis.diagnostics import Diagnostic, Severity
+from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import TraceLinter
-from repro.analysis.rules import resolve_rules
+from repro.analysis.rules import LINT_RULES
 from repro.core.improvements import Improvement
 from repro.cvp.isa import InstClass, LINK_REGISTER
+from repro.findings import Severity
 
 from tests.conftest import alu, blr_x30, branch, load, ret, store
 
@@ -13,7 +14,7 @@ def lint(records, rule, improvements=Improvement.ALL, branch_rules="auto"):
     """Run exactly one rule over an in-memory record stream."""
     linter = TraceLinter(
         improvements,
-        rules=resolve_rules(select=[rule]),
+        rules=LINT_RULES.resolve(select=[rule]),
         branch_rules=branch_rules,
     )
     return linter.lint_records(records).diagnostics
@@ -292,13 +293,13 @@ def test_diagnostic_roundtrip_and_fingerprint():
 
 
 def test_rule_selection_prefixes():
-    assert {r.rule_id for r in resolve_rules(select=["TL1"])} == {
+    assert {r.rule_id for r in LINT_RULES.resolve(select=["TL1"])} == {
         "TL101", "TL102", "TL103", "TL104", "TL105", "TL106"
     }
-    ids = {r.rule_id for r in resolve_rules(ignore=["TL2"])}
+    ids = {r.rule_id for r in LINT_RULES.resolve(ignore=["TL2"])}
     assert "TL201" not in ids and "TL001" in ids
     try:
-        resolve_rules(select=["TL9"])
+        LINT_RULES.resolve(select=["TL9"])
     except ValueError as exc:
         assert "TL9" in str(exc)
     else:  # pragma: no cover

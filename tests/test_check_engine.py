@@ -7,30 +7,47 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks.baseline import (
-    load_check_baseline,
-    suppress_check_report,
-    write_check_baseline,
-)
 from repro.checks.cache import (
-    CheckCache,
+    CHECK_KIND,
     check_key,
-    check_paths_cached,
     report_from_dict,
     report_to_dict,
+    source_digests,
 )
-from repro.checks.engine import CheckRunner, CheckSummary
-from repro.checks.findings import Finding, Severity
-from repro.checks.rules import resolve_check_rules
+from repro.checks.engine import CheckRunner
+from repro.checks.findings import Finding
+from repro.checks.rules import CHECK_RULES
+from repro.findings import (
+    ReportCache,
+    Severity,
+    exit_code,
+    load_baseline,
+    load_or_compute,
+    suppress_report,
+    write_baseline,
+)
 
 REPO_ROOT = Path(__file__).parent.parent
 SRC_TREE = REPO_ROOT / "src" / "repro"
 BASELINE = REPO_ROOT / "checks-baseline.json"
 
 
+def check_cache(root):
+    return ReportCache(root, CHECK_KIND, report_to_dict, report_from_dict)
+
+
+def check_paths_cached(runner, roots, cache):
+    """``repro-check``'s cached check of ``roots``."""
+    return load_or_compute(
+        cache,
+        lambda: check_key(source_digests(roots), runner.rule_ids),
+        lambda: runner.check_paths(roots),
+    )
+
+
 def tree_report(root, select=None):
     runner = CheckRunner(
-        rules=resolve_check_rules(select=select) if select else None
+        rules=CHECK_RULES.resolve(select=select) if select else None
     )
     return runner.check_paths([root])
 
@@ -42,7 +59,7 @@ def test_src_tree_clean_under_repo_baseline(monkeypatch):
     """``repro-check src/repro`` (with the repo baseline) must pass."""
     monkeypatch.chdir(REPO_ROOT)
     report = tree_report(SRC_TREE)
-    baseline = load_check_baseline(BASELINE)
+    baseline = load_baseline(BASELINE)
     surviving = [
         f for f in report.findings if f.fingerprint() not in baseline
     ]
@@ -54,7 +71,7 @@ def test_repo_baseline_entries_all_current(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     report = tree_report(SRC_TREE)
     fingerprints = {f.fingerprint() for f in report.findings}
-    baseline = load_check_baseline(BASELINE)
+    baseline = load_baseline(BASELINE)
     assert baseline <= fingerprints, sorted(baseline - fingerprints)
 
 
@@ -80,7 +97,7 @@ def test_deleting_vector_counter_update_fails(tmp_path):
     vector.write_text(source.replace(target[0] + "\n", ""))
     report = tree_report(tree, select=["RC401"])
     assert report.fired_rule_ids() == ("RC401",)
-    assert CheckSummary(reports=[report]).exit_code() == 2
+    assert exit_code([report]) == 2
 
 
 def test_adding_unkeyed_config_field_fails(tmp_path):
@@ -105,8 +122,8 @@ def test_dropping_manifest_entry_fails(tmp_path):
 
 
 def test_cache_roundtrip_and_hit(tmp_path):
-    runner = CheckRunner(rules=resolve_check_rules(select=["RC1"]))
-    cache = CheckCache(tmp_path / "cache")
+    runner = CheckRunner(rules=CHECK_RULES.resolve(select=["RC1"]))
+    cache = check_cache(tmp_path / "cache")
     fixture = REPO_ROOT / "tests" / "fixtures" / "checks" / "rc1xx"
 
     first = check_paths_cached(runner, [fixture], cache)
@@ -130,7 +147,7 @@ def test_cache_key_depends_on_content_and_rules(tmp_path):
 
 
 def test_cache_schema_mismatch_misses(tmp_path):
-    cache = CheckCache(tmp_path)
+    cache = check_cache(tmp_path)
     finding = Finding("RC101", Severity.ERROR, "a.py", 3, "boom")
     report = report_from_dict(
         {
@@ -150,9 +167,9 @@ def test_cache_schema_mismatch_misses(tmp_path):
 
 def test_cache_report_with_finding_removed_is_quarantined(tmp_path):
     """A tampered cached report must miss, never pass the gate short."""
-    runner = CheckRunner(rules=resolve_check_rules(select=["RC1"]))
+    runner = CheckRunner(rules=CHECK_RULES.resolve(select=["RC1"]))
     fixture = REPO_ROOT / "tests" / "fixtures" / "checks" / "rc1xx"
-    first = check_paths_cached(runner, [fixture], CheckCache(tmp_path))
+    first = check_paths_cached(runner, [fixture], check_cache(tmp_path))
     assert len(first.findings) > 1
 
     (stored,) = (tmp_path / "checks").glob("*/*.json")
@@ -160,7 +177,7 @@ def test_cache_report_with_finding_removed_is_quarantined(tmp_path):
     del payload["report"]["findings"][0]
     stored.write_text(json.dumps(payload))
 
-    cache = CheckCache(tmp_path)
+    cache = check_cache(tmp_path)
     again = check_paths_cached(runner, [fixture], cache)
     assert not again.from_cache
     assert (cache.hits, cache.misses, cache.quarantined) == (0, 1, 1)
@@ -193,11 +210,11 @@ def test_baseline_roundtrip_suppresses(tmp_path):
     )
     assert report.findings
     path = tmp_path / "baseline.json"
-    count = write_check_baseline(
+    count = write_baseline(
         path, [report], justifications={"RC302": "fixture state"}
     )
     assert count == len(report.findings)
-    suppressed = suppress_check_report(report, load_check_baseline(path))
+    suppressed = suppress_report(report, load_baseline(path))
     assert suppressed.findings == []
     assert suppressed.suppressed == count
 
@@ -219,14 +236,14 @@ def test_baseline_without_justification_rejected(tmp_path):
         )
     )
     with pytest.raises(ValueError, match="justification"):
-        load_check_baseline(path)
+        load_baseline(path)
 
 
 def test_baseline_schema_mismatch_rejected(tmp_path):
     path = tmp_path / "baseline.json"
     path.write_text(json.dumps({"schema": 99, "findings": {}}))
     with pytest.raises(ValueError, match="schema"):
-        load_check_baseline(path)
+        load_baseline(path)
 
 
 # --- rule selection and parse errors ------------------------------------
@@ -234,15 +251,15 @@ def test_baseline_schema_mismatch_rejected(tmp_path):
 
 def test_resolve_unknown_pattern_raises():
     with pytest.raises(ValueError, match="unknown rule"):
-        resolve_check_rules(select=["RC9"])
+        CHECK_RULES.resolve(select=["RC9"])
 
 
 def test_select_prefix_and_ignore():
-    ids = {r.rule_id for r in resolve_check_rules(select=["RC1"])}
+    ids = {r.rule_id for r in CHECK_RULES.resolve(select=["RC1"])}
     assert ids == {"RC101", "RC102", "RC103", "RC104", "RC105", "RC106"}
     ids = {
         r.rule_id
-        for r in resolve_check_rules(select=["RC1"], ignore=["RC103"])
+        for r in CHECK_RULES.resolve(select=["RC1"], ignore=["RC103"])
     }
     assert "RC103" not in ids and "RC101" in ids
 
@@ -252,4 +269,4 @@ def test_parse_error_becomes_rc001_error(tmp_path):
     bad.write_text("def broken(:\n")
     report = CheckRunner().check_paths([tmp_path])
     assert report.fired_rule_ids() == ("RC001",)
-    assert CheckSummary(reports=[report]).exit_code() == 2
+    assert exit_code([report]) == 2

@@ -4,7 +4,7 @@ from pathlib import Path
 
 from repro.checks.engine import CheckRunner
 from repro.checks.project import CheckProject
-from repro.checks.rules import resolve_check_rules
+from repro.checks.rules import CHECK_RULES
 
 FIXTURES = Path(__file__).parent / "fixtures" / "checks"
 
@@ -12,7 +12,7 @@ FIXTURES = Path(__file__).parent / "fixtures" / "checks"
 def findings(sources, select=None):
     """Run the (selected) rule set over in-memory ``{path: source}``."""
     runner = CheckRunner(
-        rules=resolve_check_rules(select=select) if select else None
+        rules=CHECK_RULES.resolve(select=select) if select else None
     )
     project = CheckProject.from_sources(sources)
     return runner.check_project(project).findings

@@ -81,3 +81,20 @@ def test_stats_cli_reports_input_errors_in_one_line(
     assert captured.out == ""
     assert captured.err.startswith(f"repro-stats: {path}: {message}")
     assert captured.err.count("\n") == 1
+
+
+def test_stats_cli_limit_reads_intact_records_before_a_truncated_tail(
+    trace_file, tmp_path, capsys
+):
+    """Records 0-4 of a plain trace cut in its last record are intact:
+    ``--limit 5`` succeeds, the full read still names the byte offset."""
+    path = tmp_path / "cut.cvp"
+    path.write_bytes(gzip.decompress(trace_file.read_bytes())[:-3])
+    assert stats_main([str(path), "--limit", "5"]) == 0
+    assert "instructions:            5" in capsys.readouterr().out
+    assert stats_main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro-stats: {path}: truncated record")
+    assert "byte offset 66660" in captured.err
+    assert captured.err.count("\n") == 1

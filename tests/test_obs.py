@@ -373,9 +373,10 @@ def test_cache_counters_mirror_and_reset_survival(obs_reset):
 
 
 def test_cache_describe_formats(tmp_path, obs_reset):
-    from repro.analysis.cache import LintCache
-    from repro.checks.cache import CheckCache
+    from repro.analysis import cache as lint_cache
+    from repro.checks import cache as check_cache
     from repro.experiments.cache import ConversionCache, ResultCache
+    from repro.findings import ReportCache
 
     result = ResultCache(tmp_path / "rc")
     assert result.load("0" * 64) is None
@@ -389,12 +390,22 @@ def test_cache_describe_formats(tmp_path, obs_reset):
         conversion.describe()
         == f"hits=0 misses=1 stores=0 dir={tmp_path / 'cc'}"
     )
-    lint = LintCache(tmp_path / "lc")
+    lint = ReportCache(
+        tmp_path / "lc",
+        lint_cache.LINT_KIND,
+        lint_cache.report_to_dict,
+        lint_cache.report_from_dict,
+    )
     assert lint.load("0" * 64) is None
     assert (
         lint.describe() == f"hits=0 misses=1 stores=0 dir={tmp_path / 'lc'}"
     )
-    checks = CheckCache(tmp_path / "ck")
+    checks = ReportCache(
+        tmp_path / "ck",
+        check_cache.CHECK_KIND,
+        check_cache.report_to_dict,
+        check_cache.report_from_dict,
+    )
     assert checks.load("0" * 64) is None
     assert (
         checks.describe() == f"hits=0 misses=1 stores=0 dir={tmp_path / 'ck'}"

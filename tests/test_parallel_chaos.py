@@ -6,8 +6,7 @@ results: a sweep that survives injected crashes, hangs and transient
 exceptions must produce bit-identical stats to the fault-free run.
 These tests install deterministic :class:`~repro.faults.plan.FaultPlan`
 schedules around real simulation tasks and assert exactly that — plus
-the failure-side contracts (quarantine on exhausted retries,
-``PoolRecoveryError`` when degradation is disabled).
+the failure-side contract (quarantine on exhausted retries).
 
 Fault schedules are counter-based *per process*: with ``count=1`` every
 worker fires the site once, so pool rounds keep failing until the
@@ -29,7 +28,6 @@ import pytest
 from repro import faults
 from repro.core.improvements import Improvement
 from repro.experiments.parallel import (
-    PoolRecoveryError,
     TaskFailure,
     TraceGroup,
     run_tasks,
@@ -173,18 +171,6 @@ def test_fatal_exception_is_not_retried():
             policy=RetryPolicy(attempts=5, fatal=("InjectedFault",)),
         )
     assert len(excinfo.value.failures) == 1
-
-
-def test_pool_recovery_error_when_degradation_disabled():
-    faults.install(FaultPlan.parse("worker.crash:count=0"))
-    with pytest.raises(PoolRecoveryError, match="worker pool broke"):
-        run_tasks(
-            _tasks(),
-            jobs=2,
-            policy=RetryPolicy(attempts=50),
-            max_pool_restarts=0,
-            allow_degrade=False,
-        )
 
 
 # ----------------------------------------------------------------------

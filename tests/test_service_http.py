@@ -14,6 +14,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,35 @@ def test_server_round_trip(tmp_path):
             client.job("job-999")
         assert err.value.status == 404
     finally:
+        server.service.stop()
+        server.shutdown()
+        server.server_close()
+
+
+def test_keep_alive_requests_do_not_stall(tmp_path):
+    """Requests reusing one HTTP/1.1 connection are answered at once.
+
+    With Nagle on, the split header/body writes made every request after
+    the first wait for the client's delayed ACK (~44 ms each: ~4.4 s for
+    100 requests); with ``TCP_NODELAY`` they take milliseconds.
+    """
+    fleet = Fleet(ArtifactStore(tmp_path))
+    server = make_server("127.0.0.1", 0, fleet, start_worker=False)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection(
+        "127.0.0.1", server.server_address[1], timeout=10
+    )
+    try:
+        start = time.perf_counter()
+        for _ in range(100):
+            conn.request("GET", "/v1/status")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+        assert time.perf_counter() - start < 2.0
+    finally:
+        conn.close()
         server.service.stop()
         server.shutdown()
         server.server_close()

@@ -84,8 +84,9 @@ def _stored_entries(stored, tmp_path):
     the artifact blob, a check report and a suite conversion (the last
     two through their cache views, so their decoders run too)."""
     from repro.champsim.branch_info import BranchRules
-    from repro.checks.cache import CheckCache, report_from_dict, report_to_dict
-    from repro.checks.findings import Finding, Severity
+    from repro.checks.cache import CHECK_KIND, report_from_dict, report_to_dict
+    from repro.checks.findings import Finding
+    from repro.findings import ReportCache, Severity
     from repro.core.convert import ConversionStats
     from repro.core.improvements import Improvement
     from repro.core.pipeline import ConversionResult, suite_paths
@@ -101,14 +102,17 @@ def _stored_entries(stored, tmp_path):
         {"root": "a", "files": 1, "rule_ids": ["RC101"],
          "findings": [finding.to_dict()]}
     )
-    CheckCache(tmp_path).store(key, report)
+    def check_cache():
+        return ReportCache(tmp_path, CHECK_KIND, report_to_dict, report_from_dict)
+
+    check_cache().store(key, report)
 
     def load_report():
-        loaded = CheckCache(tmp_path).load(key)
+        loaded = check_cache().load(key)
         return None if loaded is None else report_to_dict(loaded)
 
     entries.append(
-        (CheckCache(tmp_path)._blobs.path(key), load_report, report_to_dict(report))
+        (check_cache()._blobs.path(key), load_report, report_to_dict(report))
     )
 
     output_dir = tmp_path / "suite"
