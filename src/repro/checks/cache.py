@@ -38,7 +38,8 @@ CHECK_SCHEMA = 2
 #: miss.
 #: 4: robustness scope covers ``service``; RC204 checks ``*Store``
 #: classes and accepts delegation to them.
-CHECK_RULESET_VERSION = 4
+#: 5: RC103 sees id() inside a tuple key (``memo[(name, id(obj))]``).
+CHECK_RULESET_VERSION = 5
 
 
 def check_key(

@@ -205,18 +205,23 @@ class IdKeyedMapRule(_ScopedRule):
                 and node.func.id == "id"
             ):
                 continue
-            parent = parents.get(node)
+            # ``memo[(name, id(obj))]`` keys on id() just as ``memo[id(obj)]``
+            # does: look through enclosing tuples to the keyed use.
+            key: ast.AST = node
+            parent = parents.get(key)
+            while isinstance(parent, ast.Tuple):
+                key, parent = parent, parents.get(parent)
             keyed = False
-            if isinstance(parent, ast.Subscript) and parent.slice is node:
+            if isinstance(parent, ast.Subscript) and parent.slice is key:
                 keyed = True
-            elif isinstance(parent, ast.Dict) and node in parent.keys:
+            elif isinstance(parent, ast.Dict) and key in parent.keys:
                 keyed = True
             elif (
                 isinstance(parent, ast.Call)
                 and isinstance(parent.func, ast.Attribute)
                 and parent.func.attr in self._KEYED_METHODS
                 and parent.args
-                and parent.args[0] is node
+                and parent.args[0] is key
             ):
                 keyed = True
             elif isinstance(parent, ast.Compare) and any(

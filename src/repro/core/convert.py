@@ -24,7 +24,17 @@ ChampSim branch-deduction rule set the produced trace needs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.champsim.branch_info import BranchRules, BranchType
 from repro.champsim.regs import (
@@ -55,6 +65,9 @@ from repro.cvp.isa import (
 from repro.cvp.reader import CvpTraceReader, RegisterFile
 from repro.cvp.record import CvpRecord
 from repro.core.improvements import Improvement
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.core.fastconvert import MemoryAnalysis
 
 _ALU_CLASSES = (InstClass.ALU, InstClass.SLOW_ALU, InstClass.FP, InstClass.UNDEF)
 
@@ -189,18 +202,22 @@ class Converter:
         self,
         source: Union[CvpTraceReader, Iterable[CvpRecord]],
         block_size: int = 4096,
+        analysis: Optional[Sequence["MemoryAnalysis"]] = None,
     ) -> Iterator[bytes]:
         """Block-based fast path: yield encoded ChampSim chunks.
 
         The concatenated chunks are byte-identical to encoding
         :meth:`convert`'s output record by record, and :attr:`stats`
         accumulates identically; see :mod:`repro.core.fastconvert`.
+        ``analysis`` is the source's precomputed
+        :func:`~repro.core.fastconvert.analyze_records`, shared by every
+        improvement set a caller converts one trace under.
         This is the production conversion path; :meth:`convert` is its
         per-record reference, kept for tests and benchmarks.
         """
         from repro.core.fastconvert import convert_blocks_to_bytes
 
-        return convert_blocks_to_bytes(self, source, block_size)
+        return convert_blocks_to_bytes(self, source, block_size, analysis)
 
     # ------------------------------------------------------------------
     # branches (paper Section 3.2)

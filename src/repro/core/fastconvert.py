@@ -3,8 +3,20 @@
 :meth:`repro.core.convert.Converter.convert` decodes, converts, encodes
 and writes one record at a time through Python objects; this module
 streams *blocks* of records (see :mod:`repro.cvp.blockio`) through the
-same six improvements and emits one encoded ``bytes`` chunk per block,
-with three structural speedups:
+same six improvements and emits one encoded ``bytes`` chunk per block.
+Conversion is split in two:
+
+- a per-trace **addressing analysis** (:func:`analyze_records`), the
+  part no improvement changes: for every memory record, the
+  addressing-mode inference and the data-register count, computed from
+  the register file the CVP-1 values carry;
+- a per-improvement-set **assembly** (:class:`BlockConverter`), which
+  reads that analysis instead of a register file.
+
+``repro-convert`` runs the two block by block over one stream; the
+experiment runner analyses a trace once and assembles it under every
+improvement set it converts.  The assembly has three structural
+speedups:
 
 1. **Static-instruction memoization.**  Branch and register-only records
    convert identically for every dynamic instance of the same static
@@ -13,13 +25,12 @@ with three structural speedups:
    scratch-stats probe), so there is no second copy of the branch or
    destination-policy logic to drift — and replayed from a dict
    afterwards.
-2. **Inlined memory-record conversion.**  Memory records depend on live
-   register values (addressing-mode inference, store footprints) and
-   cannot be memoized; their conversion is specialised here with the
-   improvement flags hoisted to locals and the register-signature work
-   shared through :func:`repro.cvp.addrmode._static_base_info`'s
-   LRU memo.  Addressing inference and footprint math still go through
-   :mod:`repro.cvp.addrmode` — only the converter's glue is inlined.
+2. **Inlined memory-record conversion.**  Memory records depend on the
+   analysis (base-update splits, store footprints) and cannot be
+   memoized; their conversion is specialised here with the improvement
+   flags hoisted to locals.  Addressing inference and the data-register
+   heuristic still go through :mod:`repro.cvp.addrmode` — only the
+   converter's glue and the footprint's line arithmetic are inlined.
 3. **Block-sized output.**  Instructions are packed straight into bytes
    with the precompiled ChampSim record struct and joined once per
    block; no intermediate :class:`~repro.champsim.trace.ChampSimInstr`
@@ -27,20 +38,32 @@ with three structural speedups:
 
 Differential tests (``tests/test_fastconvert.py``) pin the fast path
 byte-for-byte and stat-for-stat against the per-record path on every
-golden fixture and on property-based synthetic corpora.
+golden fixture and on property-based synthetic corpora, with the
+analysis computed per block and shared from a whole-trace pass.
 """
 
 from __future__ import annotations
 
 import struct
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.champsim.regs import REG_FORGED_X0, champsim_reg
 from repro.champsim.trace import _STRUCT, MAX_DST_REGS, MAX_SRC_REGS
 from repro.core.convert import ConversionStats
 from repro.core.improvements import Improvement
 from repro.cvp.addrmode import (
+    AddressingInfo,
     AddressingMode,
     _store_data_register_count,
     infer_addressing,
@@ -113,9 +136,59 @@ _DELTA_FIELDS = (
 _MemoValue = Tuple[bytes, object, Tuple[Tuple[int, int], ...]]
 
 
-def _probe_convert(
-    converter: "Converter", record: CvpRecord, registers: RegisterFile
-) -> _MemoValue:
+#: The improvements whose assembly reads the addressing analysis.
+ANALYSED = Improvement.BASE_UPDATE | Improvement.MEM_FOOTPRINT
+
+#: One memory record's analysis: its :class:`AddressingInfo` when it
+#: updates its base register (``None`` when it does not), and the number
+#: of registers it moves to or from memory (the footprint multiplier:
+#: memory-populated destinations of a load, data sources of a store).
+MemoryAnalysis = Tuple[Optional[AddressingInfo], int]
+
+#: Shared entries for the common case, a memory record without a base
+#: update moving a few registers (so most entries cost one pointer).
+_PLAIN = tuple((None, count) for count in range(8))
+
+
+def analyze_records(
+    records: Iterable[CvpRecord], registers: RegisterFile
+) -> List[MemoryAnalysis]:
+    """The improvement-independent half of conversion, in record order.
+
+    One entry per memory record.  ``registers`` holds the values before
+    the first record and is carried forward with every record's output
+    values, exactly as the per-record reader tracks them; passing the
+    same register file to consecutive calls analyses one stream block
+    by block.  Every improvement set's assembly reads the same entries,
+    whichever of them it needs.
+    """
+    regvals = registers._values
+    none_mode = AddressingMode.NONE
+    plain = _PLAIN
+    out: List[MemoryAnalysis] = []
+    append = out.append
+    for record in records:
+        cls_value = record.inst_class
+        if _LOAD <= cls_value <= _STORE:
+            info = infer_addressing(record, registers)
+            if cls_value == _LOAD:
+                count = len(info.memory_dst_regs) or 1
+            else:
+                count = _store_data_register_count(record, registers)
+            if info.mode is not none_mode:
+                append((info, count))
+            elif count < len(plain):
+                append(plain[count])
+            else:
+                append((None, count))
+        dst_regs = record.dst_regs
+        if dst_regs:
+            for reg, value in zip(dst_regs, record.dst_values):
+                regvals[reg] = value
+    return out
+
+
+def _probe_convert(converter: "Converter", record: CvpRecord) -> _MemoValue:
     """Convert one record through the per-record path, capturing deltas.
 
     Swaps a scratch :class:`ConversionStats` into the converter for the
@@ -127,7 +200,8 @@ def _probe_convert(
     saved = converter.stats
     converter.stats = probe = ConversionStats()
     try:
-        instrs = converter.convert_record(record, registers)
+        # Branch and register-only conversion reads no register values.
+        instrs = converter.convert_record(record)
     finally:
         converter.stats = saved
     assert len(instrs) == 1  # branches/register-only records never split
@@ -143,25 +217,34 @@ def _probe_convert(
 
 
 class BlockConverter:
-    """Carried state for one fused block-conversion stream.
+    """Carried state for one improvement set's assembly of one stream.
 
-    Owns the live register file, the per-stream source/destination memos,
-    and the static-memo hit accounting, so :func:`convert_blocks_to_bytes`
-    can drive conversion block by block.  Register state carries across
-    :meth:`convert_block` calls exactly as the per-record reader does.
+    Owns the per-stream source/destination memos and the static-memo
+    hit accounting, so :func:`convert_blocks_to_bytes` can drive
+    conversion block by block.  Sets that split base updates or widen
+    footprints read the stream's :func:`analyze_records` entries: the
+    precomputed ``analysis`` of the whole stream when given, else each
+    block's, analysed on the fly with a register file carried across
+    :meth:`convert_block` calls exactly as the per-record reader
+    carries it.  Other sets read no analysis at all.
     """
 
-    def __init__(self, converter: "Converter"):
+    def __init__(
+        self,
+        converter: "Converter",
+        analysis: Optional[Sequence[MemoryAnalysis]] = None,
+    ):
         self.converter = converter
         improvements = converter.improvements
         self.keep_all = Improvement.MEM_REGS in improvements
         self.base_update = Improvement.BASE_UPDATE in improvements
         self.footprint = Improvement.MEM_FOOTPRINT in improvements
-        self.want_inference = self.base_update or self.footprint
+        self.want_inference = bool(improvements & ANALYSED)
 
-        # Live register file, shared with the addressing inference; the
-        # hot loop writes its backing list directly.
-        self.registers = RegisterFile()
+        self._analysis: Iterator[MemoryAnalysis] = iter(analysis or ())
+        self._registers: Optional[RegisterFile] = None
+        if self.want_inference and analysis is None:
+            self._registers = RegisterFile()
 
         self.imp_bits = improvements.value
         self.src_memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
@@ -182,8 +265,9 @@ class BlockConverter:
         base_update = self.base_update
         footprint = self.footprint
         want_inference = self.want_inference
-        registers = self.registers
-        regvals = registers._values
+        if self._registers is not None:
+            self._analysis = iter(analyze_records(block, self._registers))
+        next_analysis = self._analysis.__next__
         static_memo = _static_memo
         imp_bits = self.imp_bits
         src_memo = self.src_memo
@@ -219,10 +303,9 @@ class BlockConverter:
                 address = record.mem_address or 0
 
                 if want_inference:
-                    info = infer_addressing(record, registers)
-                    split = base_update and info.mode is not AddressingMode.NONE
+                    info, data_regs = next_analysis()
+                    split = base_update and info is not None
                 else:
-                    info = None
                     split = False
                 mem_dsts = info.memory_dst_regs if split else dst_regs
 
@@ -276,16 +359,9 @@ class BlockConverter:
                     addr2 = 0
                 else:
                     # cachelines_touched/total_access_size, inlined: the
-                    # data-register heuristic stays in addrmode, only the
-                    # line arithmetic is unrolled here.
-                    if cls_value == _LOAD:
-                        size = record.mem_size * (
-                            len(info.memory_dst_regs) or 1
-                        )
-                    else:
-                        size = record.mem_size * _store_data_register_count(
-                            record, registers
-                        )
+                    # analysis counted the data registers, only the line
+                    # arithmetic is unrolled here.
+                    size = record.mem_size * data_regs
                     if size < 1:
                         size = 1
                     last = (address + size - 1) & line_mask
@@ -335,10 +411,6 @@ class BlockConverter:
                 else:
                     append(pack(pc & mask, 0, 0, *d, *s, *dst_mem, *src_mem))
                     n_out += 1
-
-                if want_inference and dst_regs:
-                    for reg, value in zip(dst_regs, record.dst_values):
-                        regvals[reg] = value
                 continue
 
             # -------------------------------- branch / register-only record
@@ -357,7 +429,7 @@ class BlockConverter:
                 n_static_miss += 1
                 if len(static_memo) >= STATIC_MEMO_LIMIT:
                     static_memo.clear()
-                hit = _probe_convert(converter, record, registers)
+                hit = _probe_convert(converter, record)
                 static_memo[key] = hit
             body, category, deltas = hit
             append(pack_ip(record.pc & mask) + body)
@@ -366,10 +438,6 @@ class BlockConverter:
                 branch_counts[category] = branch_counts.get(category, 0) + 1
             for index, value in deltas:
                 counters[index] += value
-
-            if want_inference and dst_regs:
-                for reg, value in zip(dst_regs, record.dst_values):
-                    regvals[reg] = value
 
         # Fold the block's locals into the shared ConversionStats.
         stats.records_in += len(block)
@@ -396,13 +464,18 @@ def convert_blocks_to_bytes(
     converter: "Converter",
     source: Union[CvpTraceReader, Iterable[CvpRecord]],
     block_size: int = 4096,
+    analysis: Optional[Sequence[MemoryAnalysis]] = None,
 ) -> Iterator[bytes]:
     """Yield one encoded ChampSim byte chunk per block of CVP records.
 
     The concatenated chunks are byte-identical to encoding
     ``converter.convert(source)`` record by record, and
-    ``converter.stats`` ends up equal as well.  Register state carries
-    across block boundaries exactly as the per-record reader does.
+    ``converter.stats`` ends up equal as well.  ``analysis``, when
+    given, must be :func:`analyze_records` over the whole of ``source``
+    (the form a caller converting one trace under several improvement
+    sets computes once); otherwise each block is analysed as it
+    arrives, with register state carried across block boundaries
+    exactly as the per-record reader carries it.
 
     With observability enabled the same loop additionally times each
     block's decode and transform; see :func:`_observed_blocks`.
@@ -412,7 +485,7 @@ def convert_blocks_to_bytes(
     reader = (
         source if isinstance(source, CvpTraceReader) else CvpTraceReader(source)
     )
-    block_converter = BlockConverter(converter)
+    block_converter = BlockConverter(converter, analysis)
     if obs.enabled():
         yield from _observed_blocks(block_converter, reader, block_size)
         return

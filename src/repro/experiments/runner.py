@@ -11,12 +11,25 @@ converter (:meth:`~repro.core.convert.Converter.convert_to_bytes`)
 emits ChampSim bytes, :meth:`~repro.sim.decoded.DecodedColumns.from_champsim_bytes`
 turns them into engine columns without per-instruction objects, and
 :class:`~repro.sim.simulator.Simulator` runs the vector engine over
-them.  A single-slot conversion memo lets every config simulated over
-one (trace, improvements) conversion share its columns — and with them
-the columns' component-plan cache — so batches run grouped by trace.
-The trace is a single slot too, and both are released after each trace
-group, so a runner holds one trace at a time; renders read only stored
-runs (Figure 4 and Table 1 read their ``ConversionStats``).
+them.  Batches run grouped by trace, and the work that does not depend
+on the improvement set is done once per trace:
+
+- the trace slot holds the records, their addressing analysis
+  (:func:`~repro.core.fastconvert.analyze_records`, computed for the
+  first improvement set that needs it and read by every later one) and
+  a :class:`~repro.sim.decoded.ContentMemo`;
+- every conversion's columns are built with that memo, so a component
+  plan is built once per distinct event stream (plus config), and a
+  run is simulated once per distinct (ChampSim bytes, branch rules,
+  config) — a later improvement set that emits the same bytes gets a
+  copy of the earlier statistics, still through ``Simulator.run``, so
+  it still counts as a simulation;
+- a single-slot conversion memo lets every config simulated over one
+  (trace, improvements) conversion share its columns.
+
+Both slots are released after each trace group, so a runner holds one
+trace, and at most one conversion's columns, at a time; renders read
+only stored runs (Figure 4 and Table 1 read their ``ConversionStats``).
 The per-record :meth:`~repro.core.convert.Converter.convert` and the
 scalar engine survive only as test oracles.
 
@@ -35,21 +48,23 @@ Two layers extend the in-process memo:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.champsim.branch_info import BranchRules
 from repro.core.convert import ConversionStats, Converter
 from repro.core.improvements import Improvement
+from repro.cvp.reader import RegisterFile
 from repro.cvp.record import CvpRecord
 from repro.sim.config import SimConfig
-from repro.sim.decoded import DecodedColumns
+from repro.sim.decoded import ContentMemo, DecodedColumns
 from repro.sim.simulator import Simulator
 from repro.sim.stats import SimStats
 from repro.synth.generator import make_trace
 from repro.synth.suite import IPC1_TO_CVP1, cvp1_public_trace_names, ipc1_trace_names
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.core.fastconvert import MemoryAnalysis
     from repro.experiments.cache import ResultCache
     from repro.experiments.parallel import TraceGroup
     from repro.faults.retry import RetryPolicy
@@ -62,6 +77,32 @@ RunKey = Tuple[str, Improvement, SimConfig]
 
 #: One conversion, shareable by every config simulated over it.
 Conversion = Tuple[DecodedColumns, BranchRules, ConversionStats]
+
+
+@dataclass
+class TraceWork:
+    """One trace's records and the work its conversions share."""
+
+    name: str
+    records: List[CvpRecord]
+    memo: ContentMemo = field(default_factory=ContentMemo)
+    #: :func:`~repro.core.fastconvert.analyze_records` over ``records``,
+    #: once a set needs it.
+    analysis: Optional[List["MemoryAnalysis"]] = None
+
+    def analysis_for(
+        self, improvements: Improvement
+    ) -> Optional[List["MemoryAnalysis"]]:
+        """The addressing analysis, if ``improvements`` reads it."""
+        # Imported on first use, as the converter does: CLI start-up
+        # does not compile the block converter.
+        from repro.core.fastconvert import ANALYSED, analyze_records
+
+        if not improvements & ANALYSED:
+            return None
+        if self.analysis is None:
+            self.analysis = analyze_records(self.records, RegisterFile())
+        return self.analysis
 
 
 @dataclass
@@ -128,7 +169,7 @@ class ExperimentRunner:
         self.simulations = 0
         #: Single-slot trace memo, released after each group: every
         #: experiment batches before it reads, so no trace is needed twice.
-        self._trace: Optional[Tuple[str, List[CvpRecord]]] = None
+        self._trace: Optional[TraceWork] = None
         #: Memo keyed by the *full* config identity (the frozen SimConfig
         #: itself), not just (config.name, l1i_prefetcher): two configs
         #: sharing a name but differing in any field must not alias.
@@ -163,17 +204,20 @@ class ExperimentRunner:
 
     def trace(self, name: str) -> List[CvpRecord]:
         """The CVP-1 records for ``name`` (generated once per group)."""
-        memo = self._trace
-        if memo is not None and memo[0] == name:
-            return memo[1]
+        return self._trace_work(name).records
+
+    def _trace_work(self, name: str) -> TraceWork:
+        work = self._trace
+        if work is not None and work.name == name:
+            return work
         self._trace = None
         from repro import obs
 
         generator_name = IPC1_TO_CVP1.get(name, name)
         with obs.span("synth.generate", trace=name, instructions=self.instructions):
             records = make_trace(generator_name, self.instructions)
-        self._trace = (name, records)
-        return records
+        self._trace = work = TraceWork(name, records)
+        return work
 
     def conversion(self, name: str, improvements: Improvement) -> Conversion:
         """Columns, branch rules and stats of converting ``name``.
@@ -191,13 +235,17 @@ class ExperimentRunner:
         # Release the slot first, so the old columns are not alive while
         # the next trace is generated and converted.
         self._conversion = None
-        records = self.trace(name)
+        work = self._trace_work(name)
         converter = Converter(improvements)
         with obs.span("core.convert", trace=name, improvements=improvements.value):
-            data = b"".join(converter.convert_to_bytes(records))
+            data = b"".join(
+                converter.convert_to_bytes(
+                    work.records, analysis=work.analysis_for(improvements)
+                )
+            )
         rules = converter.required_branch_rules
         with obs.span("sim.columnarize", rules=rules.name) as span:
-            columns = DecodedColumns.from_champsim_bytes(data, rules)
+            columns = DecodedColumns.from_champsim_bytes(data, rules, work.memo)
             span.set(instructions=columns.n)
         conversion = (columns, rules, converter.stats)
         self._conversion = ((name, improvements), conversion)

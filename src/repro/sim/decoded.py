@@ -7,7 +7,9 @@ trace.
 
 The simulator's only input is :class:`DecodedColumns` built by
 :meth:`DecodedColumns.from_champsim_bytes`, which makes both derivations
-straight from the 64-byte records.  The per-record forms —
+straight from the 64-byte records.  Columns built with a
+:class:`ContentMemo` share component plans and finished runs with every
+other columns object built with it, by content.  The per-record forms —
 :func:`decode_trace` (one :class:`DecodedInstr` per record, optionally
 through the :class:`DecodeCache` memo), :func:`columnarize` and
 ``DecodedColumns(rows)`` — are the scalar
@@ -17,15 +19,21 @@ byte path is tested against.
 
 from __future__ import annotations
 
+import hashlib
+from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
 from repro.champsim.branch_info import BranchRules, BranchType, deduce_branch_type
 from repro.champsim.trace import ChampSimInstr, decode_block_array
 from repro.sim.config import SimConfig
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.sim.stats import SimStats
 
 
 @dataclass
@@ -142,6 +150,49 @@ KIND_BRANCH = 4
 #: Cacheline granularity of the fetch stage (mirrors the cache model).
 _LINE_BITS = 6
 
+#: One byte per branch type in the stream digests.
+_TYPE_CODES = {branch_type: code for code, branch_type in enumerate(BranchType)}
+
+
+def _digest(*chunks: bytes) -> bytes:
+    """SHA-256 over equal-length fixed-width columns (the lengths fix
+    every column's offset, so no separators are needed)."""
+    sha = hashlib.sha256()
+    for chunk in chunks:
+        sha.update(chunk)
+    return sha.digest()
+
+
+def _type_bytes(types: Sequence[BranchType]) -> bytes:
+    return bytes(map(_TYPE_CODES.__getitem__, types))
+
+
+class ContentMemo:
+    """Component plans and finished runs, shared by content.
+
+    One memo serves every :class:`DecodedColumns` built with it (the
+    experiment runner keeps one per trace group).  Nothing in it refers
+    to a columns object:
+
+    - :attr:`plans` maps the keys of :meth:`DecodedColumns.branch_plan_key`,
+      :meth:`~DecodedColumns.data_plan_key` and
+      :meth:`~DecodedColumns.fetch_plan_key` — a digest of the event
+      stream a plan replays plus the configuration fields that shape
+      it — to the plan, so two conversions that emit the same branch or
+      access stream share one plan;
+    - :attr:`runs` maps :meth:`DecodedColumns.run_key` — a digest of
+      the ChampSim bytes, the branch rules and the full
+      :class:`~repro.sim.config.SimConfig` — to the finished
+      :class:`~repro.sim.stats.SimStats`, so two conversions that emit
+      the same bytes are simulated once per config.
+    """
+
+    __slots__ = ("plans", "runs")
+
+    def __init__(self) -> None:
+        self.plans: dict = {}
+        self.runs: Dict[tuple, "SimStats"] = {}
+
 
 class DecodedColumns:
     """Column-oriented view of a decoded trace for the vector engine.
@@ -160,6 +211,12 @@ class DecodedColumns:
     ``DecodedColumns(decoded)`` (alias :func:`columnarize`) pivots
     already-decoded rows for tests.  :attr:`decoded` gives the row view
     back either way (rebuilt from the columns on first use).
+
+    Component plans are memoised in :attr:`plan_cache` under content
+    keys.  It is the :class:`ContentMemo`'s plan map when the columns
+    were built with one, and private to the columns otherwise; only
+    columns built with a memo also share finished runs
+    (:meth:`run_key`).
     """
 
     __slots__ = (
@@ -177,7 +234,10 @@ class DecodedColumns:
         "src_mems",
         "dst_mems",
         "max_reg",
+        "memo",
         "plan_cache",
+        "source_key",
+        "_digests",
         "_branch_view",
         "_access_events",
         "_fetch_events",
@@ -213,11 +273,14 @@ class DecodedColumns:
             for reg in regs:
                 if reg > max_reg:
                     max_reg = reg
-        self._finish(_np.array(self.ips, dtype=_np.uint64), max_reg)
+        self._finish(_np.array(self.ips, dtype=_np.uint64), max_reg, None)
 
     @classmethod
     def from_champsim_bytes(
-        cls, data: bytes, rules: BranchRules = BranchRules.ORIGINAL
+        cls,
+        data: bytes,
+        rules: BranchRules = BranchRules.ORIGINAL,
+        memo: Optional[ContentMemo] = None,
     ) -> "DecodedColumns":
         """Columns for a raw ChampSim byte stream, with no per-record objects.
 
@@ -230,6 +293,9 @@ class DecodedColumns:
         are deduced once per unique signature and fanned out through
         ``np.unique``'s inverse index.  Memory operands and next-IP
         targets are per-record and come from vectorised masks.
+
+        With a ``memo``, the columns share its plans and runs (see
+        :class:`ContentMemo`).
 
         Raises :class:`~repro.champsim.trace.ChampSimTraceError` when
         ``data`` is not a whole number of records.
@@ -278,11 +344,15 @@ class DecodedColumns:
             | has_dst * KIND_DST_MEM
             | is_branch * KIND_BRANCH
         ).tolist()
-        columns._finish(ip_array, max_reg)
+        columns._finish(ip_array, max_reg, memo)
+        if memo is not None:
+            columns.source_key = (hashlib.sha256(data).digest(), rules)
         return columns
 
-    def _finish(self, ip_array: "_np.ndarray", max_reg: int) -> None:
-        """Fetch-line columns, register bound and empty derived caches."""
+    def _finish(
+        self, ip_array: "_np.ndarray", max_reg: int, memo: Optional[ContentMemo]
+    ) -> None:
+        """Fetch-line columns, register bound, memo and derived caches."""
         line_array = ip_array >> _LINE_BITS
         breaks = _np.empty(self.n, dtype=bool)
         breaks[:1] = True
@@ -290,11 +360,18 @@ class DecodedColumns:
         self.lines = (line_array << _LINE_BITS).tolist()
         self.new_line = breaks.tolist()
         self.max_reg = max_reg
-        #: Memoized component plans, keyed by the tuples from
-        #: :meth:`plan_keys`.  The columns are immutable once built, so a
-        #: plan resolved for one run is bit-identically valid for every
-        #: later run over the same columns with the same component config.
-        self.plan_cache: dict = {}
+        self.memo = memo
+        #: Memoized component plans, keyed by the content keys of
+        #: :meth:`branch_plan_key`, :meth:`data_plan_key` and
+        #: :meth:`fetch_plan_key`.  A plan is a pure function of its event
+        #: stream and component config, so a plan resolved for one run
+        #: is bit-identically valid for every later run, over these or
+        #: any other columns, with the same stream and config.
+        self.plan_cache: dict = {} if memo is None else memo.plans
+        #: (ChampSim bytes digest, branch rules), for :meth:`run_key`.
+        self.source_key: Optional[Tuple[bytes, BranchRules]] = None
+        #: Stream digests, computed once per columns object.
+        self._digests: Dict[str, bytes] = {}
         self._branch_view: Optional[
             Tuple[
                 List[int],
@@ -428,18 +505,57 @@ class DecodedColumns:
             self._fetch_events = events
         return events
 
-    def plan_keys(
-        self, config: SimConfig
-    ) -> Tuple[tuple, tuple, tuple]:
-        """Cache keys for the branch / data-prefetch / instruction-
-        prefetch plans under ``config``.
+    # ------------------------------------------------------------------
+    # content keys
+    # ------------------------------------------------------------------
 
-        Each key covers exactly the configuration fields that shape the
-        corresponding plan (component construction parameters plus, for
-        branches, the warm-up boundary that gates tallies).
+    def _stream_digest(self, stream: str) -> bytes:
+        """Digest of the ``branch``, ``access`` or ``fetch`` event stream
+        (computed on first use, then kept on the columns)."""
+        digest = self._digests.get(stream)
+        if digest is None:
+            if stream == "branch":
+                _, ips, types, takens, targets = self.branch_view()
+                digest = _digest(
+                    array("Q", ips),
+                    _type_bytes(types),
+                    bytes(takens),
+                    array("Q", targets),
+                )
+            elif stream == "access":
+                ev_ips, ev_addrs = self.access_events()
+                digest = _digest(array("Q", ev_ips), array("Q", ev_addrs))
+            else:
+                events = self.fetch_events()
+                targets = [event[3] for event in events]
+                digest = _digest(
+                    array("Q", [event[0] for event in events]),
+                    # The context's ip is None exactly when its type is
+                    # NOT_BRANCH, so 0 stands in for it unambiguously.
+                    array("Q", [event[1] or 0 for event in events]),
+                    _type_bytes([event[2] for event in events]),
+                    bytes(target is not None for target in targets),
+                    array("Q", [target or 0 for target in targets]),
+                )
+            self._digests[stream] = digest
+        return digest
+
+    def branch_plan_key(self, config: SimConfig, warmup: int) -> tuple:
+        """Plan-cache key of the branch plan under ``config``.
+
+        The branch stream's digest, the configuration fields that build
+        the predictors, and the warm-up term: the plan's tallies count
+        only branches at or past instruction ``warmup``, and
+        :func:`~repro.sim.branch.batch.resolve_branch_plan` reads the
+        branch indices through that test alone, so the number of
+        branches before ``warmup`` is what the plan depends on.  Equal
+        branch streams whose warm-up index falls on different branches
+        (a base-update split inserts micro-ops) get different keys.
         """
-        branch_key = (
+        return (
             "branch",
+            self._stream_digest("branch"),
+            bisect_left(self.branch_view()[0], warmup),
             config.direction_predictor,
             config.btb_entries,
             config.btb_ways,
@@ -448,9 +564,22 @@ class DecodedColumns:
             config.ideal_targets,
             config.warmup_fraction,
         )
-        dpf_key = ("dpf", config.l1d_prefetcher)
-        ipf_key = ("ipf", config.l1i_prefetcher)
-        return branch_key, dpf_key, ipf_key
+
+    def data_plan_key(self, config: SimConfig) -> tuple:
+        """Plan-cache key of the L1D prefetcher's plan under ``config``."""
+        return ("dpf", self._stream_digest("access"), config.l1d_prefetcher)
+
+    def fetch_plan_key(self, config: SimConfig) -> tuple:
+        """Plan-cache key of the L1I prefetcher's plan under ``config``."""
+        return ("ipf", self._stream_digest("fetch"), config.l1i_prefetcher)
+
+    def run_key(self, config: SimConfig) -> tuple:
+        """The :attr:`ContentMemo.runs` key of simulating these columns
+        under ``config``: the ChampSim bytes' digest, the branch rules
+        and the full config.  Only columns built with a memo have one."""
+        if self.source_key is None:
+            raise ValueError("only columns built with a ContentMemo share runs")
+        return (*self.source_key, config)
 
 
 def _mem_column(

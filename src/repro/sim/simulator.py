@@ -20,6 +20,7 @@ reports for the trace.
 
 from __future__ import annotations
 
+import copy
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -55,10 +56,14 @@ class Simulator:
     fresh :class:`~repro.sim.vector_engine.VectorEngine`, so every run
     starts from cold components and runs are independent.  Every run
     reads its input afresh, so rewriting a trace file between runs is
-    always seen.  The one thing reused is on the input: a
-    :class:`~repro.sim.decoded.DecodedColumns` keeps the component
-    plans resolved on it, so re-running one columns object skips both
-    columnarisation and planning.  The scalar
+    always seen.  What is reused comes with the input: a
+    :class:`~repro.sim.decoded.DecodedColumns` carries a plan memo, so
+    re-running one columns object skips both columnarisation and
+    planning, and columns built with a shared
+    :class:`~repro.sim.decoded.ContentMemo` also share finished runs —
+    a run whose ChampSim bytes, branch rules and config were already
+    simulated with that memo returns a copy of those statistics,
+    inside the same ``sim.engine`` span (``reused=True``).  The scalar
     :class:`~repro.sim.engine.Engine` is not reachable from here: it
     survives as the differential oracle the vector engine is pinned
     bit-identical to (``tests/test_vector_engine_differential.py``).
@@ -87,8 +92,23 @@ class Simulator:
                     _champsim_bytes(trace), rules
                 )
                 span.set(instructions=columns.n)
-        with obs.span("sim.engine", instructions=len(columns)):
-            return VectorEngine(self.config).run(columns)
+        with obs.span("sim.engine", instructions=len(columns)) as span:
+            memo = columns.memo
+            if memo is None:
+                span.set(reused=False)
+                return VectorEngine(self.config).run(columns)
+            key = columns.run_key(self.config)
+            stats = memo.runs.get(key)
+            span.set(reused=stats is not None)
+            if stats is None:
+                stats = memo.runs[key] = VectorEngine(self.config).run(columns)
+            elif obs.enabled():
+                obs.counter(
+                    "repro_sim_runs_reused_total",
+                    "Runs answered from an earlier run of the same bytes.",
+                ).inc()
+            # Callers own their statistics; the memo keeps its own.
+            return copy.deepcopy(stats)
 
 
 def simulate(

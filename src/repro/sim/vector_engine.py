@@ -65,6 +65,24 @@ _ISSUE_LOAD_LIMIT = 8192
 _ISSUE_LOAD_HORIZON = 64
 
 
+def _count_plan(plan: str, cached: bool) -> None:
+    """Count one plan resolution as a memo hit or a build (observed runs)."""
+    from repro import obs
+
+    if obs.enabled():
+        if cached:
+            family = obs.counter(
+                "repro_sim_plan_hits_total",
+                "Component plans taken from the content-keyed plan memo.",
+            )
+        else:
+            family = obs.counter(
+                "repro_sim_plan_builds_total",
+                "Component plans resolved by replaying their event stream.",
+            )
+        family.labels(plan=plan).inc()
+
+
 class VectorEngine(Engine):
     """Single-run columnar engine, built from its :class:`SimConfig` alone.
 
@@ -168,9 +186,10 @@ class VectorEngine(Engine):
         :mod:`repro.sim.prefetch.plan`.  The sweep then consumes
         precomputed redirect codes and request runs instead of calling
         the components per event — bit-identical by the batched-model
-        contract, and memoizable on the columns because the event
-        streams are a pure function of the (immutable) columns and the
-        component configuration.
+        contract, and memoizable by content because a plan is a pure
+        function of its event stream and the component configuration
+        (the keys of :meth:`~repro.sim.decoded.DecodedColumns.branch_plan_key`
+        and its siblings).
 
         On a plan-cache hit the components are never touched: the run
         needs only the plan.  On a miss, the planning pass leaves each
@@ -178,10 +197,14 @@ class VectorEngine(Engine):
         """
         from repro import obs
 
-        cfg_branch_key, dpf_key, ipf_key = columns.plan_keys(self.config)
+        config = self.config
         plan_cache = columns.plan_cache
-        bplan = plan_cache.get(cfg_branch_key)
-        with obs.span("sim.plan.branch", cached=bplan is not None):
+        with obs.span("sim.plan.branch") as span:
+            branch_key = columns.branch_plan_key(config, warmup)
+            bplan = plan_cache.get(branch_key)
+            cached = bplan is not None
+            span.set(cached=cached)
+            _count_plan("branch", cached)
             if bplan is None:
                 idxs, ips, types, takens, targets = columns.branch_view()
                 bplan = resolve_branch_plan(
@@ -194,28 +217,36 @@ class VectorEngine(Engine):
                     self.btb,
                     self.ras,
                     self.ittage,
-                    self.config.ideal_targets,
+                    config.ideal_targets,
                     warmup,
                 )
-                plan_cache[cfg_branch_key] = bplan
+                plan_cache[branch_key] = bplan
         self._branch_codes, self._plan_tallies = bplan
 
-        with obs.span("sim.plan.prefetch"):
+        with obs.span("sim.plan.prefetch") as span:
             l1d_pf = self.hierarchy.l1d_prefetcher
             if l1d_pf is not None and l1d_pf.stream_pure:
-                dplan = plan_cache.get(dpf_key)
+                data_key = columns.data_plan_key(config)
+                dplan = plan_cache.get(data_key)
+                cached = dplan is not None
+                span.set(data_cached=cached)
+                _count_plan("data", cached)
                 if dplan is None:
                     ev_ips, ev_addrs = columns.access_events()
                     dplan = plan_data_stream(l1d_pf, ev_ips, ev_addrs)
-                    plan_cache[dpf_key] = dplan
+                    plan_cache[data_key] = dplan
                 self._dplan = dplan
 
             l1i_pf = self.l1i_prefetcher
             if l1i_pf is not None and l1i_pf.stream_pure:
-                iplan = plan_cache.get(ipf_key)
+                fetch_key = columns.fetch_plan_key(config)
+                iplan = plan_cache.get(fetch_key)
+                cached = iplan is not None
+                span.set(fetch_cached=cached)
+                _count_plan("fetch", cached)
                 if iplan is None:
                     iplan = plan_fetch_stream(l1i_pf, columns.fetch_events())
-                    plan_cache[ipf_key] = iplan
+                    plan_cache[fetch_key] = iplan
                 self._iplan = iplan
 
     # ------------------------------------------------------------------

@@ -108,3 +108,24 @@ def srv_trace():
     from repro.synth import make_trace
 
     return make_trace("srv_3", 6000)
+
+
+#: Length of the ``suite_traces`` fixture's traces: small enough to
+#: generate the whole suite in seconds.
+SUITE_INSTRUCTIONS = 300
+
+
+@pytest.fixture(scope="session")
+def suite_traces():
+    """Every CVP-1 public and IPC-1 trace, by generator name."""
+    from repro.synth import make_trace
+    from repro.synth.suite import (
+        IPC1_TO_CVP1,
+        cvp1_public_trace_names,
+        ipc1_trace_names,
+    )
+
+    names = cvp1_public_trace_names() + [
+        IPC1_TO_CVP1[name] for name in ipc1_trace_names()
+    ]
+    return {name: make_trace(name, SUITE_INSTRUCTIONS) for name in names}

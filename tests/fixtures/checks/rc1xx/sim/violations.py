@@ -16,6 +16,7 @@ def unstable_sample(items):
     stamp = time.time()  # RC102: wall-clock read
     memo = {}
     memo[id(pick)] = stamp  # RC103: id()-keyed map
+    memo.setdefault(("digests", id(items)), {})  # RC103: id() in a tuple key
     token = hash("salted-by-pythonhashseed")  # RC104: builtin hash()
     total = sum({0.1, 0.2, 0.3})  # RC105: set-order accumulation
     names = list(os.listdir("."))  # RC106: unsorted fs enumeration

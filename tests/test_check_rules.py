@@ -82,8 +82,22 @@ def test_rc103_id_subscript_and_membership():
     assert [f.rule_id for f in found] == ["RC103", "RC103"]
 
 
+def test_rc103_id_inside_tuple_key():
+    src = (
+        "def f(cache, name, obj):\n"
+        "    cache.setdefault((\"digests\", id(obj)), {})\n"
+        "    cache[(name, id(obj))] = 1\n"
+        "    cache[(name, (0, id(obj)))] = 2\n"
+        "    return {(name, id(obj)): 3}\n"
+    )
+    found = findings({"sim/a.py": src})
+    assert [(f.rule_id, f.line) for f in found] == [
+        ("RC103", 2), ("RC103", 3), ("RC103", 4), ("RC103", 5)
+    ]
+
+
 def test_rc103_plain_id_allowed():
-    src = "def f(obj):\n    return id(obj)\n"
+    src = "def f(obj):\n    return id(obj), (id(obj), 1)\n"
     assert fired({"sim/a.py": src}) == set()
 
 

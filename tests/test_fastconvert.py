@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from repro.champsim.trace import ChampSimTraceWriter, encode_instr
 from repro.core.convert import Converter
 from repro.core.fastconvert import (
+    analyze_records,
     clear_static_memo,
     convert_blocks_to_bytes,
     static_memo_size,
 )
 from repro.core.improvements import IMPROVEMENT_NAMES, Improvement
-from repro.cvp.reader import CvpTraceReader
+from repro.cvp.reader import CvpTraceReader, RegisterFile, read_trace
 from repro.experiments.cache import conversion_stats_to_dict
 
 from tests.diffharness import assert_bytes_identical, assert_stats_identical
@@ -35,10 +36,12 @@ def _slow(source, improvements):
     return data, conversion_stats_to_dict(converter.stats)
 
 
-def _fast(source, improvements, block_size):
+def _fast(source, improvements, block_size, analysis=None):
     converter = Converter(improvements)
     data = b"".join(
-        convert_blocks_to_bytes(converter, source, block_size=block_size)
+        convert_blocks_to_bytes(
+            converter, source, block_size=block_size, analysis=analysis
+        )
     )
     return data, conversion_stats_to_dict(converter.stats)
 
@@ -72,6 +75,53 @@ def test_fast_path_matches_slow_path_on_arbitrary_records(
     fast_bytes, fast_stats = _fast(list(records), improvements, block_size)
     assert_bytes_identical(fast_bytes, slow_bytes, (improvements, block_size))
     assert_stats_identical(fast_stats, slow_stats, (improvements, block_size))
+
+
+@pytest.mark.parametrize("path", GOLDEN)
+def test_shared_analysis_matches_slow_path_for_every_set(path):
+    # One whole-trace analysis, assembled under every improvement set:
+    # the experiment runner's path.
+    records = read_trace(path)
+    analysis = analyze_records(records, RegisterFile())
+    assert len(analysis) == sum(r.is_memory for r in records)
+    for name, improvements in sorted(IMPROVEMENT_NAMES.items()):
+        slow_bytes, slow_stats = _slow(list(records), improvements)
+        for block_size in (7, 4096):
+            fast_bytes, fast_stats = _fast(
+                list(records), improvements, block_size, analysis
+            )
+            context = (path, name, block_size)
+            assert_bytes_identical(fast_bytes, slow_bytes, context)
+            assert_stats_identical(fast_stats, slow_stats, context)
+
+
+@given(
+    records=st.lists(cvp_records(), max_size=60),
+    improvements=improvement_sets,
+)
+@settings(max_examples=100, deadline=None)
+def test_shared_analysis_matches_slow_path_on_arbitrary_records(
+    records, improvements
+):
+    analysis = analyze_records(records, RegisterFile())
+    slow_bytes, slow_stats = _slow(list(records), improvements)
+    fast_bytes, fast_stats = _fast(list(records), improvements, 3, analysis)
+    assert_bytes_identical(fast_bytes, slow_bytes, improvements)
+    assert_stats_identical(fast_stats, slow_stats, improvements)
+
+
+def test_block_analysis_equals_whole_trace_analysis():
+    # The streaming path analyses block by block with a carried register
+    # file; the entries are the whole-trace pass's, in order.
+    records = read_trace(GOLDEN[0])
+    registers = RegisterFile()
+    blocks = [
+        analyze_records(records[start:start + 5], registers)
+        for start in range(0, len(records), 5)
+    ]
+    assert [entry for block in blocks for entry in block] == analyze_records(
+        records, RegisterFile()
+    )
 
 
 def test_static_memo_is_shared_and_clearable():

@@ -627,12 +627,14 @@ def test_experiment_spans_cover_root_time(obs_reset, tmp_path, capsys):
     """With ``--obs`` on a small Figure 1 sweep, the root spans' self
     time (work no child span accounts for) is at most 5% of their total:
     generation, conversion, columnarization and the engine are all
-    spanned on the path production runs."""
+    spanned on the path production runs, a reused run included.  The
+    sweep (15 traces, 150 runs) is sized so that 5% is over 50 ms of
+    slack on a 2-vCPU host, well above timer and scheduling noise."""
     from repro.experiments.cli import main
 
     log = tmp_path / "sweep.jsonl"
     rc = main(
-        ["fig1", "--stride", "45", "--instructions", "2000", "--no-cache",
+        ["fig1", "--stride", "9", "--instructions", "2000", "--no-cache",
          "--obs", "--obs-log", str(log)]
     )
     assert rc == 0
@@ -648,3 +650,46 @@ def test_experiment_spans_cover_root_time(obs_reset, tmp_path, capsys):
     self_time = sum(row["self"] for row in roots)
     assert total > 0
     assert self_time <= 0.05 * total, (self_time, total)
+
+
+def test_experiment_spans_and_counters_show_the_sharing(
+    obs_reset, tmp_path, capsys
+):
+    """A Figure 1 sweep's log says what each trace group shared: the
+    plan spans carry ``cached``/``data_cached``, ``sim.engine`` carries
+    ``reused``, and the plan and reused-run counters agree with them."""
+    from repro.experiments.cli import main
+
+    log = tmp_path / "sweep.jsonl"
+    rc = main(
+        ["fig1", "--stride", "45", "--instructions", "2000", "--no-cache",
+         "--obs", "--obs-log", str(log)]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    obs.finalize()
+    attrs = {}
+    for row in events.iter_events(log):
+        if row["type"] == "span":
+            attrs.setdefault(row["name"], []).append(row.get("attrs") or {})
+    engine = [a["reused"] for a in attrs["sim.engine"]]
+    branch = [a["cached"] for a in attrs["sim.plan.branch"]]
+    data = [a["data_cached"] for a in attrs["sim.plan.prefetch"]]
+    assert len(engine) == 30 and any(engine) and not all(engine)
+    assert len(branch) == len(data) == engine.count(False)
+    assert any(branch) and any(data)
+    summary = aggregate_logs([log])
+    counters = {}
+    for entry in summary["counters"]:
+        labels = dict(entry.get("labels") or {})
+        key = (entry["name"], labels.get("plan"))
+        counters[key] = entry["value"]
+    assert counters[("repro_sim_runs_reused_total", None)] == engine.count(True)
+    assert counters[("repro_sim_plan_hits_total", "branch")] == branch.count(True)
+    assert counters[("repro_sim_plan_builds_total", "branch")] == branch.count(
+        False
+    )
+    assert counters[("repro_sim_plan_hits_total", "data")] == data.count(True)
+    text = render_text(summary)
+    assert "repro_sim_plan_hits_total" in text
+    assert "repro_sim_runs_reused_total" in text

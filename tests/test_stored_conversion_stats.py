@@ -24,21 +24,10 @@ from repro.experiments.runner import ExperimentRunner
 from repro.experiments.tables import table1
 from repro.sim.config import SimConfig
 from repro.synth.generator import make_trace
-from repro.synth.suite import IPC1_TO_CVP1, cvp1_public_trace_names, ipc1_trace_names
 
-#: Small enough to generate the whole suite in seconds.
-SUITE_INSTRUCTIONS = 300
+from tests.conftest import SUITE_INSTRUCTIONS
 
 GOLDEN = sorted(glob.glob("tests/golden/*.cvp.gz"))
-
-
-@pytest.fixture(scope="module")
-def suite_traces():
-    """Every CVP-1 public and IPC-1 trace, by generator name."""
-    names = cvp1_public_trace_names() + [
-        IPC1_TO_CVP1[name] for name in ipc1_trace_names()
-    ]
-    return {name: make_trace(name, SUITE_INSTRUCTIONS) for name in names}
 
 
 def _assert_load_splits_match(records, context):
