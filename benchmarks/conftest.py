@@ -3,12 +3,11 @@
 Every benchmark regenerates one table or figure of the paper on a
 sampled suite (every ninth public trace, every seventh IPC-1 trace, short
 synthetic traces) so the whole harness completes in minutes.  Scale up
-with the ``repro-experiment`` CLI (``--stride 1 --instructions 20000``)
+with the ``repro-experiment`` CLI (``--stride 1 --instructions 12000``)
 to run the full 135/50-trace suites.
 
 The :class:`~repro.experiments.runner.ExperimentRunner` is session-scoped
-and memoises conversions and simulations, so later benchmarks reuse the
-runs of earlier ones — each benchmark's time reflects the *incremental*
+and memoises runs, so later benchmarks reuse the runs of earlier ones — each benchmark's time reflects the *incremental*
 work its experiment adds.
 
 Opt-in persistent cache: set ``REPRO_BENCH_CACHE=1`` (cache under

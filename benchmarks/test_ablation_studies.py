@@ -13,13 +13,11 @@ Not a table or figure of the paper, but two claims its text makes:
 """
 
 from repro.experiments.ablation import (
-    decoupled_frontend_study,
-    finite_prf_study,
-    improvement_interaction_study,
     render_frontend_ablation,
     render_interaction,
     render_prf_study,
 )
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import ExperimentRunner, geomean
 
 from benchmarks.conftest import INSTRUCTIONS, once
@@ -34,7 +32,7 @@ def small_runner():
 
 
 def test_ablation_decoupled_frontend(benchmark, small_runner):
-    rows = once(benchmark, decoupled_frontend_study, small_runner)
+    rows = once(benchmark, EXPERIMENTS["ablation-frontend"].compute, small_runner)
     print()
     print(render_frontend_ablation(rows))
 
@@ -47,7 +45,7 @@ def test_ablation_decoupled_frontend(benchmark, small_runner):
 
 
 def test_ablation_branch_improvement_overlap(benchmark, small_runner):
-    rows = once(benchmark, improvement_interaction_study, small_runner)
+    rows = once(benchmark, EXPERIMENTS["ablation-overlap"].compute, small_runner)
     print()
     print(render_interaction(rows))
 
@@ -62,7 +60,7 @@ def test_ablation_branch_improvement_overlap(benchmark, small_runner):
 
 
 def test_ablation_finite_prf(benchmark, small_runner):
-    rows = once(benchmark, finite_prf_study, small_runner)
+    rows = once(benchmark, EXPERIMENTS["ablation-prf"].compute, small_runner)
     print()
     print(render_prf_study(rows))
 

@@ -5,14 +5,14 @@ and mem-regs ≈ 0, call-stack slightly positive, flag-reg and branch-regs
 clearly negative, Branch_imps more negative than either alone.
 """
 
-from repro.experiments.figures import figure1
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import render_figure1
 
 from benchmarks.conftest import once
 
 
 def test_fig1_geomean_ipc_variation(benchmark, runner):
-    data = once(benchmark, figure1, runner)
+    data = once(benchmark, EXPERIMENTS["fig1"].compute, runner)
     print()
     print(render_figure1(data))
 

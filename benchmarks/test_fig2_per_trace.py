@@ -6,14 +6,14 @@ total-variation distribution is wide (the paper: 43 of 135 traces move
 more than 5% under All_imps).
 """
 
-from repro.experiments.figures import figure2
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import render_figure2
 
 from benchmarks.conftest import once
 
 
 def test_fig2_per_trace_variation(benchmark, runner):
-    data = once(benchmark, figure2, runner)
+    data = once(benchmark, EXPERIMENTS["fig2"].compute, runner)
     print()
     print(render_figure2(data))
 

@@ -4,7 +4,7 @@ Paper expectation (shape): as branch MPKI grows, so does the slowdown
 caused by restoring branch dependencies.
 """
 
-from repro.experiments.figures import figure3
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import render_figure3
 from repro.experiments.runner import geomean
 
@@ -12,7 +12,7 @@ from benchmarks.conftest import once
 
 
 def test_fig3_slowdown_tracks_branch_mpki(benchmark, runner):
-    rows = once(benchmark, figure3, runner)
+    rows = once(benchmark, EXPERIMENTS["fig3"].compute, runner)
     print()
     print(render_figure3(rows))
 

@@ -4,7 +4,7 @@ Paper expectation (shape): speedup grows with the fraction of loads that
 perform base update, with a couple of exceptions allowed.
 """
 
-from repro.experiments.figures import figure4
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import render_figure4
 from repro.experiments.runner import geomean
 
@@ -12,7 +12,7 @@ from benchmarks.conftest import once
 
 
 def test_fig4_speedup_tracks_base_update_fraction(benchmark, runner):
-    rows = once(benchmark, figure4, runner)
+    rows = once(benchmark, EXPERIMENTS["fig4"].compute, runner)
     print()
     print(render_figure4(rows))
 

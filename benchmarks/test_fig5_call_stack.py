@@ -6,14 +6,14 @@ brings it back to a reasonable level and yields an IPC gain of a few
 percent on those traces, leaving the others untouched.
 """
 
-from repro.experiments.figures import figure5
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import render_figure5
 
 from benchmarks.conftest import once
 
 
 def test_fig5_call_stack_fix(benchmark, runner):
-    rows = once(benchmark, figure5, runner, top=12)
+    rows = once(benchmark, EXPERIMENTS["fig5"].compute, runner)[:12]
     print()
     print(render_figure5(rows))
 

@@ -2,15 +2,15 @@
 
 from repro.core.convert import Converter
 from repro.core.improvements import Improvement
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import render_table1
-from repro.experiments.tables import table1
 from repro.synth import make_trace
 
 from benchmarks.conftest import once
 
 
 def test_tab1_summary(benchmark, runner):
-    rows = once(benchmark, table1, runner)
+    rows = once(benchmark, EXPERIMENTS["tab1"].compute, runner)
     print()
     print(render_table1(rows))
     # Every improvement must have found material to act on in the suite.

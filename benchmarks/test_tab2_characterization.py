@@ -7,14 +7,14 @@ MPKI tail; the branch target MPKI falls versus the original converter
 paper's -78% example).
 """
 
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import render_table2
-from repro.experiments.tables import table2
 
 from benchmarks.conftest import once
 
 
 def test_tab2_ipc1_characterization(benchmark, runner):
-    rows = once(benchmark, table2, runner)
+    rows = once(benchmark, EXPERIMENTS["tab2"].compute, runner)
     print()
     print(render_table2(rows))
 

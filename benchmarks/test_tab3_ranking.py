@@ -6,14 +6,14 @@ stable across the trace fix (the paper's JIP moved from 6th to 3rd —
 here any mid-field movement demonstrates the same instability).
 """
 
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import render_table3
-from repro.experiments.tables import table3
 
 from benchmarks.conftest import once
 
 
 def test_tab3_prefetcher_ranking(benchmark, runner):
-    data = once(benchmark, table3, runner)
+    data = once(benchmark, EXPERIMENTS["tab3"].compute, runner)
     print()
     print(render_table3(data))
 

@@ -14,9 +14,9 @@ Run::
 
 import sys
 
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.report import render_table3
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.tables import table3
 
 
 def main() -> int:
@@ -32,7 +32,7 @@ def main() -> int:
     print("This takes a couple of minutes (2 trace sets x 9 configurations "
           "per trace)...\n")
 
-    data = table3(runner)
+    data = EXPERIMENTS["tab3"].compute(runner)
     print(render_table3(data))
 
     moved = [

@@ -11,46 +11,31 @@ Table 2    IPC-1 trace characterisation with the improved converter
 Table 3    IPC-1 prefetcher ranking: competition vs fixed traces
 =========  ==========================================================
 
-Entry points: the :class:`ExperimentRunner` (converts and simulates with
-memoisation, an optional persistent :class:`ResultCache`, and parallel
-``run_many``/``run_batch`` fan-out), per-experiment functions in
-:mod:`repro.experiments.figures` and :mod:`repro.experiments.tables`,
-text renderers in :mod:`repro.experiments.report`, and the
+Entry points: the :data:`~repro.experiments.registry.EXPERIMENTS`
+registry (each experiment's declared runs, data function and renderer),
+the :class:`ExperimentRunner` (resolves a batch of runs with
+memoisation, an optional persistent :class:`ResultCache` and parallel
+``run_batch`` fan-out), the data functions in
+:mod:`repro.experiments.figures`, :mod:`repro.experiments.tables` and
+:mod:`repro.experiments.ablation`, which read only resolved runs, text
+renderers in :mod:`repro.experiments.report`, and the
 ``repro-experiment`` CLI.
 """
 
 from repro.experiments.cache import ConversionCache, ResultCache
 from repro.experiments.parallel import TaskFailure, TraceGroup, run_tasks
-from repro.experiments.runner import ExperimentRunner, RunResult
-from repro.experiments.figures import (
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-)
-from repro.experiments.tables import table1, table2, table3
-from repro.experiments.ablation import (
-    decoupled_frontend_study,
-    improvement_interaction_study,
-)
+from repro.experiments.registry import EXPERIMENTS, Experiment
+from repro.experiments.runner import ExperimentRunner, RunResult, UnresolvedRunError
 
 __all__ = [
-    "decoupled_frontend_study",
-    "improvement_interaction_study",
     "ConversionCache",
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentRunner",
     "ResultCache",
     "RunResult",
     "TaskFailure",
     "TraceGroup",
+    "UnresolvedRunError",
     "run_tasks",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "table1",
-    "table2",
-    "table3",
 ]

@@ -13,15 +13,19 @@ Two studies back the paper's discussion sections:
   performance impacts of ``branch-regs`` and ``flag-reg`` overlap when
   applied together.  The study measures each alone and both combined, so
   the sub-additivity is visible.
+
+The studies read only the runs :mod:`repro.experiments.registry`
+declares from the constants here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import Dict, List, Tuple
 
 from repro.core.improvements import Improvement
 from repro.experiments.runner import ExperimentRunner, geomean
+from repro.experiments.tables import FIXED_TRACE_IMPROVEMENTS
 from repro.sim.config import SimConfig
 from repro.sim.prefetch.ipc1 import IPC1_PREFETCHERS
 
@@ -44,54 +48,56 @@ class FrontendAblationRow:
         return 1.0 - decoupled_gain / coupled_gain
 
 
+def _with_prefetchers(base: SimConfig) -> Tuple[SimConfig, ...]:
+    """``base``, then ``base`` with each IPC-1 instruction prefetcher."""
+    return (base,) + tuple(
+        replace(base, name=f"{base.name}+{prefetcher}", l1i_prefetcher=prefetcher)
+        for prefetcher in IPC1_PREFETCHERS
+    )
+
+
+#: The front-end study's configs: the IPC-1 preset (coupled front-end)
+#: and a decoupled front-end with FDIP, each alone and with every
+#: prefetcher.  Its traces are the fixed ones of Table 3.
+COUPLED_CONFIGS = _with_prefetchers(SimConfig.ipc1())
+DECOUPLED_CONFIGS = _with_prefetchers(
+    replace(
+        SimConfig.ipc1(decoupled_frontend=True, fdip_lookahead=12),
+        name="ipc1-decoupled",
+    )
+)
+
+
 def _speedups(
-    runner: ExperimentRunner, config_base: SimConfig, improvements: Improvement
+    runner: ExperimentRunner, configs: Tuple[SimConfig, ...]
 ) -> Dict[str, float]:
     names = runner.ipc1_trace_names()
-    prefetcher_configs = {
-        prefetcher: replace(
-            config_base,
-            name=f"{config_base.name}+{prefetcher}",
-            l1i_prefetcher=prefetcher,
-        )
-        for prefetcher in IPC1_PREFETCHERS
-    }
-    runner.run_batch(
-        [
-            (n, improvements, config)
-            for config in [config_base, *prefetcher_configs.values()]
-            for n in names
-        ]
-    )
+    base_config, *prefetcher_configs = configs
     baseline = {
-        n: runner.run(n, improvements, config_base).stats.ipc for n in names
+        n: runner.stored(n, FIXED_TRACE_IMPROVEMENTS, base_config).stats.ipc
+        for n in names
     }
-    out: Dict[str, float] = {}
-    for prefetcher in IPC1_PREFETCHERS:
-        config = prefetcher_configs[prefetcher]
-        out[prefetcher] = geomean(
-            runner.run(n, improvements, config).stats.ipc / baseline[n]
+    return {
+        prefetcher: geomean(
+            runner.stored(n, FIXED_TRACE_IMPROVEMENTS, config).stats.ipc
+            / baseline[n]
             for n in names
             if baseline[n] > 0
         )
-    return out
+        for prefetcher, config in zip(IPC1_PREFETCHERS, prefetcher_configs)
+    }
 
 
 def decoupled_frontend_study(
     runner: ExperimentRunner,
-    improvements: Improvement = Improvement.ALL & ~Improvement.MEM_FOOTPRINT,
 ) -> List[FrontendAblationRow]:
     """Prefetcher speedups: coupled (IPC-1) vs decoupled front-end.
 
     Expectation (Ishii et al., echoed by the paper): the decoupled
     column's speedups are much closer to 1.
     """
-    coupled = _speedups(runner, SimConfig.ipc1(), improvements)
-    decoupled_base = SimConfig.ipc1(
-        decoupled_frontend=True, fdip_lookahead=12
-    )
-    decoupled_base = replace(decoupled_base, name="ipc1-decoupled")
-    decoupled = _speedups(runner, decoupled_base, improvements)
+    coupled = _speedups(runner, COUPLED_CONFIGS)
+    decoupled = _speedups(runner, DECOUPLED_CONFIGS)
     rows = [
         FrontendAblationRow(
             prefetcher=name,
@@ -102,6 +108,14 @@ def decoupled_frontend_study(
     ]
     rows.sort(key=lambda r: r.speedup_coupled, reverse=True)
     return rows
+
+
+#: The branch-side combinations the overlap study compares.
+INTERACTION_COMBOS: Tuple[Tuple[str, Improvement], ...] = (
+    ("imp_branch-regs", Improvement.BRANCH_REGS),
+    ("imp_flag-regs", Improvement.FLAG_REG),
+    ("both", Improvement.BRANCH_REGS | Improvement.FLAG_REG),
+)
 
 
 @dataclass
@@ -123,17 +137,9 @@ def improvement_interaction_study(
     flag-reg would otherwise have created for cb(n)z-style branches.
     """
     names = runner.public_trace_names()
-    combos = (
-        ("imp_branch-regs", Improvement.BRANCH_REGS),
-        ("imp_flag-regs", Improvement.FLAG_REG),
-        ("both", Improvement.BRANCH_REGS | Improvement.FLAG_REG),
-    )
-    runner.sweep(
-        names, [Improvement.NONE] + [imp for _, imp in combos]
-    )
     return [
         InteractionRow(label, runner.geomean_variation(names, improvements))
-        for label, improvements in combos
+        for label, improvements in INTERACTION_COMBOS
     ]
 
 
@@ -145,9 +151,15 @@ class PrfRow:
     variation: float
 
 
-def finite_prf_study(
-    runner: ExperimentRunner, sizes: Sequence[int] = (0, 96, 48)
-) -> List[PrfRow]:
+#: The register-file sizes the PRF study compares (0 = unlimited).
+PRF_SIZES: Tuple[int, ...] = (0, 96, 48)
+PRF_CONFIGS: Tuple[SimConfig, ...] = tuple(
+    replace(SimConfig.main(prf_size=size), name=f"main-prf{size}")
+    for size in PRF_SIZES
+)
+
+
+def finite_prf_study(runner: ExperimentRunner) -> List[PrfRow]:
     """Section 4.2's hypothesis: with a finite physical register file,
     the register-forging/dropping inaccuracies of the original converter
     start to matter, so mem-regs gains value.
@@ -156,30 +168,15 @@ def finite_prf_study(
     converter at each PRF size (0 = ChampSim's unlimited renaming).
     """
     names = runner.public_trace_names()
-    configs = {
-        size: replace(SimConfig.main(prf_size=size), name=f"main-prf{size}")
-        for size in sizes
-    }
-    runner.run_batch(
-        [
-            (n, improvements, config)
-            for config in configs.values()
-            for improvements in (Improvement.NONE, Improvement.MEM_REGS)
-            for n in names
-        ]
-    )
-    rows: List[PrfRow] = []
-    for size in sizes:
-        config = configs[size]
-        rows.append(
-            PrfRow(
-                prf_size=size,
-                variation=runner.geomean_variation(
-                    names, Improvement.MEM_REGS, config
-                ),
-            )
+    return [
+        PrfRow(
+            prf_size=size,
+            variation=runner.geomean_variation(
+                names, Improvement.MEM_REGS, config
+            ),
         )
-    return rows
+        for size, config in zip(PRF_SIZES, PRF_CONFIGS)
+    ]
 
 
 def render_prf_study(rows: List[PrfRow]) -> str:

@@ -3,7 +3,11 @@
 Usage::
 
     repro-experiment fig1                 # quick sampled run
-    repro-experiment all --stride 1 --instructions 20000   # full suite
+    repro-experiment all --stride 1 --instructions 12000   # full suite
+
+The chosen experiments' runs are resolved in one batch first (the
+``[plan took …]`` line); each ``[<name> took …]`` line then times only
+that experiment's rendering from the resolved runs.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from repro.cliargs import (
     positive_float,
     positive_int,
 )
-from repro.experiments import ablation, figures, report, tables
 from repro.experiments.parallel import TaskFailure
+from repro.experiments.registry import EXPERIMENTS, PAPER
 from repro.experiments.runner import ExperimentRunner
 from repro.faults.retry import RetryPolicy
 from repro.obs import logutil
@@ -29,9 +33,6 @@ from repro.obs import logutil
 #: Exit codes: 0 success, 1 task failure (some runs kept failing and
 #: were quarantined), 2 usage error (argparse).
 EXIT_TASK_FAILURE = 1
-
-_EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig5", "tab1", "tab2", "tab3")
-_ABLATIONS = ("ablation-frontend", "ablation-overlap", "ablation-prf")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=_EXPERIMENTS + _ABLATIONS + ("all",),
+        choices=tuple(EXPERIMENTS) + ("all",),
         help="which figure/table to regenerate (or an ablation study)",
     )
     parser.add_argument(
@@ -117,34 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_experiment(name: str, runner: ExperimentRunner) -> str:
-    """Produce the rendered text for one experiment."""
-    if name == "fig1":
-        return report.render_figure1(figures.figure1(runner))
-    if name == "fig2":
-        return report.render_figure2(figures.figure2(runner))
-    if name == "fig3":
-        return report.render_figure3(figures.figure3(runner))
-    if name == "fig4":
-        return report.render_figure4(figures.figure4(runner))
-    if name == "fig5":
-        return report.render_figure5(figures.figure5(runner))
-    if name == "tab1":
-        return report.render_table1(tables.table1(runner))
-    if name == "tab2":
-        return report.render_table2(tables.table2(runner))
-    if name == "tab3":
-        return report.render_table3(tables.table3(runner))
-    if name == "ablation-frontend":
-        return ablation.render_frontend_ablation(
-            ablation.decoupled_frontend_study(runner)
-        )
-    if name == "ablation-overlap":
-        return ablation.render_interaction(
-            ablation.improvement_interaction_study(runner)
-        )
-    if name == "ablation-prf":
-        return ablation.render_prf_study(ablation.finite_prf_study(runner))
-    raise ValueError(f"unknown experiment {name!r}")
+    """Resolve one experiment's runs, then render it."""
+    experiment = EXPERIMENTS[name]
+    return experiment.render(experiment.compute(runner))
 
 
 def _print_quarantine_report(name: str, failure: TaskFailure) -> None:
@@ -167,7 +143,7 @@ def _run_remote(args: "argparse.Namespace") -> int:
     from repro.service.client import ServiceClient, ServiceError
     from repro.service.fleet import SERVICE_EXPERIMENTS
 
-    chosen = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+    chosen = PAPER if args.experiment == "all" else (args.experiment,)
     unsupported = [n for n in chosen if n not in SERVICE_EXPERIMENTS]
     if unsupported:
         print(
@@ -224,17 +200,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
         task_timeout=args.task_timeout,
     )
-    chosen = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+    chosen = PAPER if args.experiment == "all" else (args.experiment,)
     print(f"[runner {runner.describe()}]")
-    for name in chosen:
-        start = time.time()
-        print()
-        try:
+    start = time.time()
+    try:
+        runner.run_batch(
+            [spec for name in chosen for spec in EXPERIMENTS[name].specs(runner)]
+        )
+        print(f"[plan took {time.time() - start:.1f}s]")
+        for name in chosen:
+            start = time.time()
+            print()
             print(run_experiment(name, runner))
-        except TaskFailure as exc:
-            _print_quarantine_report(name, exc)
-            return EXIT_TASK_FAILURE
-        print(f"[{name} took {time.time() - start:.1f}s]")
+            print(f"[{name} took {time.time() - start:.1f}s]")
+    except TaskFailure as exc:
+        _print_quarantine_report(args.experiment, exc)
+        return EXIT_TASK_FAILURE
     print()
     print(f"[simulations={runner.simulations}]")
     if cache is not None:

@@ -2,7 +2,8 @@
 
 Each function returns plain data (dataclasses of floats/strings) so tests
 can assert on shapes and :mod:`repro.experiments.report` can render the
-same rows the paper plots.
+same rows the paper plots.  They read only resolved runs, which
+:mod:`repro.experiments.registry` declares.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Dict, List, Tuple
 from repro.core.improvements import Improvement
 from repro.experiments.runner import ExperimentRunner
 
-#: The improvement sets Figure 1 and 2 sweep, in the paper's bar order.
+#: The improvement sets of Figure 1 and 2's bars, in the paper's order.
 FIGURE1_CONFIGS: Tuple[Tuple[str, Improvement], ...] = (
     ("imp_mem-regs", Improvement.MEM_REGS),
     ("imp_base-update", Improvement.BASE_UPDATE),
@@ -24,6 +25,11 @@ FIGURE1_CONFIGS: Tuple[Tuple[str, Improvement], ...] = (
     ("imp_flag-regs", Improvement.FLAG_REG),
     ("Branch_imps", Improvement.BRANCH),
     ("All_imps", Improvement.ALL),
+)
+
+#: Figure 1 and 2's runs: the original converter plus every bar.
+FIGURE1_SETS: Tuple[Improvement, ...] = (Improvement.NONE,) + tuple(
+    imps for _, imps in FIGURE1_CONFIGS
 )
 
 
@@ -39,11 +45,6 @@ class Figure1:
 def figure1(runner: ExperimentRunner) -> Figure1:
     """Figure 1: geomean IPC variation across the CVP-1 public suite."""
     names = runner.public_trace_names()
-    # One fan-out for the whole sweep; geomean_variation then reads the
-    # memoised results.
-    runner.sweep(
-        names, [Improvement.NONE] + [imps for _, imps in FIGURE1_CONFIGS]
-    )
     variation = {
         label: runner.geomean_variation(names, imps)
         for label, imps in FIGURE1_CONFIGS
@@ -64,9 +65,6 @@ class Figure2:
 def figure2(runner: ExperimentRunner) -> Figure2:
     """Figure 2: sorted per-trace IPC variation for every improvement."""
     names = runner.public_trace_names()
-    runner.sweep(
-        names, [Improvement.NONE] + [imps for _, imps in FIGURE1_CONFIGS]
-    )
     series: Dict[str, List[float]] = {}
     above: Dict[str, int] = {}
     for label, imps in FIGURE1_CONFIGS:
@@ -94,15 +92,11 @@ def figure3(runner: ExperimentRunner) -> List[Figure3Row]:
     (>1 means the improvement slowed the trace down).
     """
     names = runner.public_trace_names()
-    runner.sweep(
-        names,
-        [Improvement.NONE, Improvement.BRANCH_REGS, Improvement.FLAG_REG],
-    )
     rows: List[Figure3Row] = []
     for name in names:
-        base = runner.run(name, Improvement.NONE).stats
-        br = runner.run(name, Improvement.BRANCH_REGS).stats
-        fl = runner.run(name, Improvement.FLAG_REG).stats
+        base = runner.stored(name, Improvement.NONE).stats
+        br = runner.stored(name, Improvement.BRANCH_REGS).stats
+        fl = runner.stored(name, Improvement.FLAG_REG).stats
         rows.append(
             Figure3Row(
                 trace=name,
@@ -132,11 +126,10 @@ def figure4(runner: ExperimentRunner) -> List[Figure4Row]:
     stored with the run.  Speedup is ``IPC_base-update / IPC_orig``.
     """
     names = runner.public_trace_names()
-    runner.sweep(names, [Improvement.NONE, Improvement.BASE_UPDATE])
     rows: List[Figure4Row] = []
     for name in names:
-        base = runner.run(name, Improvement.NONE).stats
-        upd = runner.run(name, Improvement.BASE_UPDATE)
+        base = runner.stored(name, Improvement.NONE).stats
+        upd = runner.stored(name, Improvement.BASE_UPDATE)
         conversion = upd.conversion
         rows.append(
             Figure4Row(
@@ -169,11 +162,10 @@ def figure5(runner: ExperimentRunner, top: int = 20) -> List[Figure5Row]:
     MPKI and the ``top`` worst are returned.
     """
     names = runner.public_trace_names()
-    runner.sweep(names, [Improvement.NONE, Improvement.CALL_STACK])
     rows: List[Figure5Row] = []
     for name in names:
-        base = runner.run(name, Improvement.NONE).stats
-        fixed = runner.run(name, Improvement.CALL_STACK).stats
+        base = runner.stored(name, Improvement.NONE).stats
+        fixed = runner.stored(name, Improvement.CALL_STACK).stats
         rows.append(
             Figure5Row(
                 trace=name,

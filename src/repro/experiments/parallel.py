@@ -79,9 +79,10 @@ DEFAULT_MAX_POOL_RESTARTS = 3
 class TraceGroup:
     """Runs of one trace: the unit of sweep dispatch.
 
-    Runs sharing an improvement set are adjacent in ``runs``, so the
-    worker's single-slot conversion memo converts each (trace,
-    improvements) pair once and its configs share the columns.
+    Runs sharing an improvement set are adjacent in ``runs``, so
+    :meth:`~repro.experiments.runner.ExperimentRunner.run_group`
+    converts each (trace, improvements) pair once and its configs share
+    the columns.
     """
 
     name: str

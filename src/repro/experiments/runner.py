@@ -2,36 +2,37 @@
 
 Every experiment reduces to: generate a synthetic CVP-1 trace, convert it
 with some improvement set, simulate the conversion under some simulator
-configuration, and read statistics.  :class:`ExperimentRunner` memoises
-each stage so that e.g. Figure 1's ten configurations share one
-generation per trace, and Figures 2-5 reuse Figure 1's runs outright.
+configuration, and read statistics.  Experiments declare their runs
+(:mod:`repro.experiments.registry`), :meth:`ExperimentRunner.run_batch`
+resolves them, and renders read them through the memo-only
+:meth:`ExperimentRunner.stored`.
 
 The production path per run is columnar end to end: the fused block
 converter (:meth:`~repro.core.convert.Converter.convert_to_bytes`)
 emits ChampSim bytes, :meth:`~repro.sim.decoded.DecodedColumns.from_champsim_bytes`
 turns them into engine columns without per-instruction objects, and
 :class:`~repro.sim.simulator.Simulator` runs the vector engine over
-them.  Batches run grouped by trace, and the work that does not depend
-on the improvement set is done once per trace:
+them.  Runs are simulated only in :meth:`ExperimentRunner.run_group`,
+one trace group at a time (inline or in a pool worker), and the work
+that does not depend on the improvement set is done once per group:
 
-- the trace slot holds the records, their addressing analysis
-  (:func:`~repro.core.fastconvert.analyze_records`, computed for the
-  first improvement set that needs it and read by every later one) and
-  a :class:`~repro.sim.decoded.ContentMemo`;
+- the group's :class:`TraceWork` holds the records, their addressing
+  analysis (:func:`~repro.core.fastconvert.analyze_records`, computed
+  for the first improvement set that needs it and read by every later
+  one) and a :class:`~repro.sim.decoded.ContentMemo`;
 - every conversion's columns are built with that memo, so a component
   plan is built once per distinct event stream (plus config), and a
   run is simulated once per distinct (ChampSim bytes, branch rules,
   config) — a later improvement set that emits the same bytes gets a
   copy of the earlier statistics, still through ``Simulator.run``, so
   it still counts as a simulation;
-- a single-slot conversion memo lets every config simulated over one
-  (trace, improvements) conversion share its columns.
+- a group's runs are ordered by improvement set, so every config
+  simulated over one conversion shares its columns.
 
-Both slots are released after each trace group, so a runner holds one
-trace, and at most one conversion's columns, at a time; renders read
-only stored runs (Figure 4 and Table 1 read their ``ConversionStats``).
-The per-record :meth:`~repro.core.convert.Converter.convert` and the
-scalar engine survive only as test oracles.
+The trace and the current conversion are locals of ``run_group``, so a
+runner holds at most one of each, and none once a batch returns.  The per-record
+:meth:`~repro.core.convert.Converter.convert` and the scalar engine
+survive only as test oracles.
 
 Two layers extend the in-process memo:
 
@@ -40,16 +41,25 @@ Two layers extend the in-process memo:
   sweeps without simulating.  Every run is stored as soon as it
   finishes, which makes the store the sweep's checkpoint too: re-running
   an interrupted sweep against it simulates only the lost runs;
-- :meth:`ExperimentRunner.run_many` / :meth:`ExperimentRunner.run_batch`
-  fan the cache misses of a whole sweep out across worker processes
-  (``jobs``), with results returned in deterministic request order.
+- :meth:`ExperimentRunner.run_batch` fans the cache misses of a whole
+  batch out across worker processes (``jobs``), with results returned
+  in deterministic request order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.champsim.branch_info import BranchRules
 from repro.core.convert import ConversionStats, Converter
@@ -75,8 +85,18 @@ RunSpec = Tuple[str, Improvement, Optional[SimConfig]]
 #: A fully normalised run identity (the in-process memo key).
 RunKey = Tuple[str, Improvement, SimConfig]
 
-#: One conversion, shareable by every config simulated over it.
-Conversion = Tuple[DecodedColumns, BranchRules, ConversionStats]
+
+class UnresolvedRunError(LookupError):
+    """A render read a run no batch resolved (renders never simulate)."""
+
+
+class Conversion(NamedTuple):
+    """One conversion, shared by every config simulated over it."""
+
+    improvements: Improvement
+    columns: DecodedColumns
+    rules: BranchRules
+    stats: ConversionStats
 
 
 @dataclass
@@ -89,6 +109,15 @@ class TraceWork:
     #: :func:`~repro.core.fastconvert.analyze_records` over ``records``,
     #: once a set needs it.
     analysis: Optional[List["MemoryAnalysis"]] = None
+
+    @classmethod
+    def generate(cls, name: str, instructions: int) -> "TraceWork":
+        """Generate suite trace ``name`` (IPC-1 names map to CVP-1)."""
+        from repro import obs
+
+        with obs.span("synth.generate", trace=name, instructions=instructions):
+            records = make_trace(IPC1_TO_CVP1.get(name, name), instructions)
+        return cls(name, records)
 
     def analysis_for(
         self, improvements: Improvement
@@ -103,6 +132,27 @@ class TraceWork:
         if self.analysis is None:
             self.analysis = analyze_records(self.records, RegisterFile())
         return self.analysis
+
+    def convert(self, improvements: Improvement) -> Conversion:
+        """Block conversion to ChampSim bytes, then bytes to engine
+        columns built with the trace's memo (no per-instruction objects
+        on either step)."""
+        from repro import obs
+
+        converter = Converter(improvements)
+        with obs.span(
+            "core.convert", trace=self.name, improvements=improvements.value
+        ):
+            data = b"".join(
+                converter.convert_to_bytes(
+                    self.records, analysis=self.analysis_for(improvements)
+                )
+            )
+        rules = converter.required_branch_rules
+        with obs.span("sim.columnarize", rules=rules.name) as span:
+            columns = DecodedColumns.from_champsim_bytes(data, rules, self.memo)
+            span.set(instructions=columns.n)
+        return Conversion(improvements, columns, rules, converter.stats)
 
 
 @dataclass
@@ -135,9 +185,8 @@ class ExperimentRunner:
             category diversity.
         cache: Optional on-disk :class:`ResultCache`; hits skip the whole
             convert+simulate pipeline across process boundaries.
-        jobs: Default worker count for :meth:`run_many`/:meth:`run_batch`
-            (1 = serial, ``None`` = all cores; individual calls can
-            override).
+        jobs: Default worker count for :meth:`run_batch` (1 = serial,
+            ``None`` = all cores; individual calls can override).
         retry_policy: Optional :class:`~repro.faults.retry.RetryPolicy`
             governing task retries in every batch, serial or pooled
             (``None`` = the default: two attempts, no backoff).
@@ -167,18 +216,10 @@ class ExperimentRunner:
         #: (cache/memo hits do not count) — the warm-sweep assertions key
         #: off this staying at zero.
         self.simulations = 0
-        #: Single-slot trace memo, released after each group: every
-        #: experiment batches before it reads, so no trace is needed twice.
-        self._trace: Optional[TraceWork] = None
         #: Memo keyed by the *full* config identity (the frozen SimConfig
         #: itself), not just (config.name, l1i_prefetcher): two configs
         #: sharing a name but differing in any field must not alias.
         self._runs: Dict[RunKey, RunResult] = {}
-        #: Single-slot memo of the last conversion: one slot bounds the
-        #: columns (and their plan cache) kept alive to one conversion.
-        self._conversion: Optional[
-            Tuple[Tuple[str, Improvement], Conversion]
-        ] = None
 
     # ------------------------------------------------------------------
     # suites
@@ -199,57 +240,8 @@ class ExperimentRunner:
         return self._sample(ipc1_trace_names())
 
     # ------------------------------------------------------------------
-    # stages
+    # runs
     # ------------------------------------------------------------------
-
-    def trace(self, name: str) -> List[CvpRecord]:
-        """The CVP-1 records for ``name`` (generated once per group)."""
-        return self._trace_work(name).records
-
-    def _trace_work(self, name: str) -> TraceWork:
-        work = self._trace
-        if work is not None and work.name == name:
-            return work
-        self._trace = None
-        from repro import obs
-
-        generator_name = IPC1_TO_CVP1.get(name, name)
-        with obs.span("synth.generate", trace=name, instructions=self.instructions):
-            records = make_trace(generator_name, self.instructions)
-        self._trace = work = TraceWork(name, records)
-        return work
-
-    def conversion(self, name: str, improvements: Improvement) -> Conversion:
-        """Columns, branch rules and stats of converting ``name``.
-
-        Block conversion to ChampSim bytes, then bytes to engine columns
-        (no per-instruction objects on either step).  The single-slot
-        memo serves every consecutive call for the same pair, which is
-        how all the configs of one conversion share its columns.
-        """
-        from repro import obs
-
-        memo = self._conversion
-        if memo is not None and memo[0] == (name, improvements):
-            return memo[1]
-        # Release the slot first, so the old columns are not alive while
-        # the next trace is generated and converted.
-        self._conversion = None
-        work = self._trace_work(name)
-        converter = Converter(improvements)
-        with obs.span("core.convert", trace=name, improvements=improvements.value):
-            data = b"".join(
-                converter.convert_to_bytes(
-                    work.records, analysis=work.analysis_for(improvements)
-                )
-            )
-        rules = converter.required_branch_rules
-        with obs.span("sim.columnarize", rules=rules.name) as span:
-            columns = DecodedColumns.from_champsim_bytes(data, rules, work.memo)
-            span.set(instructions=columns.n)
-        conversion = (columns, rules, converter.stats)
-        self._conversion = ((name, improvements), conversion)
-        return conversion
 
     def _normalize_config(self, config: Optional[SimConfig]) -> SimConfig:
         """Default to ``SimConfig.main()``."""
@@ -259,35 +251,6 @@ class ExperimentRunner:
         from repro.experiments.cache import run_key
 
         return run_key(name, improvements, config, self.instructions)
-
-    def _execute(
-        self, name: str, improvements: Improvement, config: SimConfig
-    ) -> RunResult:
-        """Convert + simulate, unconditionally (no result memo, no cache)."""
-        from repro import obs
-
-        with obs.span(
-            "experiment.run",
-            trace=name,
-            improvements=improvements.value,
-            config=config.name,
-        ) as run_span:
-            columns, rules, conversion = self.conversion(name, improvements)
-            stats = Simulator(config).run(columns, rules)
-            self.simulations += 1
-            run_span.set(instructions=stats.instructions, ipc=stats.ipc)
-        if obs.enabled():
-            obs.counter(
-                "repro_experiment_runs_total",
-                "Convert+simulate executions actually performed.",
-            ).inc()
-        return RunResult(
-            trace=name,
-            improvements=improvements,
-            config_name=config.name,
-            stats=stats,
-            conversion=conversion,
-        )
 
     def resolve(self, specs: Iterable[RunSpec]) -> List[RunKey]:
         """Memoise every spec's stored result; the deduplicated misses.
@@ -317,68 +280,83 @@ class ExperimentRunner:
         if self.cache is not None:
             self.cache.store(self._cache_key(*key), result)
 
+    def stored(
+        self,
+        name: str,
+        improvements: Improvement,
+        config: Optional[SimConfig] = None,
+    ) -> RunResult:
+        """A run a batch resolved (memo only: never simulates).
+
+        Raises :class:`UnresolvedRunError` for any other run.
+        """
+        config = self._normalize_config(config)
+        key = (name, improvements, config)
+        try:
+            return self._runs[key]
+        except KeyError:
+            raise UnresolvedRunError(
+                f"run ({name}, {improvements.name}, {config.name}) was not "
+                "resolved by run_batch; declare it in the experiment's runs"
+            ) from None
+
     def run(
         self,
         name: str,
         improvements: Improvement,
         config: Optional[SimConfig] = None,
     ) -> RunResult:
-        """Convert + simulate (memoised; disk-cached when a cache is set)."""
-        config = self._normalize_config(config)
-        key = (name, improvements, config)
-        if self.resolve([key]):
-            self.record(key, self._execute(*key))
-        return self._runs[key]
+        """One run, as a one-spec :meth:`run_batch` (tests and examples)."""
+        return self.run_batch([(name, improvements, config)])[0]
 
     def run_group(self, group: "TraceGroup") -> List[RunResult]:
-        """Run and record one trace group's unmemoised runs in order,
-        then release the trace and conversion memos: no later group
-        converts the same trace, so its records and columns are dead
-        weight.  The store is not probed again: groups hold runs
-        :meth:`resolve` already missed."""
-        keys = group.keys()
-        try:
-            for key in keys:
-                if key not in self._runs:
-                    self.record(key, self._execute(*key))
-            return [self._runs[key] for key in keys]
-        finally:
-            self._trace = None
-            self._conversion = None
+        """Simulate and record one trace group's unmemoised runs in order.
 
-    def run_many(
-        self,
-        names: Sequence[str],
-        improvements: Improvement,
-        config: Optional[SimConfig] = None,
-        jobs: Optional[int] = None,
-    ) -> List[RunResult]:
-        """One improvement/config across many traces, fanned out.
-
-        Results come back in ``names`` order and are bit-identical to the
-        serial ``[self.run(n, improvements, config) for n in names]``
-        (asserted by the differential tests).
+        The only place a run is simulated, inline and in pool workers.
+        The trace is generated when the first unmemoised run needs it,
+        and each conversion is released before the next one is built;
+        both are locals, so nothing of the trace outlives the group.
+        The store is not probed again: groups hold runs :meth:`resolve`
+        already missed (a retried group skips the runs it recorded).
         """
-        return self.run_batch(
-            [(name, improvements, config) for name in names], jobs=jobs
-        )
+        from repro import obs
 
-    def sweep(
-        self,
-        names: Sequence[str],
-        improvement_sets: Sequence[Improvement],
-        config: Optional[SimConfig] = None,
-        jobs: Optional[int] = None,
-    ) -> List[RunResult]:
-        """Cross product of traces x improvement sets as one fan-out."""
-        return self.run_batch(
-            [
-                (name, improvements, config)
-                for improvements in improvement_sets
-                for name in names
-            ],
-            jobs=jobs,
-        )
+        work: Optional[TraceWork] = None
+        current: Optional[Conversion] = None
+        for improvements, config in group.runs:
+            key = (group.name, improvements, config)
+            if key in self._runs:
+                continue
+            with obs.span(
+                "experiment.run",
+                trace=group.name,
+                improvements=improvements.value,
+                config=config.name,
+            ) as run_span:
+                if current is None or current.improvements != improvements:
+                    current = None  # free the old columns before converting
+                    if work is None:
+                        work = TraceWork.generate(group.name, self.instructions)
+                    current = work.convert(improvements)
+                stats = Simulator(config).run(current.columns, current.rules)
+                self.simulations += 1
+                run_span.set(instructions=stats.instructions, ipc=stats.ipc)
+            if obs.enabled():
+                obs.counter(
+                    "repro_experiment_runs_total",
+                    "Convert+simulate executions actually performed.",
+                ).inc()
+            self.record(
+                key,
+                RunResult(
+                    trace=group.name,
+                    improvements=improvements,
+                    config_name=config.name,
+                    stats=stats,
+                    conversion=current.stats,
+                ),
+            )
+        return [self._runs[key] for key in group.keys()]
 
     def run_batch(
         self,
@@ -460,8 +438,8 @@ class ExperimentRunner:
         config: Optional[SimConfig] = None,
     ) -> float:
         """Relative IPC change of ``improvements`` vs the original converter."""
-        base = self.run(name, Improvement.NONE, config).stats.ipc
-        improved = self.run(name, improvements, config).stats.ipc
+        base = self.stored(name, Improvement.NONE, config).stats.ipc
+        improved = self.stored(name, improvements, config).stats.ipc
         if base == 0:
             return 0.0
         return improved / base - 1.0
@@ -473,8 +451,12 @@ class ExperimentRunner:
         config: Optional[SimConfig] = None,
     ) -> float:
         """Geomean-IPC variation across ``names`` (the Figure 1 metric)."""
-        base = geomean(self.run(n, Improvement.NONE, config).stats.ipc for n in names)
-        improved = geomean(self.run(n, improvements, config).stats.ipc for n in names)
+        base = geomean(
+            self.stored(n, Improvement.NONE, config).stats.ipc for n in names
+        )
+        improved = geomean(
+            self.stored(n, improvements, config).stats.ipc for n in names
+        )
         if base == 0:
             return 0.0
         return improved / base - 1.0

@@ -1,4 +1,5 @@
-"""Data for the paper's Tables 1-3."""
+"""Data for the paper's Tables 1-3, read from the runs
+:mod:`repro.experiments.registry` declares."""
 
 from __future__ import annotations
 
@@ -70,7 +71,10 @@ def table1(runner: ExperimentRunner) -> List[Table1Row]:
     sampled public suite's ``All_imps`` runs (main config: Figure 1's
     runs, so a store Figure 1 warmed answers without simulating).
     """
-    results = runner.sweep(runner.public_trace_names(), [Improvement.ALL])
+    results = [
+        runner.stored(name, Improvement.ALL)
+        for name in runner.public_trace_names()
+    ]
 
     def total(*fields: str) -> int:
         return sum(getattr(r.conversion, f) for r in results for f in fields)
@@ -116,11 +120,10 @@ class Table2Row:
 def table2(runner: ExperimentRunner) -> List[Table2Row]:
     """Table 2: IPC-1 trace mapping + characterisation (All_imps, main)."""
     names = runner.ipc1_trace_names()
-    runner.sweep(names, [Improvement.ALL, Improvement.NONE])
     rows: List[Table2Row] = []
     for name in names:
-        improved = runner.run(name, Improvement.ALL).stats
-        original = runner.run(name, Improvement.NONE).stats
+        improved = runner.stored(name, Improvement.ALL).stats
+        original = runner.stored(name, Improvement.NONE).stats
         rows.append(
             Table2Row(
                 ipc1_trace=name,
@@ -168,23 +171,27 @@ class Table3:
 #: traces whose instructions carry multiple memory sources).
 FIXED_TRACE_IMPROVEMENTS = Improvement.ALL & ~Improvement.MEM_FOOTPRINT
 
+#: Table 3's configs: the IPC-1 preset alone (each ranking's baseline),
+#: then with each of the eight prefetchers.
+TABLE3_CONFIGS: Tuple[SimConfig, ...] = (SimConfig.ipc1(),) + tuple(
+    SimConfig.ipc1(l1i_prefetcher=prefetcher) for prefetcher in IPC1_PREFETCHERS
+)
+
 
 def _ranking(
     runner: ExperimentRunner, improvements: Improvement
 ) -> List[Table3Entry]:
     names = runner.ipc1_trace_names()
+    base_config, *prefetcher_configs = TABLE3_CONFIGS
     baseline: Dict[str, float] = {}
     for name in names:
-        baseline[name] = runner.run(
-            name, improvements, SimConfig.ipc1()
-        ).stats.ipc
+        baseline[name] = runner.stored(name, improvements, base_config).stats.ipc
 
     scored: List[Tuple[str, float]] = []
-    for prefetcher in IPC1_PREFETCHERS:
+    for prefetcher, config in zip(IPC1_PREFETCHERS, prefetcher_configs):
         speedups = []
         for name in names:
-            config = SimConfig.ipc1(l1i_prefetcher=prefetcher)
-            stats = runner.run(name, improvements, config).stats
+            stats = runner.stored(name, improvements, config).stats
             base = baseline[name]
             speedups.append(stats.ipc / base if base else 1.0)
         scored.append((prefetcher, geomean(speedups)))
@@ -202,19 +209,6 @@ def table3(runner: ExperimentRunner) -> Table3:
     improvement except mem-footprint (paper footnote 4).  Both run on the
     IPC-1 simulator preset (ideal target predictor, 50/50 warm-up).
     """
-    # Both rankings (baseline + eight prefetcher configs, competition and
-    # fixed traces) as one fan-out, so each trace is dispatched once; the
-    # per-config loops in _ranking then read memoised results.
-    names = runner.ipc1_trace_names()
-    runner.run_batch(
-        [
-            (name, improvements, config)
-            for improvements in (Improvement.NONE, FIXED_TRACE_IMPROVEMENTS)
-            for config in [SimConfig.ipc1()]
-            + [SimConfig.ipc1(l1i_prefetcher=p) for p in IPC1_PREFETCHERS]
-            for name in names
-        ]
-    )
     return Table3(
         competition=_ranking(runner, Improvement.NONE),
         fixed=_ranking(runner, FIXED_TRACE_IMPROVEMENTS),

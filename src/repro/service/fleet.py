@@ -4,16 +4,16 @@ The fleet turns one queued sweep (``SweepParams``) into the exact output
 ``repro-experiment`` would print, byte for byte, by doing what the CLI
 does: build one :class:`~repro.experiments.runner.ExperimentRunner`
 over the store's result cache and call the *same*
-:func:`repro.experiments.cli.run_experiment` with it.  Every figure and
-table issues its sweep as one
+:func:`repro.experiments.cli.run_experiment` with it.  That resolves the
+experiment's declared runs (:mod:`repro.experiments.registry`) in one
 :meth:`~repro.experiments.runner.ExperimentRunner.run_batch`, which
-resolves the runs against the store (one load per run), runs the misses
-per trace group through the hardened
-:func:`~repro.experiments.parallel.run_tasks` supervisor (retries,
-timeouts, pool recovery, graceful degradation) and records each run in
-the store as it lands.  The served text is therefore identical to the
-direct path by construction (the differential tests pin this), and an
-interrupted sweep keeps every run it stored.
+loads each run from the store once, runs the misses per trace group
+through the hardened :func:`~repro.experiments.parallel.run_tasks`
+supervisor (retries, timeouts, pool recovery, graceful degradation) and
+records each run in the store as it lands; the render then reads only
+those runs.  The served text is therefore identical to the direct path
+by construction (the differential tests pin this), and an interrupted
+sweep keeps every run it stored.
 
 Rendered text is then persisted in the artifact store under the sweep's
 content fingerprint, so a repeat query skips even the rendering — the
@@ -31,15 +31,20 @@ from repro.experiments.cache import CACHE_SCHEMA
 from repro.experiments.cli import run_experiment
 # Unused here: perfbench/tracing.py wraps run_tasks by name in this module.
 from repro.experiments.parallel import run_tasks  # noqa: F401
+from repro.experiments.registry import PAPER
 from repro.experiments.runner import ExperimentRunner
 from repro.faults.retry import RetryPolicy
 from repro.service.store import ArtifactStore, artifact_key
 
 #: The experiments the service accepts (the paper's figures and tables;
 #: ablations stay CLI-only for now).
-SERVICE_EXPERIMENTS: Tuple[str, ...] = (
-    "fig1", "fig2", "fig3", "fig4", "fig5", "tab1", "tab2", "tab3",
-)
+SERVICE_EXPERIMENTS: Tuple[str, ...] = PAPER
+
+#: Longest trace a sweep may ask for.  Generation and conversion hold a
+#: whole trace in memory (about 0.6 KiB per instruction), so an unbounded
+#: length would let one request exhaust the host; this is 50x the longest
+#: trace any experiment here uses (20,000 instructions).
+MAX_INSTRUCTIONS = 1_000_000
 
 
 def _positive_int(value: Any) -> bool:
@@ -79,6 +84,11 @@ class SweepParams:
         limit = payload.get("limit")
         if not _positive_int(instructions):
             raise ValueError("instructions must be a positive integer")
+        if instructions > MAX_INSTRUCTIONS:
+            raise ValueError(
+                f"instructions must be at most {MAX_INSTRUCTIONS}, "
+                f"got {instructions}"
+            )
         if not _positive_int(stride):
             raise ValueError("stride must be a positive integer")
         if limit is not None and not _positive_int(limit):

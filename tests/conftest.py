@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cvp.isa import InstClass, LINK_REGISTER
@@ -129,3 +132,46 @@ def suite_traces():
         IPC1_TO_CVP1[name] for name in ipc1_trace_names()
     ]
     return {name: make_trace(name, SUITE_INSTRUCTIONS) for name in names}
+
+
+@pytest.fixture
+def trace_work_alive(monkeypatch):
+    """Whether any trace or columns the runner built is still alive.
+
+    Records a weak reference to every ``TraceWork`` the experiment
+    runner generates and every ``DecodedColumns`` it converts; calling
+    the fixture collects garbage and returns the number still alive
+    (after asserting that some were built).  This pins the runner's
+    memory bound: one trace, and one conversion, at a time.
+    """
+    from repro.experiments import runner as runner_module
+    from repro.sim.decoded import DecodedColumns
+
+    refs = []
+    generate = runner_module.TraceWork.generate
+
+    def tracked_generate(name, instructions):
+        work = generate(name, instructions)
+        refs.append(weakref.ref(work))
+        return work
+
+    class TrackedColumns(DecodedColumns):
+        __slots__ = ("__weakref__",)
+
+        @classmethod
+        def from_champsim_bytes(cls, *args):
+            columns = super().from_champsim_bytes(*args)
+            refs.append(weakref.ref(columns))
+            return columns
+
+    monkeypatch.setattr(
+        runner_module.TraceWork, "generate", staticmethod(tracked_generate)
+    )
+    monkeypatch.setattr(runner_module, "DecodedColumns", TrackedColumns)
+
+    def alive():
+        assert refs, "the runner built no trace"
+        gc.collect()
+        return sum(ref() is not None for ref in refs)
+
+    return alive

@@ -1,24 +1,18 @@
 """Experiment-harness tests: runner memoisation, figure/table shapes."""
 
+import itertools
+
 import pytest
 
 from repro.core.improvements import Improvement
-from repro.experiments.figures import (
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-)
+from repro.experiments import runner as runner_module
+from repro.experiments.figures import figure5
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import ExperimentRunner, geomean
-from repro.experiments.tables import (
-    FIXED_TRACE_IMPROVEMENTS,
-    table1,
-    table2,
-    table3,
-)
+from repro.experiments.tables import FIXED_TRACE_IMPROVEMENTS
 from repro.experiments import report
 from repro.sim.config import SimConfig
+from repro.synth.generator import make_trace
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +45,25 @@ def test_runner_distinguishes_configs(runner):
     assert main is not ipc1
 
 
-def test_runner_trace_cache(runner):
-    assert runner.trace("srv_0") is runner.trace("srv_0")
+def test_runner_trace_cache(monkeypatch):
+    # One batch generates a trace once, however many runs read it.
+    calls = itertools.count()
+
+    def counted(name, instructions):
+        next(calls)
+        return make_trace(name, instructions)
+
+    monkeypatch.setattr(runner_module, "make_trace", counted)
+    runner = ExperimentRunner(instructions=1000)
+    runner.run_batch(
+        [
+            ("srv_0", improvements, config)
+            for improvements in (Improvement.NONE, Improvement.ALL)
+            for config in (SimConfig.main(), SimConfig.ipc1())
+        ]
+    )
+    assert runner.simulations == 4
+    assert next(calls) == 1
 
 
 def test_cli_engine_flag(capsys):
@@ -112,7 +123,7 @@ def test_cli_accepts_pool_flag_bounds():
 
 
 def test_figure1_shape(runner):
-    data = figure1(runner)
+    data = EXPERIMENTS["fig1"].compute(runner)
     assert data.traces == len(runner.public_trace_names())
     v = data.variation
     assert v["imp_flag-regs"] < 0
@@ -125,14 +136,14 @@ def test_figure1_shape(runner):
 
 
 def test_figure2_series_sorted(runner):
-    data = figure2(runner)
+    data = EXPERIMENTS["fig2"].compute(runner)
     for series in data.series.values():
         assert series == sorted(series, reverse=True)
     assert report.render_figure2(data)
 
 
 def test_figure3_sorted_by_mpki(runner):
-    rows = figure3(runner)
+    rows = EXPERIMENTS["fig3"].compute(runner)
     mpkis = [r.branch_mpki for r in rows]
     assert mpkis == sorted(mpkis)
     # Trend: high-MPKI third slows down more than low-MPKI third.
@@ -146,7 +157,7 @@ def test_figure3_sorted_by_mpki(runner):
 
 
 def test_figure4_sorted_by_fraction(runner):
-    rows = figure4(runner)
+    rows = EXPERIMENTS["fig4"].compute(runner)
     fracs = [r.base_update_load_fraction for r in rows]
     assert fracs == sorted(fracs)
     third = max(1, len(rows) // 3)
@@ -159,6 +170,7 @@ def test_figure4_sorted_by_fraction(runner):
 
 
 def test_figure5_affected_traces_lead(runner):
+    EXPERIMENTS["fig5"].compute(runner)
     rows = figure5(runner, top=5)
     assert rows[0].ras_mpki_original >= rows[-1].ras_mpki_original
     worst = rows[0]
@@ -168,7 +180,7 @@ def test_figure5_affected_traces_lead(runner):
 
 
 def test_table1_lists_all_six(runner):
-    rows = table1(runner)
+    rows = EXPERIMENTS["tab1"].compute(runner)
     assert [r.improvement for r in rows] == [
         "mem-regs",
         "base-update",
@@ -184,7 +196,7 @@ def test_table1_lists_all_six(runner):
 
 
 def test_table2_rows(runner):
-    rows = table2(runner)
+    rows = EXPERIMENTS["tab2"].compute(runner)
     assert len(rows) == len(runner.ipc1_trace_names())
     for row in rows:
         assert row.ipc > 0
@@ -194,7 +206,7 @@ def test_table2_rows(runner):
 
 
 def test_table3_structure(runner):
-    data = table3(runner)
+    data = EXPERIMENTS["tab3"].compute(runner)
     assert len(data.competition) == 8
     assert len(data.fixed) == 8
     for entries in (data.competition, data.fixed):

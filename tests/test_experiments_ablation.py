@@ -5,11 +5,10 @@ import pytest
 
 from repro.experiments.ablation import (
     FrontendAblationRow,
-    decoupled_frontend_study,
-    improvement_interaction_study,
     render_frontend_ablation,
     render_interaction,
 )
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import ExperimentRunner
 
 
@@ -26,13 +25,13 @@ def test_reduction_metric():
 
 
 def test_interaction_study_shape(tiny_runner):
-    rows = improvement_interaction_study(tiny_runner)
+    rows = EXPERIMENTS["ablation-overlap"].compute(tiny_runner)
     assert [r.label for r in rows] == ["imp_branch-regs", "imp_flag-regs", "both"]
     assert render_interaction(rows)
 
 
 def test_frontend_study_shape(tiny_runner):
-    rows = decoupled_frontend_study(tiny_runner)
+    rows = EXPERIMENTS["ablation-frontend"].compute(tiny_runner)
     assert len(rows) == 8
     speedups = [r.speedup_coupled for r in rows]
     assert speedups == sorted(speedups, reverse=True)

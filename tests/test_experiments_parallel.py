@@ -1,4 +1,4 @@
-"""Differential tests: serial run() vs parallel run_many() vs warm cache.
+"""Differential tests: serial run() vs a parallel run_batch() vs warm cache.
 
 The parallel engine is only trustworthy if it is *invisible* in the
 results: every sweep must produce bit-identical ``SimStats`` and
@@ -17,12 +17,17 @@ import pytest
 from repro.core.improvements import Improvement
 from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import TaskFailure, TraceGroup, run_tasks
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import ExperimentRunner
 from repro.sim.config import SimConfig
 
 #: A category-diverse sample of both suites (CVP-1 public + IPC-1).
 SAMPLE_NAMES = ["srv_0", "srv_3", "compute_int_1", "crypto_1", "client_001"]
 INSTRUCTIONS = 1500
+
+
+def _specs(names, improvements, config=None):
+    return [(name, improvements, config) for name in names]
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +47,7 @@ def _assert_identical(results, expected):
 @pytest.mark.parametrize("jobs", [1, 4])
 def test_run_many_matches_serial(jobs, serial_results):
     runner = ExperimentRunner(instructions=INSTRUCTIONS)
-    results = runner.run_many(SAMPLE_NAMES, Improvement.ALL, jobs=jobs)
+    results = runner.run_batch(_specs(SAMPLE_NAMES, Improvement.ALL), jobs=jobs)
     _assert_identical(results, serial_results)
 
 
@@ -53,13 +58,13 @@ def test_warm_cache_rerun_is_identical_and_simulation_free(
     cold = ExperimentRunner(
         instructions=INSTRUCTIONS, cache=ResultCache(tmp_path)
     )
-    first = cold.run_many(SAMPLE_NAMES, Improvement.ALL, jobs=jobs)
+    first = cold.run_batch(_specs(SAMPLE_NAMES, Improvement.ALL), jobs=jobs)
     _assert_identical(first, serial_results)
 
     warm = ExperimentRunner(
         instructions=INSTRUCTIONS, cache=ResultCache(tmp_path)
     )
-    second = warm.run_many(SAMPLE_NAMES, Improvement.ALL, jobs=jobs)
+    second = warm.run_batch(_specs(SAMPLE_NAMES, Improvement.ALL), jobs=jobs)
     _assert_identical(second, serial_results)
     assert warm.simulations == 0
     assert warm.cache.hits == len(SAMPLE_NAMES)
@@ -74,8 +79,8 @@ def test_run_many_ipc1_config_matches_serial():
         serial.run(n, Improvement.NONE, config) for n in SAMPLE_NAMES[:3]
     ]
     parallel = ExperimentRunner(instructions=INSTRUCTIONS)
-    results = parallel.run_many(
-        SAMPLE_NAMES[:3], Improvement.NONE, config, jobs=3
+    results = parallel.run_batch(
+        _specs(SAMPLE_NAMES[:3], Improvement.NONE, config), jobs=3
     )
     _assert_identical(results, expected)
 
@@ -83,7 +88,7 @@ def test_run_many_ipc1_config_matches_serial():
 def test_run_many_preserves_request_order():
     runner = ExperimentRunner(instructions=INSTRUCTIONS)
     reordered = list(reversed(SAMPLE_NAMES))
-    results = runner.run_many(reordered, Improvement.NONE, jobs=4)
+    results = runner.run_batch(_specs(reordered, Improvement.NONE), jobs=4)
     assert [r.trace for r in results] == reordered
 
 
@@ -95,13 +100,18 @@ def test_run_batch_deduplicates_repeated_specs():
 
 
 def test_sweep_covers_cross_product():
-    runner = ExperimentRunner(instructions=INSTRUCTIONS)
-    names = SAMPLE_NAMES[:2]
-    sets = [Improvement.NONE, Improvement.ALL]
-    results = runner.sweep(names, sets, jobs=2)
-    assert [(r.trace, r.improvements) for r in results] == [
-        (n, s) for s in sets for n in names
+    # An experiment's runs: its suite x improvement sets x configs.
+    runner = ExperimentRunner(instructions=INSTRUCTIONS, stride=27)
+    tab3 = EXPERIMENTS["tab3"]
+    specs = tab3.specs(runner)
+    names = runner.ipc1_trace_names()
+    assert specs == [
+        (n, s, c)
+        for s in tab3.improvement_sets
+        for c in tab3.configs
+        for n in names
     ]
+    assert len(specs) == len(names) * 2 * 9
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,13 @@ import pytest
 
 from repro import faults
 from repro.core.improvements import Improvement
+from repro.experiments import runner as runner_module
 from repro.experiments.cache import ResultCache, run_key
 from repro.experiments.parallel import TaskFailure
 from repro.experiments.runner import ExperimentRunner
 from repro.faults import FaultPlan, RetryPolicy
 from repro.sim.config import SimConfig
+from repro.sim.simulator import Simulator
 
 INSTRUCTIONS = 800
 NAMES = ["srv_0", "crypto_1", "srv_3", "compute_int_1"]
@@ -78,20 +80,23 @@ def test_store_missing_one_run_resimulates_exactly_it(jobs, tmp_path, expected):
     assert resumed.cache.misses == 1
 
 
-def test_interrupted_serial_batch_resumes_from_the_store(tmp_path, expected):
+def test_interrupted_serial_batch_resumes_from_the_store(
+    tmp_path, expected, monkeypatch
+):
     """A serial sweep killed after three runs keeps those three."""
     interrupted = _runner(tmp_path)
-    execute = interrupted._execute
 
-    def dies_on_fourth_run(*key):
-        if interrupted.simulations == 3:
-            raise RuntimeError("killed")
-        return execute(*key)
+    class DiesOnFourthRun(Simulator):
+        def run(self, *args):
+            if interrupted.simulations == 3:
+                raise RuntimeError("killed")
+            return super().run(*args)
 
-    interrupted._execute = dies_on_fourth_run
+    monkeypatch.setattr(runner_module, "Simulator", DiesOnFourthRun)
     with pytest.raises(TaskFailure, match="killed"):
         interrupted.run_batch(SPECS, jobs=1)
     assert interrupted.cache.stores == 3
+    monkeypatch.undo()
 
     resumed = _runner(tmp_path)
     assert [r.stats for r in resumed.run_batch(SPECS, jobs=1)] == expected

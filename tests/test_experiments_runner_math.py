@@ -23,6 +23,9 @@ def test_stride_and_limit_compose():
 def test_ipc_variation_signs():
     runner = ExperimentRunner(instructions=3000)
     name = "srv_3"  # carries the call-stack bug
+    runner.run_batch(
+        [(name, imps, None) for imps in (Improvement.NONE, Improvement.CALL_STACK)]
+    )
     gain = runner.ipc_variation(name, Improvement.CALL_STACK)
     assert gain >= 0  # fixing misclassified calls can only help here
 
@@ -30,6 +33,13 @@ def test_ipc_variation_signs():
 def test_geomean_variation_matches_manual():
     runner = ExperimentRunner(instructions=2000)
     names = ["crypto_0", "crypto_1"]
+    runner.run_batch(
+        [
+            (n, imps, None)
+            for imps in (Improvement.NONE, Improvement.BASE_UPDATE)
+            for n in names
+        ]
+    )
     variation = runner.geomean_variation(names, Improvement.BASE_UPDATE)
     base = geomean(
         runner.run(n, Improvement.NONE).stats.ipc for n in names

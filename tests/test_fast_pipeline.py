@@ -33,7 +33,7 @@ from repro.core.convert import Converter
 from repro.core.improvements import IMPROVEMENT_NAMES, Improvement
 from repro.cvp.reader import CvpTraceReader
 from repro.experiments.cache import conversion_stats_to_dict
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, TraceWork
 from repro.sim.config import SimConfig
 from repro.sim.decoded import DecodedColumns, columnarize, decode_trace
 from repro.sim.engine import Engine
@@ -257,18 +257,29 @@ def test_single_trace_pool_batch_is_split_and_matches_oracle(oracle):
         assert_stats_identical(result.stats, stats, (improvements, config.name))
 
 
-def test_conversion_memo_keeps_one_slot_shared_by_configs():
+def test_conversion_memo_keeps_one_slot_shared_by_configs(monkeypatch):
+    conversions = []
+    convert = TraceWork.convert
+
+    def recorded(self, improvements):
+        conversions.append(convert(self, improvements))
+        return conversions[-1]
+
+    monkeypatch.setattr(TraceWork, "convert", recorded)
     runner = ExperimentRunner(instructions=INSTRUCTIONS)
-    first = runner.conversion("srv_3", Improvement.ALL)
-    runner.run("srv_3", Improvement.ALL, SimConfig.ipc1())
-    runner.run("srv_3", Improvement.ALL, SimConfig.ipc1(l1i_prefetcher="D-JOLT"))
-    assert runner.conversion("srv_3", Improvement.ALL) is first
-    assert first[0].plan_cache  # the configs share the columns' plans
-    runner.conversion("srv_3", Improvement.NONE)
-    assert runner.conversion("srv_3", Improvement.ALL) is not first
+    runner.run_batch(
+        [("srv_3", Improvement.ALL, SimConfig.ipc1()),
+         ("srv_3", Improvement.NONE, SimConfig.ipc1()),
+         ("srv_3", Improvement.ALL, SimConfig.ipc1(l1i_prefetcher="D-JOLT"))]
+    )
+    # One conversion per set: both ALL configs ran over the same columns.
+    assert [c.improvements for c in conversions] == [
+        Improvement.ALL, Improvement.NONE
+    ]
+    assert conversions[0].columns.plan_cache  # ...and share their plans
 
 
-def test_run_group_releases_the_conversion_memo():
+def test_run_group_releases_the_conversion_memo(trace_work_alive):
     from repro.experiments.parallel import TraceGroup
 
     runner = ExperimentRunner(instructions=INSTRUCTIONS)
@@ -284,7 +295,7 @@ def test_run_group_releases_the_conversion_memo():
     ]
     results = runner.run_group(group)
     assert [r.improvements for r in results] == [imp for imp, _ in group.runs]
-    assert runner._conversion is None
+    assert trace_work_alive() == 0
 
 
 def test_partition_splits_few_traces_to_fill_the_workers():

@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError as ClientError
-from repro.service.fleet import Fleet
+from repro.experiments import runner as runner_module
+from repro.service.fleet import MAX_INSTRUCTIONS, Fleet, SweepParams
 from repro.service.http import (
     MAX_BODY_BYTES,
     ExperimentService,
@@ -122,6 +123,38 @@ def test_engine_is_an_unknown_field(service):
         )
     assert err.value.status == 400
     assert "engine" in str(err.value)
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Every trace the experiment runner generates."""
+    calls = []
+    monkeypatch.setattr(
+        runner_module, "make_trace", lambda *args: calls.append(args)
+    )
+    return calls
+
+
+def test_submit_instructions_above_the_bound_is_400(service, generated):
+    body = json.dumps(dict(TINY, instructions=MAX_INSTRUCTIONS + 1)).encode()
+    with pytest.raises(ServiceError) as err:
+        service.handle_submit(body)
+    assert err.value.status == 400
+    assert str(MAX_INSTRUCTIONS) in str(err.value)
+    assert service.queue.describe()["queued"] == 0
+    assert generated == []
+    # The bound itself is a valid length.
+    params = SweepParams.from_payload(dict(TINY, instructions=MAX_INSTRUCTIONS))
+    assert params.instructions == MAX_INSTRUCTIONS
+
+
+def test_render_instructions_above_the_bound_is_400(service, generated):
+    query = _parse_query("stride=27&instructions=1000000000")
+    with pytest.raises(ServiceError) as err:
+        service.handle_render("figures", "fig1", query)
+    assert err.value.status == 400
+    assert str(MAX_INSTRUCTIONS) in str(err.value)
+    assert generated == []
 
 
 def test_submit_enqueues_and_dedups_in_flight(service):

@@ -18,10 +18,9 @@ from repro.cvp.analysis import characterize
 from repro.cvp.reader import CvpTraceReader
 from repro.experiments import runner as runner_module
 from repro.experiments.cache import ResultCache, conversion_stats_to_dict
-from repro.experiments.figures import figure1, figure4
 from repro.experiments.parallel import TraceGroup
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.tables import table1
 from repro.sim.config import SimConfig
 from repro.synth.generator import make_trace
 
@@ -68,8 +67,8 @@ def test_table1_sums_equal_one_shared_converter(suite_traces, monkeypatch):
             pass
     expected = conversion_stats_to_dict(shared.stats)
 
-    rows = table1(runner)
-    results = runner.sweep(names, [Improvement.ALL])
+    rows = EXPERIMENTS["tab1"].compute(runner)
+    results = [runner.stored(name, Improvement.ALL) for name in names]
     for field, value in expected.items():
         if isinstance(value, int):
             total = sum(getattr(r.conversion, field) for r in results)
@@ -91,7 +90,7 @@ def test_fig4_and_table1_on_a_warm_store_generate_nothing(tmp_path, monkeypatch)
             instructions=800, stride=27, cache=ResultCache(tmp_path)
         )
 
-    figure1(warm_runner())
+    EXPERIMENTS["fig1"].compute(warm_runner())
     calls = itertools.count()
 
     def counted(name, instructions):
@@ -100,8 +99,8 @@ def test_fig4_and_table1_on_a_warm_store_generate_nothing(tmp_path, monkeypatch)
 
     monkeypatch.setattr(runner_module, "make_trace", counted)
     runner = warm_runner()
-    rows = figure4(runner)
-    table1(runner)
+    rows = EXPERIMENTS["fig4"].compute(runner)
+    EXPERIMENTS["tab1"].compute(runner)
     assert runner.simulations == 0
     assert next(calls) == 0
     # The x-axis is the characterisation figure4 used to recompute.
@@ -112,7 +111,7 @@ def test_fig4_and_table1_on_a_warm_store_generate_nothing(tmp_path, monkeypatch)
     assert {r.trace: r.base_update_load_fraction for r in rows} == fractions
 
 
-def test_runner_holds_no_trace_after_run_group():
+def test_runner_holds_no_trace_after_run_group(trace_work_alive):
     runner = ExperimentRunner(instructions=500)
     keys = [
         ("srv_3", improvements, SimConfig.main())
@@ -120,7 +119,9 @@ def test_runner_holds_no_trace_after_run_group():
     ]
     (group,) = TraceGroup.partition(keys, runner.instructions)
     runner.run_group(group)
-    assert runner._trace is None and runner._conversion is None
-    # A serial sweep runs its groups through run_group too.
-    runner.sweep(["srv_0", "crypto_1"], [Improvement.BASE_UPDATE])
-    assert runner._trace is None and runner._conversion is None
+    assert trace_work_alive() == 0
+    # A serial batch runs its groups through run_group too.
+    runner.run_batch(
+        [(name, Improvement.BASE_UPDATE, None) for name in ("srv_0", "crypto_1")]
+    )
+    assert trace_work_alive() == 0

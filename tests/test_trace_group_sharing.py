@@ -107,10 +107,12 @@ def test_table3_configs_equal_a_fresh_runner_per_run(suite_runner):
         )
 
 
-def test_group_releases_the_memo_with_the_trace(suite_runner):
+def test_group_releases_the_memo_with_the_trace(suite_runner, trace_work_alive):
     runner = suite_runner()
-    runner.run_batch([("srv_3", imps, None) for imps in SETS])
-    assert runner._trace is None and runner._conversion is None
+    runner.run_batch(
+        [(name, imps, None) for name in ("srv_3", "srv_0") for imps in SETS]
+    )
+    assert trace_work_alive() == 0
 
 
 def _columns(records, improvements, memo=None):
