@@ -279,19 +279,22 @@ def encode_block(instrs: Sequence[ChampSimInstr]) -> bytes:
     return b"".join(parts)
 
 
-def decode_block_array(data: bytes):
-    """Decode a chunk of records into a numpy structured array (zero-copy).
+def decode_block_array(data) -> "_np.ndarray":
+    """View a chunk of records as a numpy structured array (zero-copy).
 
+    ``data`` is any contiguous buffer: ``bytes``, or a
+    ``CHAMPSIM_DTYPE`` array such as the gather converter emits.
     Columnar view over the raw bytes for vectorised analysis (branch
     density, footprint histograms, bench scans); :func:`decode_block`
     is the object API.
     """
-    if len(data) % RECORD_SIZE:
+    raw = _np.frombuffer(data, dtype=_np.uint8)
+    if raw.size % RECORD_SIZE:
         raise ChampSimTraceError(
-            f"block of {len(data)} bytes is not a whole number of "
+            f"block of {raw.size} bytes is not a whole number of "
             f"{RECORD_SIZE}-byte records"
         )
-    return _np.frombuffer(data, dtype=CHAMPSIM_DTYPE)
+    return raw.view(CHAMPSIM_DTYPE)
 
 
 def encode_block_array(array) -> bytes:
@@ -346,8 +349,8 @@ class ChampSimTraceWriter:
     def write_encoded(self, data: bytes) -> int:
         """Append already-encoded records (a multiple of 64 bytes).
 
-        The fused converter fast path emits block-sized byte chunks
-        directly; this keeps :attr:`records_written` accurate for them.
+        ``repro-convert`` writes each block the gather converter emits
+        as it is; this keeps :attr:`records_written` accurate for them.
         """
         count, remainder = divmod(len(data), RECORD_SIZE)
         if remainder:

@@ -67,7 +67,7 @@ from repro.cvp.record import CvpRecord
 from repro.core.improvements import Improvement
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.core.fastconvert import MemoryAnalysis
+    import numpy as np
 
 _ALU_CLASSES = (InstClass.ALU, InstClass.SLOW_ALU, InstClass.FP, InstClass.UNDEF)
 
@@ -198,26 +198,23 @@ class Converter:
             return [self._convert_branch(record)]
         return self._convert_nonbranch(record, registers)
 
-    def convert_to_bytes(
+    def convert_blocks(
         self,
         source: Union[CvpTraceReader, Iterable[CvpRecord]],
         block_size: int = 4096,
-        analysis: Optional[Sequence["MemoryAnalysis"]] = None,
-    ) -> Iterator[bytes]:
-        """Block-based fast path: yield encoded ChampSim chunks.
+    ) -> Iterator["np.ndarray"]:
+        """The gather path: one ChampSim record array per block.
 
-        The concatenated chunks are byte-identical to encoding
+        Each array has :data:`~repro.champsim.trace.CHAMPSIM_DTYPE`; the
+        concatenated arrays are byte-identical to encoding
         :meth:`convert`'s output record by record, and :attr:`stats`
         accumulates identically; see :mod:`repro.core.fastconvert`.
-        ``analysis`` is the source's precomputed
-        :func:`~repro.core.fastconvert.analyze_records`, shared by every
-        improvement set a caller converts one trace under.
         This is the production conversion path; :meth:`convert` is its
         per-record reference, kept for tests and benchmarks.
         """
-        from repro.core.fastconvert import convert_blocks_to_bytes
+        from repro.core.fastconvert import convert_blocks
 
-        return convert_blocks_to_bytes(self, source, block_size, analysis)
+        return convert_blocks(self, source, block_size)
 
     # ------------------------------------------------------------------
     # branches (paper Section 3.2)
@@ -403,7 +400,7 @@ class Converter:
 
         Address 0 is the ChampSim format's empty-slot sentinel, so an
         access to it cannot be recorded and is dropped: the zero slot the
-        block converter writes for it means the same.
+        gather converter writes for it means the same.
         """
         address = record.mem_address or 0
         if Improvement.MEM_FOOTPRINT not in self.improvements:
@@ -475,7 +472,7 @@ class Converter:
             self.stats.pre_index_splits += 1
         if record.is_load:
             self.stats.load_base_update_splits += 1
-        # A 64-bit record field: PC+2 wraps, as the block converter packs it.
+        # A 64-bit record field: PC+2 wraps, as the gather converter packs it.
         next_ip = (record.pc + 2) & ((1 << 64) - 1)
         alu_ip = record.pc if pre_index else next_ip
         mem_ip = next_ip if pre_index else record.pc

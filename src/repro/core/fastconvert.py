@@ -1,50 +1,50 @@
-"""The fused block-conversion hot path (``repro-convert``'s default).
+"""The gather converter: the production conversion path.
 
-:meth:`repro.core.convert.Converter.convert` decodes, converts, encodes
-and writes one record at a time through Python objects; this module
-streams *blocks* of records (see :mod:`repro.cvp.blockio`) through the
-same six improvements and emits one encoded ``bytes`` chunk per block.
-Conversion is split in two:
+:meth:`repro.core.convert.Converter.convert` decodes, converts and
+encodes one record at a time through Python objects; it is the oracle.
+This module converts a whole trace, or one stream block, at once, and
+emits the ChampSim record array
+(:data:`~repro.champsim.trace.CHAMPSIM_DTYPE`) directly.  Conversion is
+split in two:
 
-- a per-trace **addressing analysis** (:func:`analyze_records`), the
-  part no improvement changes: for every memory record, the
-  addressing-mode inference and the data-register count, computed from
-  the register file the CVP-1 values carry;
-- a per-improvement-set **assembly** (:class:`BlockConverter`), which
-  reads that analysis instead of a register file.
+- per-trace **columns** (:class:`TraceColumns`), the part no
+  improvement changes: each record's pc and an id into the trace's
+  table of *signatures* — (class, source registers, destination
+  registers, taken) — plus, per memory record, the address and size and
+  the addressing analysis: the inferred base update and the number of
+  registers moved to or from memory, computed from the register file
+  the CVP-1 values carry;
+- a per-improvement-set **gather** (:class:`GatherConverter`): one
+  64-byte template per signature, ``take``-n by signature id, then the
+  dynamic fields filled by masks — ``ip``, the memory slots (the
+  footprint's second line, DC ZVA alignment, the address-0 swap) and
+  the base-update ALU micro-ops, inserted with ``repeat``.
 
-``repro-convert`` runs the two block by block over one stream; the
-experiment runner analyses a trace once and assembles it under every
-improvement set it converts.  The assembly has three structural
-speedups:
+Only the dynamic fields are stored per record; the static program
+supplies the rest (the principle of *Efficient Trace for RISC-V*).  A
+signature converts identically for every dynamic instance, so its
+template and statistics deltas come from *calling the per-record
+converter itself* on one instance (a scratch-stats probe) — there is no
+second copy of the branch, destination or source policy to drift.
+Branch and register-only templates are kept in a process-wide memo;
+memory templates, the register policy alone, are probed per gather.
+Statistics are the templates' deltas weighted by their counts
+(``bincount``) plus mask sums.
 
-1. **Static-instruction memoization.**  Branch and register-only records
-   convert identically for every dynamic instance of the same static
-   instruction, so their packed 64-byte output and statistics deltas are
-   computed once — *by calling the per-record converter itself* (a
-   scratch-stats probe), so there is no second copy of the branch or
-   destination-policy logic to drift — and replayed from a dict
-   afterwards.
-2. **Inlined memory-record conversion.**  Memory records depend on the
-   analysis (base-update splits, store footprints) and cannot be
-   memoized; their conversion is specialised here with the improvement
-   flags hoisted to locals.  Addressing inference and the data-register
-   heuristic still go through :mod:`repro.cvp.addrmode` — only the
-   converter's glue and the footprint's line arithmetic are inlined.
-3. **Block-sized output.**  Instructions are packed straight into bytes
-   with the precompiled ChampSim record struct and joined once per
-   block; no intermediate :class:`~repro.champsim.trace.ChampSimInstr`
-   objects exist on the fast path.
+``repro-convert`` builds columns and gathers block by block, with the
+register file carried across blocks exactly as the per-record reader
+carries it; the experiment runner builds a trace's columns once and
+gathers them under every improvement set it converts.
 
-Differential tests (``tests/test_fastconvert.py``) pin the fast path
-byte-for-byte and stat-for-stat against the per-record path on every
-golden fixture and on property-based synthetic corpora, with the
-analysis computed per block and shared from a whole-trace pass.
+Differential tests (``tests/test_fastconvert.py``) pin the gather byte
+for byte and stat for stat against the per-record path on every golden
+fixture, every suite trace and property-based corpora.
 """
 
 from __future__ import annotations
 
-import struct
+from functools import lru_cache
+from operator import attrgetter
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -58,13 +58,21 @@ from typing import (
     Union,
 )
 
-from repro.champsim.regs import REG_FORGED_X0, champsim_reg
-from repro.champsim.trace import _STRUCT, MAX_DST_REGS, MAX_SRC_REGS
+import numpy as np
+
+from repro.champsim.branch_info import BranchType
+from repro.champsim.regs import champsim_reg
+from repro.champsim.trace import (
+    CHAMPSIM_DTYPE,
+    ChampSimInstr,
+    ChampSimTraceError,
+    encode_instr,
+)
 from repro.core.convert import ConversionStats
 from repro.core.improvements import Improvement
 from repro.cvp.addrmode import (
-    AddressingInfo,
     AddressingMode,
+    _static_base_info,
     _store_data_register_count,
     infer_addressing,
 )
@@ -80,41 +88,41 @@ _BLOCK_BUCKETS = (
     1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 1.0,
 )
 
-#: Static-instruction memo bound.  One entry per unique (improvements,
-#: class, registers, taken) signature — typically a few dozen per
-#: improvement set; cleared wholesale if a pathological corpus exceeds
-#: the bound so memory stays flat on million-record-scale inputs.
+#: Static memo bound.  One entry per (template bits, branch or
+#: register-only signature) — a few hundred per trace and set; cleared
+#: wholesale if a pathological corpus exceeds the bound so memory stays
+#: flat on million-record-scale inputs.
 STATIC_MEMO_LIMIT = 1 << 20
 
-#: Process-wide static-instruction memo, shared by every conversion.
-#: Branch/register-only conversion output depends only on the memo key
-#: (which includes the improvement bits), so entries stay valid across
-#: files — suite conversions and repeated benchmarking hit warm.
-_static_memo: Dict[tuple, "_MemoValue"] = {}
+#: Memo value: (the signature's 64-byte template record with ``ip`` 0,
+#: branch category or None, ((delta index, amount), ...)).
+_MemoValue = Tuple[bytes, Optional[BranchType], Tuple[Tuple[int, int], ...]]
+
+#: Process-wide memo of branch and register-only templates, shared by
+#: every conversion.  A template depends only on its key (which includes
+#: the improvement bits outside :data:`ANALYSED`), so entries stay valid
+#: across sets and files — suite conversions and repeated benchmarking
+#: hit warm.
+_static_memo: Dict[tuple, _MemoValue] = {}
 
 
 def clear_static_memo() -> None:
-    """Drop every memoized static conversion (tests, long-lived tools)."""
+    """Drop every memoized template (tests, long-lived tools)."""
     _static_memo.clear()
 
 
 def static_memo_size() -> int:
-    """Number of live static-conversion memo entries."""
+    """Number of live template memo entries."""
     return len(_static_memo)
 
-_U64_MASK = (1 << 64) - 1
-
-#: Packer for the leading 8-byte ``ip`` field prepended to memoized
-#: record bodies.
-_PACK_IP = struct.Struct("<Q").pack
 
 _LOAD = int(InstClass.LOAD)
 _STORE = int(InstClass.STORE)
-_FIRST_BRANCH = int(InstClass.COND_BRANCH)
-_LAST_BRANCH = int(InstClass.UNCOND_INDIRECT_BRANCH)
+_U64_MAX = np.uint64((1 << 64) - 1)
+_LINE_MASK = np.uint64(((1 << 64) - 1) & ~(CACHELINE_SIZE - 1))
 
-# Indices of the delta counters a memoized conversion can carry,
-# mirroring the ConversionStats field of the same name.
+# The delta counters a template can carry, mirroring the ConversionStats
+# field of the same name.
 _DELTA_FIELDS = (
     "misclassified_calls_fixed",
     "misclassified_returns_emitted",
@@ -127,84 +135,165 @@ _DELTA_FIELDS = (
     "dst_regs_truncated",
 )
 
-#: Memo value: (packed output record *body* — everything after the
-#: 8-byte instruction pointer —, branch category or None,
-#: ((delta index, amount), ...)).  Branch and register-only conversions
-#: depend on the PC only through the emitted ``ip`` field, so keying the
-#: memo on the register signature alone (not the PC) collapses it to a
-#: handful of entries per trace and hits on nearly every record.
-_MemoValue = Tuple[bytes, object, Tuple[Tuple[int, int], ...]]
-
-
-#: The improvements whose assembly reads the addressing analysis.
+#: The improvements whose gather reads the addressing analysis.
 ANALYSED = Improvement.BASE_UPDATE | Improvement.MEM_FOOTPRINT
 
-#: One memory record's analysis: its :class:`AddressingInfo` when it
-#: updates its base register (``None`` when it does not), and the number
-#: of registers it moves to or from memory (the footprint multiplier:
-#: memory-populated destinations of a load, data sources of a store).
-MemoryAnalysis = Tuple[Optional[AddressingInfo], int]
+#: :attr:`TraceColumns.mode` codes (0: no base update).
+PRE_INDEX = 1
+POST_INDEX = 2
+_MODE_CODES = {
+    AddressingMode.NONE: 0,
+    AddressingMode.PRE_INDEX: PRE_INDEX,
+    AddressingMode.POST_INDEX: POST_INDEX,
+}
 
-#: Shared entries for the common case, a memory record without a base
-#: update moving a few registers (so most entries cost one pointer).
-_PLAIN = tuple((None, count) for count in range(8))
+#: A record's signature: everything its conversion reads except the pc
+#: and, for memory records, the address, size and register values.
+Signature = Tuple[InstClass, Tuple[int, ...], Tuple[int, ...], bool]
+_SIGNATURE = attrgetter("inst_class", "src_regs", "dst_regs", "branch_taken")
+_PC = attrgetter("pc")
+_MEM_ADDRESS = attrgetter("mem_address")
+_MEM_SIZE = attrgetter("mem_size")
 
 
-def analyze_records(
-    records: Iterable[CvpRecord], registers: RegisterFile
-) -> List[MemoryAnalysis]:
-    """The improvement-independent half of conversion, in record order.
+class TraceColumns:
+    """One trace's records as columns: the improvement-independent half.
 
-    One entry per memory record.  ``registers`` holds the values before
-    the first record and is carried forward with every record's output
-    values, exactly as the per-record reader tracks them; passing the
-    same register file to consecutive calls analyses one stream block
-    by block.  Every improvement set's assembly reads the same entries,
-    whichever of them it needs.
+    ``pc`` and ``sig`` hold one entry per record; ``sig`` indexes
+    ``signatures`` (in first-seen order), and ``examples`` holds each
+    signature's first record, the one the gather probes.  ``mem`` lists
+    the memory records' positions; ``is_load``, ``mem_address`` and
+    ``mem_size`` run parallel to it, and so does the addressing analysis
+    when the columns are built with a register file:
+
+    - ``mode``: 0, :data:`PRE_INDEX` or :data:`POST_INDEX`, the base
+      update :func:`~repro.cvp.addrmode.infer_addressing` finds (the
+      base register and the memory-populated destinations follow from
+      the signature);
+    - ``data_regs``: the registers moved to or from memory (memory
+      destinations of a load, data sources of a store), the footprint's
+      multiplier.
+
+    ``registers`` holds the values before the first record and is
+    carried forward with every record's output values, exactly as the
+    per-record reader tracks them, so consecutive blocks of one stream
+    analyse as the whole stream would.  Without it both analysis
+    columns are ``None``, and only sets that read no analysis gather the
+    columns.
     """
+
+    __slots__ = (
+        "n",
+        "pc",
+        "sig",
+        "signatures",
+        "examples",
+        "mem",
+        "is_load",
+        "mem_address",
+        "mem_size",
+        "mode",
+        "data_regs",
+    )
+
+    def __init__(
+        self,
+        records: Sequence[CvpRecord],
+        registers: Optional[RegisterFile] = None,
+    ) -> None:
+        ids: Dict[Signature, int] = {}
+        # setdefault's default is evaluated first: a new key gets the
+        # next id.
+        sig = [ids.setdefault(key, len(ids)) for key in map(_SIGNATURE, records)]
+        self.n = n = len(sig)
+        self.signatures: List[Signature] = list(ids)
+        self.sig = np.array(sig, dtype=np.intp)
+        del sig
+        # Ids are handed out in first-seen order, so a record is its
+        # signature's first instance exactly where the running maximum
+        # of the ids steps up.
+        first = np.flatnonzero(
+            np.diff(np.maximum.accumulate(self.sig), prepend=-1)
+        )
+        self.examples = [records[index] for index in first.tolist()]
+        self.pc = np.fromiter(map(_PC, records), dtype=np.uint64, count=n)
+
+        sig_class = np.array(
+            [signature[0] for signature in self.signatures], dtype=np.uint8
+        )
+        classes = sig_class[self.sig]
+        self.mem = np.flatnonzero((classes == _LOAD) | (classes == _STORE))
+        self.is_load = classes[self.mem] == _LOAD
+        mem_records = [records[index] for index in self.mem.tolist()]
+        m = len(mem_records)
+        self.mem_address = np.fromiter(
+            map(_MEM_ADDRESS, mem_records), dtype=np.uint64, count=m
+        )
+        self.mem_size = np.fromiter(
+            map(_MEM_SIZE, mem_records), dtype=np.int64, count=m
+        )
+        self.mode: Optional[np.ndarray] = None
+        self.data_regs: Optional[np.ndarray] = None
+        if registers is not None:
+            modes, counts = _analyze(records, registers)
+            self.mode = np.array(modes, dtype=np.uint8)
+            self.data_regs = np.array(counts, dtype=np.int64)
+
+
+def _analyze(
+    records: Iterable[CvpRecord], registers: RegisterFile
+) -> Tuple[List[int], List[int]]:
+    """The addressing analysis of :class:`TraceColumns`, in record order."""
     regvals = registers._values
-    none_mode = AddressingMode.NONE
-    plain = _PLAIN
-    out: List[MemoryAnalysis] = []
-    append = out.append
+    modes: List[int] = []
+    counts: List[int] = []
+    mode_codes = _MODE_CODES
     for record in records:
         cls_value = record.inst_class
         if _LOAD <= cls_value <= _STORE:
             info = infer_addressing(record, registers)
+            modes.append(mode_codes[info.mode])
             if cls_value == _LOAD:
-                count = len(info.memory_dst_regs) or 1
+                counts.append(len(info.memory_dst_regs) or 1)
             else:
-                count = _store_data_register_count(record, registers)
-            if info.mode is not none_mode:
-                append((info, count))
-            elif count < len(plain):
-                append(plain[count])
-            else:
-                append((None, count))
+                counts.append(_store_data_register_count(record, registers))
         dst_regs = record.dst_regs
         if dst_regs:
             for reg, value in zip(dst_regs, record.dst_values):
                 regvals[reg] = value
-    return out
+    return modes, counts
 
 
-def _probe_convert(converter: "Converter", record: CvpRecord) -> _MemoValue:
-    """Convert one record through the per-record path, capturing deltas.
+def _probe_convert(
+    converter: "Converter", record: CvpRecord, split: bool
+) -> _MemoValue:
+    """One signature's template, through the per-record converter.
 
     Swaps a scratch :class:`ConversionStats` into the converter for the
     duration of the call, so the probe observes exactly the counters
-    this record contributes — the memo replays them on every later hit.
+    the signature contributes per instance.  A memory signature's
+    template carries the register policy only (its addresses and base
+    update are the gather's), applied to the memory-populated
+    destinations when ``split``.
     """
-    from repro.champsim.trace import encode_block
-
     saved = converter.stats
     converter.stats = probe = ConversionStats()
     try:
-        # Branch and register-only conversion reads no register values.
-        instrs = converter.convert_record(record)
+        if record.is_memory:
+            dst_regs = record.dst_regs
+            if split:
+                dst_regs = _static_base_info(record.src_regs, dst_regs)[1]
+            instr = ChampSimInstr(
+                ip=0,
+                dst_regs=converter._final_destinations(record, dst_regs),
+                src_regs=converter._final_sources(record),
+            )
+        else:
+            # Branch and register-only conversion reads no register values.
+            (instr,) = converter.convert_record(record)
+            instr.ip = 0
     finally:
         converter.stats = saved
-    assert len(instrs) == 1  # branches/register-only records never split
     deltas = tuple(
         (index, value)
         for index, name in enumerate(_DELTA_FIELDS)
@@ -213,302 +302,282 @@ def _probe_convert(converter: "Converter", record: CvpRecord) -> _MemoValue:
     category = None
     if probe.branch_counts:
         (category,) = probe.branch_counts
-    return encode_block(instrs)[8:], category, deltas
+    return encode_instr(instr), category, deltas
 
 
-class BlockConverter:
-    """Carried state for one improvement set's assembly of one stream.
+@lru_cache(maxsize=None)
+def _alu_template(cvp_base: int) -> bytes:
+    """The base-update ALU micro-op of a split, with ``ip`` 0."""
+    base = champsim_reg(cvp_base)
+    return encode_instr(ChampSimInstr(ip=0, dst_regs=(base,), src_regs=(base,)))
 
-    Owns the per-stream source/destination memos and the static-memo
-    hit accounting, so :func:`convert_blocks_to_bytes` can drive
-    conversion block by block.  Sets that split base updates or widen
-    footprints read the stream's :func:`analyze_records` entries: the
-    precomputed ``analysis`` of the whole stream when given, else each
-    block's, analysed on the fly with a register file carried across
-    :meth:`convert_block` calls exactly as the per-record reader
-    carries it.  Other sets read no analysis at all.
+
+class GatherConverter:
+    """One improvement set's gather over :class:`TraceColumns`.
+
+    Accumulates into ``converter.stats`` exactly as
+    :meth:`~repro.core.convert.Converter.convert` over the same records
+    would, and counts its template-memo probes (one per distinct branch
+    or register-only signature per gather) for the
+    ``repro_convert_static_memo_*`` counters.
     """
 
-    def __init__(
-        self,
-        converter: "Converter",
-        analysis: Optional[Sequence[MemoryAnalysis]] = None,
-    ):
+    def __init__(self, converter: "Converter") -> None:
         self.converter = converter
         improvements = converter.improvements
-        self.keep_all = Improvement.MEM_REGS in improvements
         self.base_update = Improvement.BASE_UPDATE in improvements
         self.footprint = Improvement.MEM_FOOTPRINT in improvements
-        self.want_inference = bool(improvements & ANALYSED)
-
-        self._analysis: Iterator[MemoryAnalysis] = iter(analysis or ())
-        self._registers: Optional[RegisterFile] = None
-        if self.want_inference and analysis is None:
-            self._registers = RegisterFile()
-
-        self.imp_bits = improvements.value
-        self.src_memo: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], int]] = {}
-        self.dst_memo: Dict[
-            Tuple[int, ...], Tuple[Tuple[int, ...], int, int, int]
-        ] = {}
-
-        #: Static-memo probes (branch/register-only records) and misses,
-        #: kept here rather than in ConversionStats because they describe
-        #: the fast path's machinery, not the conversion semantics.
+        self.needs_analysis = bool(improvements & ANALYSED)
+        # The analysed improvements change only memory records' split
+        # and addresses, never a memoized template, so sets that differ
+        # only in them share memo entries.
+        self.imp_bits = (improvements & ~ANALYSED).value
         self.static_lookups = 0
         self.static_misses = 0
 
-    def convert_block(self, block: List[CvpRecord]) -> bytes:
-        """Convert one block of records into an encoded ChampSim chunk."""
-        converter = self.converter
-        keep_all = self.keep_all
-        base_update = self.base_update
-        footprint = self.footprint
-        want_inference = self.want_inference
-        if self._registers is not None:
-            self._analysis = iter(analyze_records(block, self._registers))
-        next_analysis = self._analysis.__next__
-        static_memo = _static_memo
-        imp_bits = self.imp_bits
-        src_memo = self.src_memo
-        dst_memo = self.dst_memo
-
-        pack = _STRUCT.pack
-        pack_ip = _PACK_IP
-        mask = _U64_MASK
-        stats = converter.stats
-        line_mask = ~(CACHELINE_SIZE - 1)
-
-        parts: List[bytes] = []
-        append = parts.append
-        n_out = 0
-        n_mem = 0
-        n_static_miss = 0
-        counters = [0] * len(_DELTA_FIELDS)
-        branch_counts: Dict[object, int] = {}
-        base_updates_split = 0
-        pre_index_splits = 0
-        load_base_update_splits = 0
-        two_line_accesses = 0
-        dc_zva_aligned = 0
-
-        for record in block:
-            cls_value = record.inst_class
-            dst_regs = record.dst_regs
-            if _LOAD <= cls_value <= _STORE:
-                # ----------------------------------------- memory record
-                n_mem += 1
-                src_regs = record.src_regs
-                pc = record.pc
-                address = record.mem_address or 0
-
-                if want_inference:
-                    info, data_regs = next_analysis()
-                    split = base_update and info is not None
-                else:
-                    split = False
-                mem_dsts = info.memory_dst_regs if split else dst_regs
-
-                hit = dst_memo.get(mem_dsts)
-                if hit is None:
-                    mapped = [champsim_reg(reg) for reg in mem_dsts]
-                    forged = dropped = truncated = 0
-                    if keep_all:
-                        if len(mapped) > MAX_DST_REGS:
-                            truncated = len(mapped) - MAX_DST_REGS
-                            mapped = mapped[:MAX_DST_REGS]
-                    elif not mapped:
-                        forged = 1
-                        mapped = [REG_FORGED_X0]
-                    else:
-                        dropped = len(mapped) - 1
-                        mapped = mapped[:1]
-                    hit = (tuple(mapped), forged, dropped, truncated)
-                    dst_memo[mem_dsts] = hit
-                dsts = hit[0]
-                counters[6] += hit[1]
-                counters[7] += hit[2]
-                counters[8] += hit[3]
-
-                shit = src_memo.get(src_regs)
-                if shit is None:
-                    seen = set()
-                    sources: List[int] = []
-                    for reg in src_regs:
-                        mapped_reg = champsim_reg(reg)
-                        if mapped_reg not in seen:
-                            seen.add(mapped_reg)
-                            sources.append(mapped_reg)
-                    truncated = 0
-                    if len(sources) > MAX_SRC_REGS:
-                        truncated = len(sources) - MAX_SRC_REGS
-                        sources = sources[:MAX_SRC_REGS]
-                    shit = (tuple(sources), truncated)
-                    src_memo[src_regs] = shit
-                sources = shit[0]
-                counters[4] += shit[1]
-
-                if not footprint:
-                    addr2 = 0
-                elif cls_value == _STORE and record.mem_size == CACHELINE_SIZE:
-                    # DC ZVA: one naturally-aligned line (Section 3.1.3).
-                    aligned = address & line_mask
-                    if aligned != address:
-                        dc_zva_aligned += 1
-                        address = aligned
-                    addr2 = 0
-                else:
-                    # cachelines_touched/total_access_size, inlined: the
-                    # analysis counted the data registers, only the line
-                    # arithmetic is unrolled here.
-                    size = record.mem_size * data_regs
-                    if size < 1:
-                        size = 1
-                    last = (address + size - 1) & line_mask
-                    if last != address & line_mask:
-                        two_line_accesses += 1
-                        addr2 = last
-                    else:
-                        addr2 = 0
-                if not address:
-                    # Address 0 is the empty-slot sentinel: the occupied
-                    # slot comes first, as Converter.convert emits it.
-                    address, addr2 = addr2, 0
-
-                s = sources + (0,) * (MAX_SRC_REGS - len(sources))
-                d = dsts + (0,) * (MAX_DST_REGS - len(dsts))
-                if cls_value == _LOAD:
-                    dst_mem = (0, 0)
-                    src_mem = (address, addr2, 0, 0)
-                else:
-                    dst_mem = (address, addr2)
-                    src_mem = (0, 0, 0, 0)
-
-                if split:
-                    base_updates_split += 1
-                    if cls_value == _LOAD:
-                        load_base_update_splits += 1
-                    base = champsim_reg(info.base_reg)
-                    if info.mode is AddressingMode.PRE_INDEX:
-                        pre_index_splits += 1
-                        alu_ip, mem_ip = pc, pc + 2
-                    else:
-                        alu_ip, mem_ip = pc + 2, pc
-                    alu_packed = pack(
-                        alu_ip & mask, 0, 0, base, 0, base, 0, 0, 0,
-                        0, 0, 0, 0, 0, 0,
-                    )
-                    mem_packed = pack(
-                        mem_ip & mask, 0, 0, *d, *s, *dst_mem, *src_mem
-                    )
-                    if info.mode is AddressingMode.PRE_INDEX:
-                        append(alu_packed)
-                        append(mem_packed)
-                    else:
-                        append(mem_packed)
-                        append(alu_packed)
-                    n_out += 2
-                else:
-                    append(pack(pc & mask, 0, 0, *d, *s, *dst_mem, *src_mem))
-                    n_out += 1
-                continue
-
-            # -------------------------------- branch / register-only record
-            if _FIRST_BRANCH <= cls_value <= _LAST_BRANCH:
-                key = (
-                    imp_bits,
-                    cls_value,
-                    record.src_regs,
-                    dst_regs,
-                    record.branch_taken,
-                )
-            else:
-                key = (imp_bits, cls_value, record.src_regs, dst_regs)
-            hit = static_memo.get(key)
-            if hit is None:
-                n_static_miss += 1
-                if len(static_memo) >= STATIC_MEMO_LIMIT:
-                    static_memo.clear()
-                hit = _probe_convert(converter, record)
-                static_memo[key] = hit
-            body, category, deltas = hit
-            append(pack_ip(record.pc & mask) + body)
-            n_out += 1
-            if category is not None:
-                branch_counts[category] = branch_counts.get(category, 0) + 1
-            for index, value in deltas:
-                counters[index] += value
-
-        # Fold the block's locals into the shared ConversionStats.
-        stats.records_in += len(block)
-        stats.instructions_out += n_out
-        for index, name in enumerate(_DELTA_FIELDS):
-            if counters[index]:
-                setattr(stats, name, getattr(stats, name) + counters[index])
-        for category, count in branch_counts.items():
-            stats.branch_counts[category] = (
-                stats.branch_counts.get(category, 0) + count
+    def convert(self, columns: TraceColumns) -> np.ndarray:
+        """The set's ChampSim records for ``columns``, as one array."""
+        mode = columns.mode
+        if self.needs_analysis and mode is None:
+            raise ValueError(
+                "this improvement set reads the addressing analysis; "
+                "build the columns with a register file"
             )
-        stats.base_updates_split += base_updates_split
-        stats.pre_index_splits += pre_index_splits
-        stats.load_base_update_splits += load_base_update_splits
-        stats.two_line_accesses += two_line_accesses
-        stats.dc_zva_aligned += dc_zva_aligned
+        n = columns.n
+        if not n:
+            return np.zeros(0, dtype=CHAMPSIM_DTYPE)
+        stats = self.converter.stats
+        nsig = len(columns.signatures)
+        mem = columns.mem
+        is_load = columns.is_load
 
-        self.static_lookups += len(block) - n_mem
-        self.static_misses += n_static_miss
-        return b"".join(parts)
+        # Template rows: [0, nsig) plain, [nsig, 2 nsig) a memory
+        # signature split by its base update, [2 nsig, 3 nsig) that
+        # split's ALU micro-op.
+        row = columns.sig
+        split = None
+        if self.base_update and mode is not None and mode.any():
+            split = mode != 0
+            row = row.copy()
+            row[mem[split]] += nsig
+        counts = np.bincount(row, minlength=2 * nsig)
+        table, deltas = self._templates(columns, counts)
+
+        # ``take``, not ``table[row]``: numpy's fancy indexing copies
+        # structured records field by field, about ten times slower.
+        if split is None:
+            out = table.take(row)
+            out["ip"] = columns.pc
+            mem_out = mem
+            n_split = n_pre = 0
+        else:
+            split_at = mem[split]
+            n_split = len(split_at)
+            assert mode is not None  # a split implies the analysis
+            pre = mode[split] == PRE_INDEX
+            n_pre = int(np.count_nonzero(pre))
+            reps = np.ones(n, dtype=np.intp)
+            reps[split_at] = 2
+            source = np.repeat(np.arange(n), reps)
+            # A split record's first micro-op sits after one extra row
+            # per earlier split; pre-index puts the ALU op first.
+            first = split_at + np.arange(n_split)
+            out_rows = row[source]
+            out_rows[first + ~pre] = 2 * nsig + columns.sig[split_at]
+            out = table.take(out_rows)
+            ip = columns.pc[source]
+            ip[first + 1] += 2  # the second micro-op is at pc+2 (wraps)
+            out["ip"] = ip
+            mem_pre = np.zeros(len(mem), dtype=np.intp)
+            mem_pre[split] = pre
+            mem_out = mem + (np.cumsum(split) - split) + mem_pre
+            stats.load_base_update_splits += int(
+                np.count_nonzero(split & is_load)
+            )
+
+        address, addr2 = self._addresses(columns, stats)
+        loads = mem_out[is_load]
+        stores = mem_out[~is_load]
+        src_mem = out["src_mem"]
+        dst_mem = out["dst_mem"]
+        src_mem[loads, 0] = address[is_load]
+        dst_mem[stores, 0] = address[~is_load]
+        if addr2 is not None:
+            src_mem[loads, 1] = addr2[is_load]
+            dst_mem[stores, 1] = addr2[~is_load]
+
+        stats.records_in += n
+        stats.instructions_out += n + n_split
+        stats.base_updates_split += n_split
+        stats.pre_index_splits += n_pre
+        totals = (counts @ deltas).tolist()
+        for name, total in zip(_DELTA_FIELDS, totals):
+            if total:
+                setattr(stats, name, getattr(stats, name) + total)
+        return out
+
+    def _templates(
+        self, columns: TraceColumns, counts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The template table and per-row delta matrix, for the rows
+        ``counts`` (records per template row) uses.
+
+        Also folds the branch categories into the converter's stats, in
+        first-seen order (the row order of plain signatures).
+        """
+        converter = self.converter
+        memo = _static_memo
+        imp_bits = self.imp_bits
+        nsig = len(columns.signatures)
+        rows = np.flatnonzero(counts).tolist()
+        branch_counts = converter.stats.branch_counts
+        deltas = np.zeros((2 * nsig, len(_DELTA_FIELDS)), dtype=np.int64)
+        templates: List[bytes] = []
+        template_rows: List[int] = []
+        lookups = misses = 0
+        for row in rows:
+            index = row % nsig
+            split = row >= nsig
+            signature = columns.signatures[index]
+            example = columns.examples[index]
+            if example.is_memory:
+                # The register policy alone: a few list operations, not
+                # worth a process-wide entry per set.
+                hit = _probe_convert(converter, example, split)
+            else:
+                lookups += 1
+                key = (imp_bits, signature)
+                hit = memo.get(key)
+                if hit is None:
+                    misses += 1
+                    if len(memo) >= STATIC_MEMO_LIMIT:
+                        memo.clear()
+                    hit = memo[key] = _probe_convert(converter, example, False)
+            template, category, row_deltas = hit
+            templates.append(template)
+            template_rows.append(row)
+            if category is not None:
+                branch_counts[category] = (
+                    branch_counts.get(category, 0) + int(counts[row])
+                )
+            for field, value in row_deltas:
+                deltas[row, field] = value
+            if split:
+                base = _static_base_info(signature[1], signature[2])[0]
+                templates.append(_alu_template(base))
+                template_rows.append(row + nsig)
+        self.static_lookups += lookups
+        self.static_misses += misses
+        table = np.zeros(3 * nsig, dtype=CHAMPSIM_DTYPE)
+        table[template_rows] = np.frombuffer(
+            b"".join(templates), dtype=CHAMPSIM_DTYPE
+        )
+        return table, deltas
+
+    def _addresses(
+        self, columns: TraceColumns, stats: ConversionStats
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Each memory record's first and second slot address.
+
+        The second is ``None`` when the set does not widen footprints.
+        Address 0 is the empty-slot sentinel: a record whose first line
+        is at 0 carries only its second, in the first slot, as
+        :meth:`~repro.core.convert.Converter.convert` emits it.
+        """
+        address = columns.mem_address
+        if not self.footprint:
+            return address, None
+        assert columns.data_regs is not None
+        # DC ZVA: one naturally-aligned line (Section 3.1.3).
+        dc_zva = ~columns.is_load & (columns.mem_size == CACHELINE_SIZE)
+        line = address & _LINE_MASK
+        stats.dc_zva_aligned += int(np.count_nonzero(dc_zva & (line != address)))
+        size = np.maximum(columns.mem_size * columns.data_regs, 1).astype(
+            np.uint64
+        )
+        size -= np.uint64(1)
+        if np.any(~dc_zva & (address > _U64_MAX - size)):
+            raise ChampSimTraceError(
+                "memory access runs past the 64-bit address space"
+            )
+        last = (address + size) & _LINE_MASK
+        two = ~dc_zva & (last != line)
+        stats.two_line_accesses += int(np.count_nonzero(two))
+        address = np.where(dc_zva, line, address)
+        addr2 = np.where(two, last, np.uint64(0))
+        zero = address == 0
+        if zero.any():
+            address = np.where(zero, addr2, address)
+            addr2 = np.where(zero, np.uint64(0), addr2)
+        return address, addr2
 
 
-def convert_blocks_to_bytes(
+def convert_blocks(
     converter: "Converter",
     source: Union[CvpTraceReader, Iterable[CvpRecord]],
     block_size: int = 4096,
-    analysis: Optional[Sequence[MemoryAnalysis]] = None,
-) -> Iterator[bytes]:
-    """Yield one encoded ChampSim byte chunk per block of CVP records.
+) -> Iterator[np.ndarray]:
+    """Yield one ChampSim record array per block of CVP records.
 
-    The concatenated chunks are byte-identical to encoding
+    The concatenated arrays are byte-identical to encoding
     ``converter.convert(source)`` record by record, and
-    ``converter.stats`` ends up equal as well.  ``analysis``, when
-    given, must be :func:`analyze_records` over the whole of ``source``
-    (the form a caller converting one trace under several improvement
-    sets computes once); otherwise each block is analysed as it
-    arrives, with register state carried across block boundaries
-    exactly as the per-record reader carries it.
+    ``converter.stats`` ends up equal as well.  Each block's columns are
+    built as it arrives, with register state carried across block
+    boundaries exactly as the per-record reader carries it (and not
+    tracked at all for sets that read no analysis).
 
     With observability enabled the same loop additionally times each
-    block's decode and transform; see :func:`_observed_blocks`.
+    block's decode and gather; see :func:`_observed_blocks`.
     """
     from repro import obs
 
     reader = (
         source if isinstance(source, CvpTraceReader) else CvpTraceReader(source)
     )
-    block_converter = BlockConverter(converter, analysis)
+    gather = GatherConverter(converter)
+    registers = RegisterFile() if gather.needs_analysis else None
+    blocks = (TraceColumns(block, registers) for block in reader.blocks(block_size))
     if obs.enabled():
-        yield from _observed_blocks(block_converter, reader, block_size)
+        yield from _observed_blocks(gather, blocks, block_size)
         return
-    for block in reader.blocks(block_size):
-        yield block_converter.convert_block(block)
+    for columns in blocks:
+        yield gather.convert(columns)
 
 
-def _observed_blocks(
-    block_converter: BlockConverter,
-    reader: CvpTraceReader,
-    block_size: int,
-) -> Iterator[bytes]:
-    """The :func:`convert_blocks_to_bytes` loop, timed per block.
+def convert_columns(converter: "Converter", columns: TraceColumns) -> np.ndarray:
+    """One whole trace's records, gathered from its prebuilt columns.
 
-    Emits one ``convert.stream`` span with an aggregated
-    ``convert.block_decode`` child, a per-block transform-time
-    histogram, and record/block/instruction and static-memo counters —
-    all after the stream ends, so the loop itself only reads the clock
-    twice per block.
+    The experiment runner's path: a trace's columns are built once and
+    gathered under every improvement set.  Observed like one block of
+    :func:`convert_blocks`.
     """
     from repro import obs
 
-    converter = block_converter.converter
+    gather = GatherConverter(converter)
+    if obs.enabled():
+        (out,) = _observed_blocks(gather, iter((columns,)), columns.n)
+        return out
+    return gather.convert(columns)
+
+
+def _observed_blocks(
+    gather: GatherConverter,
+    blocks: Iterator[TraceColumns],
+    block_size: int,
+) -> Iterator[np.ndarray]:
+    """The :func:`convert_blocks` loop, timed per block.
+
+    Emits one ``convert.stream`` span with an aggregated
+    ``convert.block_decode`` child (reading each block and building its
+    columns), a per-block gather-time histogram, and
+    record/block/instruction and static-memo counters — all after the
+    stream ends, so the loop itself only reads the clock twice per
+    block.  The static-memo counters count template-memo probes: one
+    per distinct branch or register-only signature of each block.
+    """
+    from repro import obs
+
+    converter = gather.converter
     # The converter's stats accumulate across files; count this stream's
     # contribution only.
     instrs_at_start = converter.stats.instructions_out
@@ -520,17 +589,16 @@ def _observed_blocks(
         block_size=block_size,
         improvements=converter.improvements.value,
     ) as stream:
-        blocks = reader.blocks(block_size)
         while True:
             start = perf_counter()
-            block = next(blocks, None)
+            columns = next(blocks, None)
             decoded = perf_counter()
             decode_time += decoded - start
-            if block is None:
+            if columns is None:
                 break
-            chunk = block_converter.convert_block(block)
+            chunk = gather.convert(columns)
             transform_times.append(perf_counter() - decoded)
-            n_records += len(block)
+            n_records += columns.n
             yield chunk
         # Decode time is summed over the stream, so the aggregated child
         # is placed at the stream's start.
@@ -563,7 +631,7 @@ def _observed_blocks(
     obs.counter(
         "repro_convert_instructions_total", "ChampSim instructions emitted."
     ).inc(converter.stats.instructions_out - instrs_at_start)
-    lookups = block_converter.static_lookups
+    lookups = gather.static_lookups
     obs.counter(
         "repro_convert_static_memo_lookups_total",
         "Static-instruction memo probes.",
@@ -571,4 +639,4 @@ def _observed_blocks(
     obs.counter(
         "repro_convert_static_memo_hits_total",
         "Static-instruction memo hits.",
-    ).inc(lookups - block_converter.static_misses)
+    ).inc(lookups - gather.static_misses)

@@ -56,9 +56,10 @@ def convert_file(
     Compression is chosen by suffix on both ends (``.gz`` for CVP input,
     ``.gz``/``.xz`` for ChampSim output).
 
-    Conversion runs the fused block path
-    (:meth:`~repro.core.convert.Converter.convert_to_bytes`) in blocks
-    of :data:`DEFAULT_BLOCK_SIZE` records.
+    Conversion runs the gather path
+    (:meth:`~repro.core.convert.Converter.convert_blocks`) in blocks
+    of :data:`DEFAULT_BLOCK_SIZE` records; each block's record array is
+    written as it is.
 
     ``salvage`` tolerates a truncated final source record: the complete
     leading records convert normally, a warning is logged, and the
@@ -77,10 +78,10 @@ def convert_file(
     ) as file_span:
         with CvpTraceReader(source, salvage=salvage) as reader:
             with ChampSimTraceWriter(destination) as writer:
-                for chunk in converter.convert_to_bytes(
+                for block in converter.convert_blocks(
                     reader, DEFAULT_BLOCK_SIZE
                 ):
-                    writer.write_encoded(chunk)
+                    writer.write_encoded(block.tobytes())
             salvaged = int(reader.salvage_info.get("trailing_bytes", 0))
         file_span.set(
             records=converter.stats.records_in,

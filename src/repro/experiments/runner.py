@@ -7,19 +7,21 @@ configuration, and read statistics.  Experiments declare their runs
 resolves them, and renders read them through the memo-only
 :meth:`ExperimentRunner.stored`.
 
-The production path per run is columnar end to end: the fused block
-converter (:meth:`~repro.core.convert.Converter.convert_to_bytes`)
-emits ChampSim bytes, :meth:`~repro.sim.decoded.DecodedColumns.from_champsim_bytes`
-turns them into engine columns without per-instruction objects, and
+The production path per run is columnar end to end: the gather
+converter (:class:`~repro.core.fastconvert.GatherConverter`) emits the
+ChampSim record array, :meth:`~repro.sim.decoded.DecodedColumns.from_champsim_bytes`
+turns it into engine columns without per-instruction objects or a byte
+copy, and
 :class:`~repro.sim.simulator.Simulator` runs the vector engine over
 them.  Runs are simulated only in :meth:`ExperimentRunner.run_group`,
 one trace group at a time (inline or in a pool worker), and the work
 that does not depend on the improvement set is done once per group:
 
-- the group's :class:`TraceWork` holds the records, their addressing
-  analysis (:func:`~repro.core.fastconvert.analyze_records`, computed
-  for the first improvement set that needs it and read by every later
-  one) and a :class:`~repro.sim.decoded.ContentMemo`;
+- the group's :class:`TraceWork` holds the records' gather columns
+  (:class:`~repro.core.fastconvert.TraceColumns`, with the addressing
+  analysis, built by the first conversion, which then drops the
+  records, and read by every later one) and a
+  :class:`~repro.sim.decoded.ContentMemo`;
 - every conversion's columns are built with that memo, so a component
   plan is built once per distinct event stream (plus config), and a
   run is simulated once per distinct (ChampSim bytes, branch rules,
@@ -74,7 +76,7 @@ from repro.synth.generator import make_trace
 from repro.synth.suite import IPC1_TO_CVP1, cvp1_public_trace_names, ipc1_trace_names
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.core.fastconvert import MemoryAnalysis
+    from repro.core.fastconvert import TraceColumns
     from repro.experiments.cache import ResultCache
     from repro.experiments.parallel import TraceGroup
     from repro.faults.retry import RetryPolicy
@@ -101,14 +103,23 @@ class Conversion(NamedTuple):
 
 @dataclass
 class TraceWork:
-    """One trace's records and the work its conversions share."""
+    """One trace's records and the work its conversions share.
+
+    The first conversion builds the records' gather columns
+    (:class:`~repro.core.fastconvert.TraceColumns`: pc, signature id,
+    memory address and size, addressing analysis) in one pass, inside
+    its ``core.convert`` span; every conversion of the trace, whatever
+    its improvement set, gathers from them.  The columns then replace
+    the records, which are dropped: they are most of a trace's memory,
+    and nothing reads them again.
+    """
 
     name: str
-    records: List[CvpRecord]
+    #: The generated records, until the columns replace them.
+    records: Optional[List[CvpRecord]]
     memo: ContentMemo = field(default_factory=ContentMemo)
-    #: :func:`~repro.core.fastconvert.analyze_records` over ``records``,
-    #: once a set needs it.
-    analysis: Optional[List["MemoryAnalysis"]] = None
+    #: The records as gather columns, once a conversion built them.
+    columns: Optional["TraceColumns"] = None
 
     @classmethod
     def generate(cls, name: str, instructions: int) -> "TraceWork":
@@ -119,35 +130,25 @@ class TraceWork:
             records = make_trace(IPC1_TO_CVP1.get(name, name), instructions)
         return cls(name, records)
 
-    def analysis_for(
-        self, improvements: Improvement
-    ) -> Optional[List["MemoryAnalysis"]]:
-        """The addressing analysis, if ``improvements`` reads it."""
-        # Imported on first use, as the converter does: CLI start-up
-        # does not compile the block converter.
-        from repro.core.fastconvert import ANALYSED, analyze_records
-
-        if not improvements & ANALYSED:
-            return None
-        if self.analysis is None:
-            self.analysis = analyze_records(self.records, RegisterFile())
-        return self.analysis
-
     def convert(self, improvements: Improvement) -> Conversion:
-        """Block conversion to ChampSim bytes, then bytes to engine
-        columns built with the trace's memo (no per-instruction objects
-        on either step)."""
+        """Gather the ChampSim record array, then build engine columns
+        from it with the trace's memo (no per-instruction objects and no
+        byte copies on either step)."""
         from repro import obs
+
+        # Imported on first use, as the converter does: CLI start-up
+        # does not compile the gather.
+        from repro.core.fastconvert import TraceColumns, convert_columns
 
         converter = Converter(improvements)
         with obs.span(
             "core.convert", trace=self.name, improvements=improvements.value
         ):
-            data = b"".join(
-                converter.convert_to_bytes(
-                    self.records, analysis=self.analysis_for(improvements)
-                )
-            )
+            if self.columns is None:
+                assert self.records is not None
+                self.columns = TraceColumns(self.records, RegisterFile())
+                self.records = None
+            data = convert_columns(converter, self.columns)
         rules = converter.required_branch_rules
         with obs.span("sim.columnarize", rules=rules.name) as span:
             columns = DecodedColumns.from_champsim_bytes(data, rules, self.memo)

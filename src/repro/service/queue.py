@@ -11,7 +11,10 @@ All state lives behind one :class:`threading.Condition`; the queue is
 deliberately tiny (the expensive part is the simulation fleet, not the
 bookkeeping) and has no persistence — completed work is durable in the
 artifact store, so a restarted service re-serves warm queries without
-replaying the queue.
+replaying the queue.  It keeps every in-flight job but only the most
+recent :data:`SETTLED_JOBS_KEPT` settled ones, so a long-running service
+neither grows without bound nor slows down: submissions and takes scan
+the in-flight jobs only.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 #: Job lifecycle states, in order.
 QUEUED = "queued"
@@ -28,8 +32,10 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 
-#: States in which a new identical submission dedups onto the job.
-_IN_FLIGHT = (QUEUED, RUNNING)
+#: Settled (done or failed) jobs kept for ``GET /v1/jobs/<id>``; the
+#: oldest is forgotten when another settles (its id then answers 404).
+#: In-flight jobs are never dropped.
+SETTLED_JOBS_KEPT = 1024
 
 
 @dataclass
@@ -74,8 +80,15 @@ class JobQueue:
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
+        #: Every job still known: the in-flight ones and the most
+        #: recent settled ones.
         self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        #: Queued and running jobs, in submission order.
+        self._in_flight: Dict[str, Job] = {}
+        #: Ids of the kept settled jobs, oldest first.
+        self._settled: Deque[str] = deque()
+        #: Jobs settled since the queue started, forgotten ones included.
+        self._settled_counts = {DONE: 0, FAILED: 0}
         self._ids = itertools.count(1)
         self._closed = False
 
@@ -87,9 +100,8 @@ class JobQueue:
         nothing is enqueued — the callers share one execution.
         """
         with self._cond:
-            for job_id in reversed(self._order):
-                job = self._jobs[job_id]
-                if job.fingerprint == fingerprint and job.state in _IN_FLIGHT:
+            for job in self._in_flight.values():
+                if job.fingerprint == fingerprint:
                     return job, False
             job = Job(
                 id=f"job-{next(self._ids)}",
@@ -98,7 +110,7 @@ class JobQueue:
                 params=params,
             )
             self._jobs[job.id] = job
-            self._order.append(job.id)
+            self._in_flight[job.id] = job
             self._cond.notify_all()
             return job, True
 
@@ -111,8 +123,7 @@ class JobQueue:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
-                for job_id in self._order:
-                    job = self._jobs[job_id]
+                for job in self._in_flight.values():
                     if job.state == QUEUED:
                         job.state = RUNNING
                         job.started_at = time.time()
@@ -130,25 +141,34 @@ class JobQueue:
         """Mark ``job`` done with its outcome summary."""
         with self._cond:
             job.result = result
-            job.state = DONE
-            job.finished_at = time.time()
-            self._cond.notify_all()
+            self._settle(job, DONE)
 
     def fail(self, job: Job, error: str) -> None:
         """Mark ``job`` failed with a human-readable reason."""
         with self._cond:
             job.error = error
-            job.state = FAILED
-            job.finished_at = time.time()
-            self._cond.notify_all()
+            self._settle(job, FAILED)
+
+    def _settle(self, job: Job, state: str) -> None:
+        """Move ``job`` from in flight to the kept settled jobs, dropping
+        the oldest settled job beyond :data:`SETTLED_JOBS_KEPT`."""
+        job.state = state
+        job.finished_at = time.time()
+        if self._in_flight.pop(job.id, None) is not None:
+            self._settled_counts[state] += 1
+            self._settled.append(job.id)
+            while len(self._settled) > SETTLED_JOBS_KEPT:
+                del self._jobs[self._settled.popleft()]
+        self._cond.notify_all()
 
     def job(self, job_id: str) -> Optional[Job]:
-        """The job with ``job_id``, or None."""
+        """The job with ``job_id``, or None (unknown or forgotten)."""
         with self._cond:
             return self._jobs.get(job_id)
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> Optional[Job]:
-        """Block until ``job_id`` settles (done/failed); None on timeout."""
+        """Block until ``job_id`` settles (done/failed); None on timeout
+        or when the job is unknown or forgotten."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
@@ -171,9 +191,10 @@ class JobQueue:
             self._cond.notify_all()
 
     def describe(self) -> Dict[str, int]:
-        """State counts for ``GET /v1/status``."""
+        """State counts for ``GET /v1/status``: the in-flight jobs, and
+        every job settled since the queue started."""
         with self._cond:
-            counts = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0}
-            for job in self._jobs.values():
+            counts = {QUEUED: 0, RUNNING: 0, **self._settled_counts}
+            for job in self._in_flight.values():
                 counts[job.state] += 1
             return counts

@@ -24,7 +24,16 @@ from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as _np
 
@@ -34,6 +43,9 @@ from repro.sim.config import SimConfig
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.sim.stats import SimStats
+
+#: Anything exposing a contiguous buffer of ChampSim records.
+Buffer = Union[bytes, bytearray, memoryview, "_np.ndarray"]
 
 
 @dataclass
@@ -184,14 +196,18 @@ class ContentMemo:
       the ChampSim bytes, the branch rules and the full
       :class:`~repro.sim.config.SimConfig` — to the finished
       :class:`~repro.sim.stats.SimStats`, so two conversions that emit
-      the same bytes are simulated once per config.
+      the same bytes are simulated once per config;
+    - :attr:`signatures` maps each branch rule set to the
+      :func:`_signature_info` of every record signature deduced so far,
+      since a trace's conversions repeat most of their signatures.
     """
 
-    __slots__ = ("plans", "runs")
+    __slots__ = ("plans", "runs", "signatures")
 
     def __init__(self) -> None:
         self.plans: dict = {}
         self.runs: Dict[tuple, "SimStats"] = {}
+        self.signatures: Dict[BranchRules, Dict[int, "SignatureInfo"]] = {}
 
 
 class DecodedColumns:
@@ -278,24 +294,29 @@ class DecodedColumns:
     @classmethod
     def from_champsim_bytes(
         cls,
-        data: bytes,
+        data: "Buffer",
         rules: BranchRules = BranchRules.ORIGINAL,
         memo: Optional[ContentMemo] = None,
     ) -> "DecodedColumns":
-        """Columns for a raw ChampSim byte stream, with no per-record objects.
+        """Columns for a raw ChampSim record stream, with no per-record objects.
 
-        Equal, field for field, to
-        ``columnarize(decode_trace(decode_block(data), rules))``.  numpy
-        slices the 64-byte records into word columns.  Bytes 8..15 of a
-        record (branch flag, taken flag, two destination and four source
-        register slots) form its *signature*: branch type, register
-        tuples and the branch kind bit depend on nothing else, so they
-        are deduced once per unique signature and fanned out through
-        ``np.unique``'s inverse index.  Memory operands and next-IP
-        targets are per-record and come from vectorised masks.
+        ``data`` is any contiguous buffer of whole 64-byte records:
+        ``bytes`` read from a file, or the
+        :data:`~repro.champsim.trace.CHAMPSIM_DTYPE` array the gather
+        converter emits, read in place.  Equal, field for field, to
+        ``columnarize(decode_trace(decode_block(bytes(data)), rules))``.
+        numpy slices the 64-byte records into word columns.  Bytes 8..15
+        of a record (branch flag, taken flag, two destination and four
+        source register slots) form its *signature*: branch type,
+        register tuples and the branch kind bit depend on nothing else,
+        so they are deduced once per unique signature (and once per
+        ``memo``) and fanned out through ``np.unique``'s inverse index.
+        Memory operands and next-IP targets are per-record and come from
+        vectorised masks.
 
         With a ``memo``, the columns share its plans and runs (see
-        :class:`ContentMemo`).
+        :class:`ContentMemo`); the run key's source digest is the
+        SHA-256 of the record bytes, whatever buffer carries them.
 
         Raises :class:`~repro.champsim.trace.ChampSimTraceError` when
         ``data`` is not a whole number of records.
@@ -308,27 +329,18 @@ class DecodedColumns:
         ip_array = words[:, 0]
         signature = words[:, 1]
         unique, inverse = _np.unique(signature, return_inverse=True)
-        sig_types: List[BranchType] = []
-        sig_src: List[Tuple[int, ...]] = []
-        sig_dst: List[Tuple[int, ...]] = []
-        max_reg = 0
+        known = {} if memo is None else memo.signatures.setdefault(rules, {})
+        infos = []
         for value in unique.tolist():
-            raw = value.to_bytes(8, "little")
-            instr = ChampSimInstr(
-                ip=0,
-                is_branch=bool(raw[0]),
-                branch_taken=bool(raw[1]),
-                dst_regs=tuple(r for r in raw[2:4] if r),
-                src_regs=tuple(r for r in raw[4:8] if r),
-            )
-            sig_types.append(deduce_branch_type(instr, rules))
-            sig_src.append(instr.src_regs)
-            sig_dst.append(instr.dst_regs)
-            max_reg = max(max_reg, *raw[2:8])
-        index = inverse.reshape(-1).tolist()
-        columns.branch_types = [sig_types[k] for k in index]
-        columns.src_regs = [sig_src[k] for k in index]
-        columns.dst_regs = [sig_dst[k] for k in index]
+            info = known.get(value)
+            if info is None:
+                info = known[value] = _signature_info(value, rules)
+            infos.append(info)
+        inverse = inverse.reshape(-1)
+        columns.branch_types = _fan_out([info[0] for info in infos], inverse)
+        columns.src_regs = _fan_out([info[1] for info in infos], inverse)
+        columns.dst_regs = _fan_out([info[2] for info in infos], inverse)
+        max_reg = max((info[3] for info in infos), default=0)
 
         is_branch = (signature & 0xFF) != 0
         taken = is_branch & ((signature & 0xFF00) != 0)
@@ -582,25 +594,58 @@ class DecodedColumns:
         return (*self.source_key, config)
 
 
+#: What a record signature decodes to: branch type, source and
+#: destination registers and the highest register slot.
+SignatureInfo = Tuple[BranchType, Tuple[int, ...], Tuple[int, ...], int]
+
+
+def _signature_info(value: int, rules: BranchRules) -> SignatureInfo:
+    """The :data:`SignatureInfo` of one record signature (bytes 8..15,
+    little-endian)."""
+    raw = value.to_bytes(8, "little")
+    instr = ChampSimInstr(
+        ip=0,
+        is_branch=bool(raw[0]),
+        branch_taken=bool(raw[1]),
+        dst_regs=tuple(r for r in raw[2:4] if r),
+        src_regs=tuple(r for r in raw[4:8] if r),
+    )
+    return (
+        deduce_branch_type(instr, rules),
+        instr.src_regs,
+        instr.dst_regs,
+        max(raw[2:8]),
+    )
+
+
+def _fan_out(values: Sequence[Any], index: "_np.ndarray") -> List[Any]:
+    """``[values[k] for k in index]``, as one object-array ``take``
+    (several times faster than indexing in Python)."""
+    table = _np.fromiter(values, dtype=object, count=len(values))
+    return table.take(index).tolist()
+
+
 def _mem_column(
     slots: "_np.ndarray",
 ) -> "Tuple[List[Tuple[int, ...]], _np.ndarray]":
     """Per-record tuples of the non-zero addresses in ``slots`` (an
-    ``(n, k)`` word array), in slot order, plus the non-empty mask."""
+    ``(n, k)`` word array), in slot order, plus the non-empty mask.
+
+    Rows with no address (most of them) share one ``()`` and cost
+    nothing per row; the rows with ``count`` addresses (nearly every
+    memory access has one) get their tuples from one ``zip`` over the
+    compacted slot columns.
+    """
     nonzero = slots != 0
     counts = nonzero.sum(axis=1)
-    flat = slots[nonzero].tolist()
-    tuples: List[Tuple[int, ...]] = []
-    append = tuples.append
-    pos = 0
-    for count in counts.tolist():
-        if count:
-            end = pos + count
-            append(tuple(flat[pos:end]))
-            pos = end
-        else:
-            append(())
-    return tuples, counts != 0
+    column: List[Tuple[int, ...]] = [()] * len(slots)
+    for count in range(1, slots.shape[1] + 1):
+        rows = _np.flatnonzero(counts == count)
+        if len(rows):
+            values = slots[rows][nonzero[rows]].reshape(-1, count)
+            for row, value in zip(rows.tolist(), zip(*values.T.tolist())):
+                column[row] = value
+    return column, counts != 0
 
 
 def columnarize(

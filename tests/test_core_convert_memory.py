@@ -204,7 +204,7 @@ def test_access_to_address_zero_is_not_emitted():
     ):
         instr = Converter(improvements).convert_record(record)[0]
         assert instr.src_mem == expected
-        block = b"".join(Converter(improvements).convert_to_bytes([record]))
+        block = b"".join(Converter(improvements).convert_blocks([record]))
         assert block == encode_instr(instr)
 
 
@@ -213,7 +213,7 @@ def test_base_update_micro_op_ip_wraps_like_the_block_converter():
     record = post_index_ldr(pc=(1 << 64) - 2)
     instrs = Converter(Improvement.BASE_UPDATE).convert_record(record)
     assert [instr.ip for instr in instrs] == [(1 << 64) - 2, 0]
-    block = b"".join(Converter(Improvement.BASE_UPDATE).convert_to_bytes([record]))
+    block = b"".join(Converter(Improvement.BASE_UPDATE).convert_blocks([record]))
     assert block == b"".join(encode_instr(instr) for instr in instrs)
 
 

@@ -1,6 +1,6 @@
 """Differential tier: the columnar experiment pipeline vs its oracles.
 
-Experiment runs go block convert -> bytes-to-columns -> vector engine.
+Experiment runs go gather convert -> records-to-columns -> vector engine.
 Each step replaces a reference implementation that survives only here:
 
 - :meth:`DecodedColumns.from_champsim_bytes` must equal
@@ -15,6 +15,7 @@ Each step replaces a reference implementation that survives only here:
 """
 
 import glob
+import hashlib
 import random
 import struct
 
@@ -89,9 +90,31 @@ def _assert_columns_equal(data, rules, context):
 def test_columns_from_bytes_match_oracle_on_golden(path, name):
     converter = Converter(IMPROVEMENT_NAMES[name])
     with CvpTraceReader(path) as reader:
-        data = b"".join(converter.convert_to_bytes(reader))
+        data = b"".join(converter.convert_blocks(reader))
     for rules in BranchRules:
         _assert_columns_equal(data, rules, (path, name, rules))
+
+
+@pytest.mark.parametrize("name", ["No_imp", "All_imps"])
+def test_columns_from_record_array_equal_columns_from_bytes(name):
+    # The runner hands the gather's record array over in place; the
+    # columns and the run key's source digest are those of its bytes.
+    from repro.core.fastconvert import TraceColumns, convert_columns
+    from repro.cvp.reader import RegisterFile, read_trace
+    from repro.sim.decoded import ContentMemo
+
+    records = read_trace(GOLDEN[0])
+    converter = Converter(IMPROVEMENT_NAMES[name])
+    array = convert_columns(converter, TraceColumns(records, RegisterFile()))
+    data = array.tobytes()
+    rules = converter.required_branch_rules
+    from_array = DecodedColumns.from_champsim_bytes(array, rules, ContentMemo())
+    from_bytes = _assert_columns_equal(data, rules, name)
+    for field in COLUMN_FIELDS:
+        assert getattr(from_array, field) == getattr(from_bytes, field), field
+    keyed = DecodedColumns.from_champsim_bytes(data, rules, ContentMemo())
+    assert from_array.source_key == keyed.source_key
+    assert from_array.source_key[0] == hashlib.sha256(data).digest()
 
 
 #: Register slot values: empty, the three deduction-relevant specials,

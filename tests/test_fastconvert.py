@@ -1,33 +1,40 @@
-"""Differential tests: the block fast path vs the per-record converter.
+"""Differential tests: the gather converter vs the per-record converter.
 
-The fast path must be *bit-for-bit* equivalent: identical output bytes
-and identical :class:`~repro.core.convert.ConversionStats` for every
-golden fixture, every improvement set, and every block size — plus a
-property-based corpus of arbitrary valid records.
+The gather must be *bit-for-bit* equivalent: identical output bytes and
+identical :class:`~repro.core.convert.ConversionStats` (``branch_counts``
+included) for every golden fixture, every improvement set, every block
+size and every suite trace — plus property-based corpora of arbitrary
+valid records and of (suite trace, improvement subset) pairs.
 """
 
 import glob
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.champsim.trace import ChampSimTraceWriter, encode_instr
+from repro.champsim.trace import CHAMPSIM_DTYPE, ChampSimTraceWriter, encode_instr
 from repro.core.convert import Converter
 from repro.core.fastconvert import (
-    analyze_records,
+    GatherConverter,
+    TraceColumns,
     clear_static_memo,
-    convert_blocks_to_bytes,
+    convert_blocks,
     static_memo_size,
 )
 from repro.core.improvements import IMPROVEMENT_NAMES, Improvement
 from repro.cvp.reader import CvpTraceReader, RegisterFile, read_trace
 from repro.experiments.cache import conversion_stats_to_dict
 
+from tests.conftest import SUITE_INSTRUCTIONS
 from tests.diffharness import assert_bytes_identical, assert_stats_identical
 from tests.test_property_converter import cvp_records, improvement_sets
 
 GOLDEN = sorted(glob.glob("tests/golden/*.cvp.gz"))
+
+#: Every subset of the six improvements.
+ALL_SUBSETS = [Improvement(bits) for bits in range(Improvement.ALL.value + 1)]
 
 
 def _slow(source, improvements):
@@ -36,13 +43,18 @@ def _slow(source, improvements):
     return data, conversion_stats_to_dict(converter.stats)
 
 
-def _fast(source, improvements, block_size, analysis=None):
+def _fast(source, improvements, block_size):
     converter = Converter(improvements)
-    data = b"".join(
-        convert_blocks_to_bytes(
-            converter, source, block_size=block_size, analysis=analysis
-        )
-    )
+    blocks = list(convert_blocks(converter, source, block_size=block_size))
+    for block in blocks:
+        assert block.dtype == CHAMPSIM_DTYPE
+    data = b"".join(block.tobytes() for block in blocks)
+    return data, conversion_stats_to_dict(converter.stats)
+
+
+def _gather(columns, improvements):
+    converter = Converter(improvements)
+    data = GatherConverter(converter).convert(columns).tobytes()
     return data, conversion_stats_to_dict(converter.stats)
 
 
@@ -79,20 +91,17 @@ def test_fast_path_matches_slow_path_on_arbitrary_records(
 
 @pytest.mark.parametrize("path", GOLDEN)
 def test_shared_analysis_matches_slow_path_for_every_set(path):
-    # One whole-trace analysis, assembled under every improvement set:
-    # the experiment runner's path.
+    # One whole-trace set of columns, gathered under every improvement
+    # set: the experiment runner's path.
     records = read_trace(path)
-    analysis = analyze_records(records, RegisterFile())
-    assert len(analysis) == sum(r.is_memory for r in records)
+    columns = TraceColumns(records, RegisterFile())
+    assert len(columns.mode) == len(columns.mem)
+    assert len(columns.mem) == sum(r.is_memory for r in records)
     for name, improvements in sorted(IMPROVEMENT_NAMES.items()):
         slow_bytes, slow_stats = _slow(list(records), improvements)
-        for block_size in (7, 4096):
-            fast_bytes, fast_stats = _fast(
-                list(records), improvements, block_size, analysis
-            )
-            context = (path, name, block_size)
-            assert_bytes_identical(fast_bytes, slow_bytes, context)
-            assert_stats_identical(fast_stats, slow_stats, context)
+        fast_bytes, fast_stats = _gather(columns, improvements)
+        assert_bytes_identical(fast_bytes, slow_bytes, (path, name))
+        assert_stats_identical(fast_stats, slow_stats, (path, name))
 
 
 @given(
@@ -103,25 +112,72 @@ def test_shared_analysis_matches_slow_path_for_every_set(path):
 def test_shared_analysis_matches_slow_path_on_arbitrary_records(
     records, improvements
 ):
-    analysis = analyze_records(records, RegisterFile())
+    columns = TraceColumns(records, RegisterFile())
     slow_bytes, slow_stats = _slow(list(records), improvements)
-    fast_bytes, fast_stats = _fast(list(records), improvements, 3, analysis)
+    fast_bytes, fast_stats = _gather(columns, improvements)
     assert_bytes_identical(fast_bytes, slow_bytes, improvements)
     assert_stats_identical(fast_stats, slow_stats, improvements)
 
 
 def test_block_analysis_equals_whole_trace_analysis():
     # The streaming path analyses block by block with a carried register
-    # file; the entries are the whole-trace pass's, in order.
+    # file; the columns are the whole-trace pass's, in order.
     records = read_trace(GOLDEN[0])
     registers = RegisterFile()
     blocks = [
-        analyze_records(records[start:start + 5], registers)
+        TraceColumns(records[start:start + 5], registers)
         for start in range(0, len(records), 5)
     ]
-    assert [entry for block in blocks for entry in block] == analyze_records(
-        records, RegisterFile()
+    whole = TraceColumns(records, RegisterFile())
+    assert whole.mode.any()
+    for name in ("mode", "data_regs", "mem_address", "mem_size", "pc"):
+        joined = np.concatenate([getattr(block, name) for block in blocks])
+        assert np.array_equal(joined, getattr(whole, name)), name
+
+
+def test_columns_without_registers_refuse_analysed_sets():
+    records = read_trace(GOLDEN[0])
+    columns = TraceColumns(records)
+    assert columns.mode is None
+    _gather(columns, Improvement.BRANCH | Improvement.MEM_REGS)
+    with pytest.raises(ValueError):
+        _gather(columns, Improvement.BASE_UPDATE)
+
+
+@pytest.mark.parametrize("name", ["No_imp", "All_imps"])
+def test_gather_matches_slow_path_on_every_suite_trace(suite_traces, name):
+    improvements = IMPROVEMENT_NAMES[name]
+    for trace, records in suite_traces.items():
+        slow_bytes, slow_stats = _slow(list(records), improvements)
+        fast_bytes, fast_stats = _gather(
+            TraceColumns(records, RegisterFile()), improvements
+        )
+        assert_bytes_identical(fast_bytes, slow_bytes, (trace, name))
+        assert_stats_identical(fast_stats, slow_stats, (trace, name))
+
+
+@given(data=st.data(), improvements=st.sampled_from(ALL_SUBSETS))
+@settings(max_examples=60, deadline=None)
+def test_gather_matches_slow_path_on_suite_trace_subsets(
+    suite_traces, data, improvements
+):
+    trace = data.draw(st.sampled_from(sorted(suite_traces)), label="trace")
+    records = suite_traces[trace]
+    assert len(records) == SUITE_INSTRUCTIONS
+    slow_bytes, slow_stats = _slow(list(records), improvements)
+    fast_bytes, fast_stats = _gather(
+        TraceColumns(records, RegisterFile()), improvements
     )
+    assert_bytes_identical(fast_bytes, slow_bytes, (trace, improvements))
+    assert_stats_identical(fast_stats, slow_stats, (trace, improvements))
+
+
+def test_empty_trace_gathers_no_records():
+    converter = Converter(Improvement.ALL)
+    out = GatherConverter(converter).convert(TraceColumns([], RegisterFile()))
+    assert out.dtype == CHAMPSIM_DTYPE and len(out) == 0
+    assert converter.stats.records_in == 0
+    assert list(convert_blocks(Converter(Improvement.ALL), [])) == []
 
 
 def test_static_memo_is_shared_and_clearable():
@@ -143,6 +199,26 @@ def test_static_memo_is_shared_and_clearable():
     assert static_memo_size() == 0
 
 
+def test_sets_differing_in_analysed_improvements_share_templates():
+    # Base update and footprint change only memory records, whose
+    # templates are probed per gather, so the memo entries are shared.
+    clear_static_memo()
+    records = read_trace(GOLDEN[0])
+    columns = TraceColumns(records, RegisterFile())
+    first = GatherConverter(Converter(Improvement.NONE))
+    first.convert(columns)
+    plain = {columns.sig[i] for i, r in enumerate(records) if not r.is_memory}
+    assert first.static_lookups == first.static_misses == len(plain)
+    assert static_memo_size() == len(plain)
+    for improvements in (Improvement.MEM_FOOTPRINT, Improvement.BASE_UPDATE):
+        gather = GatherConverter(Converter(improvements))
+        gather.convert(columns)
+        assert gather.static_lookups == len(plain)
+        assert gather.static_misses == 0
+    assert static_memo_size() == len(plain)
+    clear_static_memo()
+
+
 def test_static_memo_overflow_clears_wholesale(monkeypatch):
     import repro.core.fastconvert as fastconvert
 
@@ -153,9 +229,9 @@ def test_static_memo_overflow_clears_wholesale(monkeypatch):
     with CvpTraceReader(GOLDEN[0]) as reader:
         fast_bytes, _ = _fast(reader, Improvement.ALL, 4096)
     # Fidelity survives constant eviction, and the memo stays bounded
-    # (at most limit + 1 entries exist between overflow checks).
+    # (the limit is checked before each insertion).
     assert_bytes_identical(fast_bytes, slow_bytes, "memo overflow")
-    assert static_memo_size() <= 5
+    assert static_memo_size() <= 4
     clear_static_memo()
 
 

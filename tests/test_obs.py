@@ -77,26 +77,28 @@ def test_disabled_span_is_shared_noop(obs_reset):
 
 
 def test_disabled_convert_overhead_within_3_percent(obs_reset, small_trace):
-    """The obs-aware dispatch must not slow the fused convert path.
+    """The obs-aware entry point must not slow the gather.
 
-    With observability off, ``Converter.convert_to_bytes`` adds exactly
-    one ``enabled()`` check per call over invoking the fused generator
+    With observability off, ``Converter.convert_blocks`` adds exactly
+    one ``enabled()`` check per call over driving the gather loop
     directly — interleaved min-of-K timing keeps the comparison noise
     well under the asserted bound.
     """
     from repro.core.convert import Converter
-    from repro.core.fastconvert import convert_blocks_to_bytes
+    from repro.core.fastconvert import GatherConverter, TraceColumns
     from repro.core.improvements import Improvement
+    from repro.cvp.reader import CvpTraceReader, RegisterFile
 
     def via_dispatch() -> None:
         converter = Converter(Improvement.ALL)
-        for _ in converter.convert_to_bytes(iter(small_trace), 4096):
+        for _ in converter.convert_blocks(iter(small_trace), 4096):
             pass
 
     def via_fused() -> None:
-        converter = Converter(Improvement.ALL)
-        for _ in convert_blocks_to_bytes(converter, iter(small_trace), 4096):
-            pass
+        gather = GatherConverter(Converter(Improvement.ALL))
+        registers = RegisterFile()
+        for block in CvpTraceReader(iter(small_trace)).blocks(4096):
+            gather.convert(TraceColumns(block, registers))
 
     via_dispatch(), via_fused()  # warm both paths before timing
     # Retried measurement: a real regression (per-record work behind the
@@ -424,12 +426,12 @@ def test_observed_convert_byte_identity(obs_log, small_trace):
     state.set_enabled(False)
     baseline_converter = Converter(Improvement.ALL)
     baseline = b"".join(
-        baseline_converter.convert_to_bytes(iter(small_trace), 64)
+        baseline_converter.convert_blocks(iter(small_trace), 64)
     )
     state.set_enabled(True)
     observed_converter = Converter(Improvement.ALL)
     observed = b"".join(
-        observed_converter.convert_to_bytes(iter(small_trace), 64)
+        observed_converter.convert_blocks(iter(small_trace), 64)
     )
     assert observed == baseline
     assert observed_converter.stats == baseline_converter.stats
@@ -646,6 +648,9 @@ def test_experiment_spans_cover_root_time(obs_reset, tmp_path, capsys):
     children = {row["name"] for row in rows if len(row["path"]) == 2}
     assert {"synth.generate", "core.convert", "sim.columnarize",
             "sim.engine"} <= children
+    # The gather is observed inside its conversion, as a one-block stream.
+    paths = {tuple(row["path"]) for row in rows}
+    assert ("experiment.run", "core.convert", "convert.stream") in paths
     total = sum(row["total"] for row in roots)
     self_time = sum(row["self"] for row in roots)
     assert total > 0

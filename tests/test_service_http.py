@@ -316,6 +316,52 @@ def test_queue_close_unblocks_take():
     assert queue.take(timeout=5.0) is None  # returns immediately
 
 
+def test_queue_takes_in_submission_order_and_dedups_queued_jobs():
+    queue = JobQueue()
+    first, _ = queue.submit("sweep", "fp-a", None)
+    second, _ = queue.submit("sweep", "fp-b", None)
+    assert queue.submit("sweep", "fp-a", None) == (first, False)
+    third, _ = queue.submit("sweep", "fp-c", None)
+    assert [queue.take(timeout=1.0) for _ in range(3)] == [first, second, third]
+    assert queue.take(timeout=0.01) is None
+
+
+def test_queue_forgets_the_oldest_settled_jobs(service, monkeypatch):
+    from repro.service import queue as queue_module
+
+    monkeypatch.setattr(queue_module, "SETTLED_JOBS_KEPT", 2)
+    queue = service.queue
+    running, _ = queue.submit("sweep", "fp-running", None)
+    assert queue.take(timeout=1.0) is running
+    settled = []
+    for index in range(4):
+        job, _ = queue.submit("sweep", f"fp-{index}", None)
+        assert queue.take(timeout=1.0) is job
+        if index % 2:
+            queue.fail(job, "boom")
+        else:
+            queue.finish(job, {"simulations": 0})
+        settled.append(job.id)
+    queued = service.handle_submit(json.dumps(TINY).encode())["job"]
+    # The two oldest settled jobs are forgotten: their ids answer 404.
+    for job_id in settled[:2]:
+        with pytest.raises(ServiceError) as err:
+            service.handle_job(job_id)
+        assert err.value.status == 404
+        assert queue.wait(job_id, timeout=0.01) is None
+    assert [service.handle_job(job_id)["state"] for job_id in settled[2:]] == [
+        "done",
+        "failed",
+    ]
+    # In-flight jobs are never forgotten, and still absorb duplicates.
+    assert service.handle_job(running.id)["state"] == "running"
+    assert service.handle_job(queued)["state"] == "queued"
+    assert queue.submit("sweep", "fp-running", None) == (running, False)
+    assert service.handle_submit(json.dumps(TINY).encode())["job"] == queued
+    # Status counts every job settled since the start, forgotten or not.
+    assert queue.describe() == {"queued": 1, "running": 1, "done": 2, "failed": 2}
+
+
 # ----------------------------------------------------------------------
 # end to end over a real socket
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ GOLDEN = sorted(glob.glob("tests/golden/*.cvp.gz"))
 
 def _assert_load_splits_match(records, context):
     converter = Converter(Improvement.BASE_UPDATE)
-    for _ in converter.convert_to_bytes(records):
+    for _ in converter.convert_blocks(records):
         pass
     ch = characterize(records)
     assert converter.stats.load_base_update_splits == ch.base_update_loads, context
@@ -63,7 +63,7 @@ def test_table1_sums_equal_one_shared_converter(suite_traces, monkeypatch):
     # converter (and its register state) across the whole suite.
     shared = Converter(Improvement.ALL)
     for name in names:
-        for _ in shared.convert_to_bytes(suite_traces[name]):
+        for _ in shared.convert_blocks(suite_traces[name]):
             pass
     expected = conversion_stats_to_dict(shared.stats)
 

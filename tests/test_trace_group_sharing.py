@@ -1,7 +1,7 @@
 """Per-trace work done once per trace group, and results unchanged.
 
 A trace group (one trace's runs, ``ExperimentRunner.run_group``) shares
-three things among its improvement sets: the addressing analysis, the
+three things among its improvement sets: the gather columns, the
 component plans (keyed by the content of their event stream) and the
 finished runs (keyed by the ChampSim bytes, branch rules and config).
 The differential test pins the grouped path to one fresh runner per run
@@ -17,7 +17,7 @@ from repro.core.improvements import Improvement
 from repro.experiments import runner as runner_module
 from repro.experiments.cache import conversion_stats_to_dict
 from repro.experiments.figures import FIGURE1_CONFIGS
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, TraceWork
 from repro.experiments.tables import FIXED_TRACE_IMPROVEMENTS
 from repro.sim import vector_engine
 from repro.sim.config import SimConfig
@@ -115,9 +115,26 @@ def test_group_releases_the_memo_with_the_trace(suite_runner, trace_work_alive):
     assert trace_work_alive() == 0
 
 
+def test_trace_work_drops_its_records_for_the_columns(suite_traces):
+    # The first conversion's columns replace the records; a later set
+    # converts from them exactly as from a fresh trace.
+    records = suite_traces["srv_3"]
+    work = TraceWork("srv_3", list(records))
+    work.convert(Improvement.NONE)
+    assert work.records is None and work.columns is not None
+    later = work.convert(Improvement.ALL)
+    fresh = TraceWork("srv_3", list(records)).convert(Improvement.ALL)
+    assert later.columns.source_key == fresh.columns.source_key
+    assert_stats_identical(
+        conversion_stats_to_dict(later.stats),
+        conversion_stats_to_dict(fresh.stats),
+        "srv_3",
+    )
+
+
 def _columns(records, improvements, memo=None):
     converter = Converter(improvements)
-    data = b"".join(converter.convert_to_bytes(records))
+    data = b"".join(converter.convert_blocks(records))
     rules = converter.required_branch_rules
     return DecodedColumns.from_champsim_bytes(data, rules, memo)
 
